@@ -11,8 +11,6 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import dataset as ds
 from . import evaluate as ev
 from .audio import DEFAULT_SAMPLE_RATE, note_corpus, pitch_to_hz, read_wav, write_wav
@@ -77,8 +75,7 @@ def cmd_dataset(args):
     out = _out_dir(args)
     corpus = _load_corpus_dir(args.corpus, args.sample_rate)
     if args.mode == "single":
-        grid = np.arange(-12.0, 12.0 + args.step / 2, args.step)
-        settings = ds.single_band_settings(grid)
+        settings = ds.single_band_settings(ds.gain_grid(args.step))
         limit = None
     else:
         settings = ds.multi_band_settings(ds.COARSE_GRID)
@@ -245,6 +242,29 @@ def cmd_response(args):
 # --------------------------------------------------------------- parser
 
 
+def _grid_step(text):
+    """--step: a positive dB step that divides the 24 dB gain span."""
+    try:
+        step = float(text)
+        ds.gain_grid(step)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return step
+
+
+def _jobs(text):
+    """--jobs: worker threads, from 1 to the machine's CPU count."""
+    limit = os.cpu_count() or 1
+    try:
+        jobs = int(text)
+    except ValueError:
+        jobs = 0
+    if not 1 <= jobs <= limit:
+        raise argparse.ArgumentTypeError(f"must be an integer from 1 to {limit} "
+                                         f"(the CPU count), got {text!r}")
+    return jobs
+
+
 def _add_common(parser, out=True):
     parser.add_argument("--sample-rate", type=int, default=DEFAULT_SAMPLE_RATE)
     parser.add_argument("--seed", type=int, default=42)
@@ -268,12 +288,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--corpus", required=True, help="directory of base WAV files")
     p.add_argument("--mode", choices=["single", "multi"], required=True)
-    p.add_argument("--step", type=float, default=1.0, help="single-band grid step (dB)")
+    p.add_argument("--step", type=_grid_step, default=1.0,
+                   help="single-band grid step (dB); must divide 24")
     p.add_argument("--limit", type=int, default=3000)
     p.add_argument("--full", action="store_true", help="no subsampling (multi mode)")
     p.add_argument("--csv", action="store_true", help="also export manifest.csv")
     p.add_argument("--keep-audio", action="store_true", help="keep processed WAVs")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_jobs, default=1, help="worker threads (1..CPU count)")
     p.set_defaults(func=cmd_dataset)
 
     p = sub.add_parser("extract", help="extract the 17 features from WAV files")
@@ -312,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pitches", default=None,
                    help="corpus notes for the runs (default: broadband C2)")
     p.add_argument("--limit", type=int, default=3000)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_jobs, default=1, help="worker threads (1..CPU count)")
     p.set_defaults(func=cmd_reproduce)
 
     p = sub.add_parser("response", help="CSV of the combined EQ magnitude curve")

@@ -16,8 +16,22 @@ from .features import FEATURE_NAMES, StftConfig, extract_features
 
 MANIFEST_SCHEMA_VERSION = 1
 
-FINE_GRID = np.arange(-12.0, 13.0, 1.0)          # 25 values, 1 dB steps
-COARSE_GRID = np.arange(-12.0, 13.0, 4.0)        # {-12,-8,-4,0,4,8,12}
+GRID_LIMIT_DB = 12.0
+
+
+def gain_grid(step_db: float) -> np.ndarray:
+    """Ascending grid from -12 to +12 dB in `step_db` steps. It is built from
+    the integer step count, so both ends are exact; the step must divide the
+    24 dB span."""
+    span = 2 * GRID_LIMIT_DB
+    count = round(span / step_db) if step_db > 0 else 0
+    if count < 1 or not np.isclose(count * step_db, span, rtol=1e-9, atol=0.0):
+        raise ValueError(f"grid step must be positive and divide {span:g} dB, got {step_db:g}")
+    return np.linspace(-GRID_LIMIT_DB, GRID_LIMIT_DB, count + 1)
+
+
+FINE_GRID = gain_grid(1.0)       # 25 values, 1 dB steps
+COARSE_GRID = gain_grid(4.0)     # {-12,-8,-4,0,4,8,12}
 
 
 def validate_grid(values_db) -> np.ndarray:
@@ -26,7 +40,7 @@ def validate_grid(values_db) -> np.ndarray:
         raise ValueError("gain grid must be nonempty")
     if grid.size > 1 and np.any(np.diff(grid) <= 0):
         raise ValueError("gain grid must be strictly ascending")
-    if np.any(np.abs(grid) > 12.0):
+    if np.any(np.abs(grid) > GRID_LIMIT_DB):
         raise ValueError("gain grid values must lie within [-12, +12] dB")
     return grid
 

@@ -1,5 +1,6 @@
 """Parametric EQ: biquad design (low-shelf, bell, high-shelf), cascade
-application, and frequency-response evaluation.
+application as one second-order-sections (SOS) filter, and frequency-response
+evaluation.
 
 Coefficients follow the standard audio-EQ cookbook parameterization with
 A = 10^(gain_db/40), w0 = 2*pi*f0/fs, alpha = sin(w0)/(2*q).
@@ -8,7 +9,7 @@ A = 10^(gain_db/40), w0 = 2*pi*f0/fs, alpha = sin(w0)/(2*q).
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
+from scipy.signal import sosfilt
 
 from .audio import AudioBuffer
 
@@ -48,6 +49,10 @@ class BiquadCoeffs:
 
     def is_stable(self):
         return abs(self.a2) < 1.0 and abs(self.a1) < 1.0 + self.a2
+
+    def sos_row(self):
+        """The section as a `scipy.signal` SOS row [b0, b1, b2, 1, a1, a2]."""
+        return (self.b0, self.b1, self.b2, 1.0, self.a1, self.a2)
 
 
 def standard_bands():
@@ -111,22 +116,19 @@ def design_biquad(spec: EqBandSpec, gain_db: float, sample_rate: int) -> BiquadC
 
 def apply_biquad(buffer: AudioBuffer, coeffs: BiquadCoeffs) -> AudioBuffer:
     """Filter with zero initial state; length and sample rate preserved."""
-    out = lfilter(
-        [coeffs.b0, coeffs.b1, coeffs.b2], [1.0, coeffs.a1, coeffs.a2], buffer.samples
-    )
-    return AudioBuffer(out, buffer.sample_rate)
+    return AudioBuffer(sosfilt([coeffs.sos_row()], buffer.samples), buffer.sample_rate)
 
 
 def apply_eq(buffer: AudioBuffer, gains_db, bands=None) -> AudioBuffer:
-    """Serial cascade of the five band filters in band order."""
+    """Serial cascade of the five band filters in band order, run as one
+    (5, 6) SOS matrix in a single pass with zero initial state."""
     bands = standard_bands() if bands is None else bands
     gains = validate_setting(gains_db)
     if len(bands) != len(gains):
         raise ValueError("band count and gain count differ")
-    out = buffer
-    for spec, gain in zip(bands, gains):
-        out = apply_biquad(out, design_biquad(spec, float(gain), buffer.sample_rate))
-    return out
+    sos = [design_biquad(spec, float(gain), buffer.sample_rate).sos_row()
+           for spec, gain in zip(bands, gains)]
+    return AudioBuffer(sosfilt(sos, buffer.samples), buffer.sample_rate)
 
 
 def biquad_response_db(coeffs: BiquadCoeffs, freqs_hz, sample_rate: int) -> np.ndarray:

@@ -3,11 +3,17 @@ of spectral centroid, bandwidth, rolloff, MFCCs 0-12, and RMS energy.
 
 Flattened feature order is fixed and models depend on it:
 [centroid, bandwidth, rolloff, mfcc0..mfcc12, rms].
+
+`extract_features` makes one pass over the STFT frames in blocks of
+`BLOCK_FRAMES`, so every temporary stays small enough to be reused from call
+to call instead of being mapped fresh from the kernel.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.fft import dct
 
 from .audio import AudioBuffer
@@ -16,6 +22,9 @@ N_MFCC = 13
 N_MELS = 40
 ROLLOFF_FRACTION = 0.85
 LOG_FLOOR = 1e-10
+# Frames per block of the feature pass: at frame 2048 a block's float64
+# frames take 0.5 MB, and its spectra about as much.
+BLOCK_FRAMES = 32
 
 FEATURE_NAMES = (
     ["centroid_hz", "bandwidth_hz", "rolloff_hz"]
@@ -65,19 +74,21 @@ def hann_window(frame_size: int) -> np.ndarray:
 
 
 def frame_signal(samples: np.ndarray, config: StftConfig) -> np.ndarray:
-    """Frame-major matrix of full frames at hop stride; no padding."""
-    n = len(samples)
-    if n < config.frame_size:
+    """Frame-major read-only view of the full frames at hop stride; no
+    padding and no copy."""
+    if len(samples) < config.frame_size:
         raise ValueError("buffer shorter than one frame")
-    count = 1 + (n - config.frame_size) // config.hop_size
-    idx = np.arange(config.frame_size) + config.hop_size * np.arange(count)[:, None]
-    return samples[idx]
+    return sliding_window_view(samples, config.frame_size)[::config.hop_size]
+
+
+def _magnitudes(frames: np.ndarray, window: np.ndarray) -> np.ndarray:
+    return np.abs(np.fft.rfft(frames * window, axis=1))
 
 
 def stft_magnitudes(buffer: AudioBuffer, config: StftConfig) -> np.ndarray:
     """Hann-windowed magnitude spectra, frame_size/2 + 1 bins per frame."""
-    frames = frame_signal(buffer.samples, config)
-    return np.abs(np.fft.rfft(frames * hann_window(config.frame_size), axis=1))
+    window, _, _ = analysis_constants(buffer.sample_rate, config.frame_size)
+    return _magnitudes(frame_signal(buffer.samples, config), window)
 
 
 def fft_bin_freqs(frame_size: int, sample_rate: int) -> np.ndarray:
@@ -88,10 +99,9 @@ def spectral_centroid(magnitudes: np.ndarray, bin_freqs: np.ndarray) -> np.ndarr
     """Magnitude-weighted mean frequency per frame; 0 for an all-zero frame."""
     mags = np.atleast_2d(magnitudes)
     total = mags.sum(axis=1)
-    out = np.zeros(len(mags))
-    nz = total > 0
-    out[nz] = (mags[nz] * bin_freqs).sum(axis=1) / total[nz]
+    out = np.divide(mags @ bin_freqs, total, out=np.zeros(len(mags)), where=total > 0)
     return out if magnitudes.ndim == 2 else out[0]
+
 
 def spectral_bandwidth(magnitudes: np.ndarray, bin_freqs: np.ndarray,
                        centroid) -> np.ndarray:
@@ -99,10 +109,10 @@ def spectral_bandwidth(magnitudes: np.ndarray, bin_freqs: np.ndarray,
     mags = np.atleast_2d(magnitudes)
     cents = np.atleast_1d(np.asarray(centroid, dtype=np.float64))
     total = mags.sum(axis=1)
-    out = np.zeros(len(mags))
-    nz = total > 0
     dev2 = (bin_freqs[None, :] - cents[:, None]) ** 2
-    out[nz] = np.sqrt((mags[nz] * dev2[nz]).sum(axis=1) / total[nz])
+    var = np.divide(np.einsum("ij,ij->i", mags, dev2), total,
+                    out=np.zeros(len(mags)), where=total > 0)
+    out = np.sqrt(var)
     return out if magnitudes.ndim == 2 else out[0]
 
 
@@ -112,15 +122,11 @@ def spectral_rolloff(magnitudes: np.ndarray, bin_freqs: np.ndarray,
     if not 0 < fraction <= 1:
         raise ValueError("fraction must be in (0, 1]")
     mags = np.atleast_2d(magnitudes)
-    energy = mags ** 2
-    cum = np.cumsum(energy, axis=1)
+    cum = np.cumsum(mags ** 2, axis=1)
     total = cum[:, -1]
-    out = np.zeros(len(mags))
-    nz = total > 0
     # first bin whose cumulative energy meets the threshold
-    thresh = fraction * total[nz]
-    idx = np.argmax(cum[nz] >= thresh[:, None], axis=1)
-    out[nz] = bin_freqs[idx]
+    idx = np.argmax(cum >= fraction * total[:, None], axis=1)
+    out = np.where(total > 0, bin_freqs[idx], 0.0)
     return out if magnitudes.ndim == 2 else out[0]
 
 
@@ -155,41 +161,55 @@ def mel_log_energies(magnitudes: np.ndarray, filterbank: np.ndarray) -> np.ndarr
     return np.log(power @ filterbank.T + LOG_FLOOR)
 
 
-def mfcc_frames(buffer: AudioBuffer, config: StftConfig, n_mels: int = N_MELS) -> np.ndarray:
-    """Per-frame MFCCs 0..12: log mel energies -> orthonormal DCT-II."""
-    mags = stft_magnitudes(buffer, config)
-    fbank = mel_filterbank(n_mels, config.frame_size, buffer.sample_rate)
-    logmel = mel_log_energies(mags, fbank)
-    return dct(logmel, type=2, norm="ortho", axis=1)[:, :N_MFCC]
+@functools.lru_cache(maxsize=16)
+def analysis_constants(sample_rate: int, frame_size: int):
+    """(Hann window, bin frequencies, N_MELS-filter mel filterbank) of one STFT
+    geometry. Built once per (sample_rate, frame_size) and shared read-only."""
+    constants = (hann_window(frame_size), fft_bin_freqs(frame_size, sample_rate),
+                 mel_filterbank(N_MELS, frame_size, sample_rate))
+    for array in constants:
+        array.setflags(write=False)
+    return constants
 
 
-def mfcc_means(buffer: AudioBuffer, config: StftConfig, n_mels: int = N_MELS) -> np.ndarray:
-    return mfcc_frames(buffer, config, n_mels).mean(axis=0)
-
-
-def rms_frames(buffer: AudioBuffer, config: StftConfig) -> np.ndarray:
-    """Per-frame RMS of raw (unwindowed) samples."""
-    frames = frame_signal(buffer.samples, config)
-    return np.sqrt((frames ** 2).mean(axis=1))
+def mfcc_means(buffer: AudioBuffer, config: StftConfig) -> np.ndarray:
+    """File-level mean of MFCCs 0..12 (log mel energies -> orthonormal DCT-II)."""
+    return extract_features(buffer, config).mfcc_mean
 
 
 def rms_mean(buffer: AudioBuffer, config: StftConfig) -> float:
-    return float(rms_frames(buffer, config).mean())
+    """File-level mean of the per-frame RMS of raw (unwindowed) samples."""
+    return extract_features(buffer, config).rms
 
 
 def extract_features(buffer: AudioBuffer, config: StftConfig = StftConfig()) -> FeatureVector:
-    """Assemble the 17-dim feature vector of file-level means."""
-    mags = stft_magnitudes(buffer, config)
-    bin_freqs = fft_bin_freqs(config.frame_size, buffer.sample_rate)
-    centroid = spectral_centroid(mags, bin_freqs)
-    bandwidth = spectral_bandwidth(mags, bin_freqs, centroid)
-    rolloff = spectral_rolloff(mags, bin_freqs)
-    fbank = mel_filterbank(N_MELS, config.frame_size, buffer.sample_rate)
-    mfcc = dct(mel_log_energies(mags, fbank), type=2, norm="ortho", axis=1)[:, :N_MFCC]
+    """Assemble the 17-dim feature vector of file-level means.
+
+    Each block of frames is windowed and transformed once; the per-frame
+    stats of the block are added to running sums. The DCT is linear, so it is
+    applied once, to the mean log mel energies."""
+    window, bin_freqs, fbank = analysis_constants(buffer.sample_rate, config.frame_size)
+    frames = frame_signal(buffer.samples, config)
+    centroid_sum = bandwidth_sum = rolloff_sum = rms_sum = 0.0
+    logmel_sum = np.zeros(len(fbank))
+    for start in range(0, len(frames), BLOCK_FRAMES):
+        block = frames[start:start + BLOCK_FRAMES]
+        mags = _magnitudes(block, window)
+        centroid = spectral_centroid(mags, bin_freqs)
+        centroid_sum += centroid.sum()
+        bandwidth_sum += spectral_bandwidth(mags, bin_freqs, centroid).sum()
+        rolloff_sum += spectral_rolloff(mags, bin_freqs).sum()
+        logmel_sum += mel_log_energies(mags, fbank).sum(axis=0)
+        rms_sum += np.sqrt(np.einsum("ij,ij->i", block, block) / config.frame_size).sum()
+        # Free the spectra before the next block allocates its own: the heap
+        # then peaks at one block and is reused, not grown, trimmed and
+        # faulted in again on every block.
+        del mags
+    count = len(frames)
     return FeatureVector(
-        centroid_hz=float(centroid.mean()),
-        bandwidth_hz=float(bandwidth.mean()),
-        rolloff_hz=float(rolloff.mean()),
-        mfcc_mean=mfcc.mean(axis=0),
-        rms=rms_mean(buffer, config),
+        centroid_hz=float(centroid_sum / count),
+        bandwidth_hz=float(bandwidth_sum / count),
+        rolloff_hz=float(rolloff_sum / count),
+        mfcc_mean=dct(logmel_sum / count, type=2, norm="ortho")[:N_MFCC],
+        rms=float(rms_sum / count),
     )

@@ -1,13 +1,27 @@
-"""Independent brute-force oracles for the feature pipeline.
+"""Independent brute-force oracles for the EQ and feature pipeline.
 
-Everything here deliberately avoids the fast paths under test: the DFT is the
-O(n^2) definition, the DCT is the direct cosine sum, and the per-frame stats
-are plain Python loops over the definitions.
+Everything here deliberately avoids the fast paths under test: the EQ is a
+sample-by-sample difference-equation loop, the DFT is the O(n^2) definition,
+the DCT is the direct cosine sum, and the per-frame stats are plain Python
+loops over the definitions.
 """
 
 import math
 
 import numpy as np
+
+
+def biquad_cascade(samples, sections):
+    """Serial direct-form I biquads, zero initial state. Each section is
+    (b0, b1, b2, a1, a2) with a0 = 1."""
+    out = [float(v) for v in samples]
+    for b0, b1, b2, a1, a2 in sections:
+        x1 = x2 = y1 = y2 = 0.0
+        for i, x in enumerate(out):
+            y = b0 * x + b1 * x1 + b2 * x2 - a1 * y1 - a2 * y2
+            x2, x1, y2, y1 = x1, x, y1, y
+            out[i] = y
+    return np.array(out)
 
 
 def hann(n):

@@ -1,9 +1,10 @@
 import json
+import os
 
 import numpy as np
 import pytest
 
-from eqrep.cli import main
+from eqrep.cli import build_parser, main
 from eqrep.features import FEATURE_NAMES
 
 
@@ -128,6 +129,49 @@ class TestPipeline:
 
     def test_predict_missing_file(self, workspace):
         assert run("predict", "--model", workspace / "linear.json", "missing.wav") == 2
+
+
+class TestDatasetStep:
+    def test_fractional_step_reaches_plus_12(self, workspace, tmp_path):
+        assert run("dataset", "--corpus", workspace / "corpus", "--mode", "single",
+                   "--step", "0.3", "--out", tmp_path) == 0
+        doc = json.loads((tmp_path / "manifest.json").read_text())
+        assert len(doc["samples"]) == 5 * 81  # 24 dB / 0.3 dB = 80 steps
+        gains = [g for s in doc["samples"] for g in s["gains_db"]]
+        assert max(gains) == 12.0 and min(gains) == -12.0
+
+    @pytest.mark.parametrize("step", ["0", "-1", "0.7", "nan", "abc"])
+    def test_bad_step_is_usage_error(self, tmp_path, capsys, step):
+        with pytest.raises(SystemExit) as exc:
+            run("dataset", "--corpus", tmp_path, "--mode", "single", "--step", step,
+                "--out", tmp_path)
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert "argument --step" in err.splitlines()[-1]
+        assert "Traceback" not in err
+
+
+def _jobs_argv(command, jobs):
+    extra = ["--corpus", "corpus", "--mode", "multi"] if command == "dataset" else []
+    return [command, "--jobs", str(jobs)] + extra
+
+
+class TestJobsBound:
+    """Parsed only: no command runs, so no pool of any size starts."""
+
+    @pytest.mark.parametrize("command", ["dataset", "reproduce"])
+    @pytest.mark.parametrize("jobs", ["0", "-2", str((os.cpu_count() or 1) + 1), "two"])
+    def test_out_of_range_is_usage_error(self, command, jobs, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(_jobs_argv(command, jobs))
+        assert exc.value.code == 1
+        assert "argument --jobs" in capsys.readouterr().err.splitlines()[-1]
+
+    @pytest.mark.parametrize("command", ["dataset", "reproduce"])
+    def test_cpu_count_is_accepted(self, command):
+        cpus = os.cpu_count() or 1
+        assert build_parser().parse_args(_jobs_argv(command, cpus)).jobs == cpus
+        assert build_parser().parse_args(_jobs_argv(command, 1)).jobs == 1
 
 
 class TestEnvOverride:

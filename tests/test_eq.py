@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from eqrep.audio import AudioBuffer
 from eqrep.eq import (BELL, HIGH_SHELF, LOW_SHELF, BiquadCoeffs, EqBandSpec,
                       apply_biquad, apply_eq, biquad_response_db, design_biquad,
@@ -115,6 +118,20 @@ class TestApplyEq:
     def test_band_count_mismatch(self, noise_buffer):
         with pytest.raises(ValueError):
             apply_eq(noise_buffer, [0, 0, 0])
+
+    @pytest.mark.parametrize("signal", ["noise", "impulse"])
+    def test_matches_direct_form_oracle(self, signal):
+        n = 8192
+        if signal == "noise":
+            samples = 0.5 * np.random.default_rng(11).standard_normal(n)
+        else:
+            samples = np.eye(1, n)[0]
+        gains = [6.0, -9.0, 12.0, -3.0, 8.0]
+        sections = [dataclasses.astuple(design_biquad(spec, gain, SR))
+                    for spec, gain in zip(standard_bands(), gains)]
+        fast = apply_eq(AudioBuffer(samples, SR), gains).samples
+        slow = oracles.biquad_cascade(samples, sections)
+        assert np.max(np.abs(fast - slow)) <= 1e-9
 
 
 class TestEqResponse:

@@ -4,8 +4,9 @@ import pytest
 import oracles
 from eqrep.audio import AudioBuffer, NoteSpec, synthesize_note
 from eqrep.eq import apply_eq
-from eqrep.features import (FEATURE_DIM, FeatureVector, StftConfig, extract_features,
-                            fft_bin_freqs, hann_window, hz_to_mel, mel_filterbank,
+from eqrep.features import (BLOCK_FRAMES, FEATURE_DIM, FeatureVector, StftConfig,
+                            analysis_constants, extract_features, fft_bin_freqs,
+                            frame_signal, hann_window, hz_to_mel, mel_filterbank,
                             mel_to_hz, mfcc_means, rms_mean, spectral_bandwidth,
                             spectral_centroid, spectral_rolloff, stft_magnitudes)
 
@@ -208,6 +209,26 @@ class TestExtractFeatures:
         assert abs(scaled.mfcc_mean[0] - base.mfcc_mean[0]) > 0.01
 
 
+class TestAnalysisConstants:
+    def test_cached_read_only(self):
+        window, freqs, bank = analysis_constants(SR, 2048)
+        assert analysis_constants(SR, 2048)[2] is bank
+        np.testing.assert_array_equal(window, hann_window(2048))
+        np.testing.assert_array_equal(freqs, fft_bin_freqs(2048, SR))
+        np.testing.assert_array_equal(bank, mel_filterbank(40, 2048, SR))
+        for array in (window, freqs, bank):
+            with pytest.raises(ValueError):
+                array[0] = 1.0
+
+    def test_rate_switch_is_bit_identical(self, noise_buffer):
+        low = AudioBuffer(noise_buffer.samples, 22050)
+        first = extract_features(low).to_array()
+        high = extract_features(noise_buffer).to_array()
+        again = extract_features(low).to_array()
+        np.testing.assert_array_equal(again, first)
+        assert not np.array_equal(high, first)
+
+
 class TestOracleEquivalence:
     def test_against_brute_force(self):
         config = StftConfig(1024, 256)
@@ -217,3 +238,16 @@ class TestOracleEquivalence:
             fast = extract_features(AudioBuffer(samples, SR), config).to_array()
             slow = oracles.feature_vector(samples, SR, 1024, 256)
             np.testing.assert_allclose(fast, slow, rtol=1e-6, atol=1e-9)
+
+    @pytest.mark.parametrize("zero_run", [False, True])
+    def test_across_block_edges(self, zero_run):
+        """80 frames: two full blocks of the feature pass and a partial one."""
+        config = StftConfig(2048, 512)
+        samples = 0.2 * np.random.default_rng(98).standard_normal(2048 + 79 * 512)
+        if zero_run:
+            samples[40 * 512:44 * 512 + 2048] = 0.0  # frames 40..44, inside block 2
+        count = len(frame_signal(samples, config))
+        assert count == 80 and 2 * BLOCK_FRAMES < count < 3 * BLOCK_FRAMES
+        fast = extract_features(AudioBuffer(samples, SR), config).to_array()
+        slow = oracles.feature_vector(samples, SR, 2048, 512)
+        np.testing.assert_allclose(fast, slow, rtol=1e-6, atol=1e-9)
