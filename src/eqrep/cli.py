@@ -179,13 +179,17 @@ def cmd_reproduce(args):
         corpus = note_corpus(args.pitches.split(","), args.sample_rate)
     else:
         corpus = ev.reproduction_corpus(args.sample_rate)
+    stft = _stft_from_args(args)
+    sweep = ds.build_dataset(corpus, ds.single_band_settings(ds.FINE_GRID),
+                             stft=stft, seed=args.seed)
     results = [
-        ev.experiment_single_band_fine(corpus, args.seed),
-        ev.experiment_single_band_coarse(corpus, args.seed),
-        ev.experiment_interpolation(corpus, args.seed),
+        ev.experiment_single_band_fine(sweep, args.seed),
+        ev.experiment_single_band_coarse(sweep, args.seed),
+        ev.experiment_interpolation(sweep, args.seed),
     ]
-    results += ev.experiment_multi_band(corpus, limit=args.limit, seed=args.seed,
-                                        jobs=args.jobs)
+    multi = ds.build_dataset(corpus, ds.multi_band_settings(ds.COARSE_GRID), stft=stft,
+                             limit=args.limit, seed=args.seed, jobs=args.jobs)
+    results += ev.experiment_multi_band(multi, args.seed)
     summary = []
     for res in results:
         rep = res.report
@@ -252,17 +256,21 @@ def _grid_step(text):
     return step
 
 
-def _jobs(text):
-    """--jobs: worker threads, from 1 to the machine's CPU count."""
-    limit = os.cpu_count() or 1
-    try:
-        jobs = int(text)
-    except ValueError:
-        jobs = 0
-    if not 1 <= jobs <= limit:
-        raise argparse.ArgumentTypeError(f"must be an integer from 1 to {limit} "
-                                         f"(the CPU count), got {text!r}")
-    return jobs
+def _int_range(low, high=None, note=""):
+    """An argparse type: an integer from `low` to `high` (no upper bound if None)."""
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low or (high is not None and value > high):
+            bound = f"from {low} to {high}{note}" if high is not None else f">= {low}"
+            raise argparse.ArgumentTypeError(f"must be an integer {bound}, got {text!r}")
+        return value
+    return parse
+
+
+_jobs = _int_range(1, os.cpu_count() or 1, " (the CPU count)")
 
 
 def _add_common(parser, out=True):
@@ -290,7 +298,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["single", "multi"], required=True)
     p.add_argument("--step", type=_grid_step, default=1.0,
                    help="single-band grid step (dB); must divide 24")
-    p.add_argument("--limit", type=int, default=3000)
+    p.add_argument("--limit", type=_int_range(1), default=3000,
+                   help="multi-band samples (>= 1; clamped to the pair count)")
     p.add_argument("--full", action="store_true", help="no subsampling (multi mode)")
     p.add_argument("--csv", action="store_true", help="also export manifest.csv")
     p.add_argument("--keep-audio", action="store_true", help="keep processed WAVs")
@@ -332,7 +341,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--pitches", default=None,
                    help="corpus notes for the runs (default: broadband C2)")
-    p.add_argument("--limit", type=int, default=3000)
+    low, high = ev.MULTI_BAND_MIN_SAMPLES, len(ds.COARSE_GRID) ** 5
+    p.add_argument("--limit", type=_int_range(low, high), default=3000,
+                   help=f"multi-band samples ({low}..{high})")
     p.add_argument("--jobs", type=_jobs, default=1, help="worker threads (1..CPU count)")
     p.set_defaults(func=cmd_reproduce)
 

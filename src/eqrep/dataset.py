@@ -6,11 +6,11 @@ manifest with optional CSV export.
 import itertools
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .audio import AudioBuffer, write_wav
+from .audio import write_wav
 from .eq import BAND_NAMES, EqBandSpec, apply_eq, standard_bands
 from .features import FEATURE_NAMES, StftConfig, extract_features
 
@@ -86,14 +86,15 @@ class DatasetManifest:
         return np.array([s.gains_db for s in self.samples])
 
 
-def build_dataset(corpus, settings, bands=None, stft: StftConfig = StftConfig(),
+def build_dataset(corpus, settings, stft: StftConfig = StftConfig(),
                   limit=None, seed: int = 42, jobs: int = 1,
                   keep_audio_dir=None) -> DatasetManifest:
-    """Apply every (note, setting) pair, extract features, assemble a manifest.
+    """EQ every (note, setting) pair with the standard bands, extract features,
+    assemble a manifest.
 
     With `limit`, a uniform random subset of pairs is drawn with `seed`; the
     manifest keeps settings order either way, so output is deterministic."""
-    bands = standard_bands() if bands is None else bands
+    bands = standard_bands()
     corpus = list(corpus)
     settings = np.asarray(settings, dtype=np.float64)
     if not corpus:
@@ -112,17 +113,12 @@ def build_dataset(corpus, settings, bands=None, stft: StftConfig = StftConfig(),
     def make_sample(pair):
         note_idx, setting_idx = divmod(int(pair), len(settings))
         label, buffer = corpus[note_idx]
-        gains = settings[setting_idx]
-        processed = apply_eq(buffer, gains, bands)
-        features = extract_features(processed, stft).to_array()
+        sample_id = f"{label}-{setting_idx:05d}"
+        processed = apply_eq(buffer, settings[setting_idx], bands)
         if keep_audio_dir is not None:
-            write_wav(processed, f"{keep_audio_dir}/{label}-{setting_idx:05d}.wav")
-        return DatasetSample(
-            sample_id=f"{label}-{setting_idx:05d}",
-            base_label=label,
-            gains_db=gains.copy(),
-            features=features,
-        )
+            write_wav(processed, f"{keep_audio_dir}/{sample_id}.wav")
+        return DatasetSample(sample_id, label, settings[setting_idx].copy(),
+                             extract_features(processed, stft).to_array())
 
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
@@ -131,7 +127,7 @@ def build_dataset(corpus, settings, bands=None, stft: StftConfig = StftConfig(),
         samples = [make_sample(pair) for pair in pair_indices]
 
     sample_rate = corpus[0][1].sample_rate
-    return DatasetManifest(sample_rate, stft, list(bands), samples, seed)
+    return DatasetManifest(sample_rate, stft, bands, samples, seed)
 
 
 def split(manifest: DatasetManifest, train_fraction: float, seed: int):
@@ -147,23 +143,36 @@ def split(manifest: DatasetManifest, train_fraction: float, seed: int):
     return train, test
 
 
+def on_grid(manifest: DatasetManifest, grid) -> np.ndarray:
+    """Row mask of a single-band sweep manifest: True where the active band's
+    gain (0 dB for the flat setting) lies on `grid`."""
+    grid = validate_grid(grid)
+    gains = manifest.target_matrix()
+    if np.any(np.count_nonzero(gains, axis=1) > 1):
+        raise ValueError("a single-band sweep manifest is required")
+    return np.isclose(grid, gains.sum(axis=1)[:, None]).any(axis=1)
+
+
 def interpolation_split(manifest: DatasetManifest, coarse_grid):
     """Single-band sweep split: samples whose active-band gain sits on the
-    coarse grid train; the in-between gains validate. All-zero settings train."""
-    coarse = validate_grid(coarse_grid)
-    train, validation = [], []
-    for i, sample in enumerate(manifest.samples):
-        active = sample.gains_db[np.nonzero(sample.gains_db)[0]]
-        if active.size > 1:
-            raise ValueError("interpolation split requires a single-band sweep manifest")
-        gain = float(active[0]) if active.size else 0.0
-        if np.any(np.isclose(coarse, gain)):
-            train.append(i)
-        else:
-            validation.append(i)
-    if not validation:
+    coarse grid train; the in-between gains validate."""
+    train = on_grid(manifest, coarse_grid)
+    if train.all():
         raise ValueError("coarse grid covers the whole sweep; validation set empty")
-    return np.array(train), np.array(validation)
+    return np.flatnonzero(train), np.flatnonzero(~train)
+
+
+def sweep_subset(sweep: DatasetManifest, grid) -> DatasetManifest:
+    """The rows of a full single-band sweep whose gain lies on `grid`: the
+    manifest `build_dataset(corpus, single_band_settings(grid))` would give,
+    ids renumbered per note, without a second EQ and feature pass."""
+    settings = single_band_settings(grid)
+    rows = np.flatnonzero(on_grid(sweep, grid))
+    if not np.array_equal(sweep.target_matrix()[rows], np.resize(settings, (len(rows), 5))):
+        raise ValueError("sweep must hold every grid setting once per note, in order")
+    samples = [replace(s, sample_id=f"{s.base_label}-{k % len(settings):05d}")
+               for k, s in enumerate(sweep.samples[i] for i in rows)]
+    return replace(sweep, samples=samples)
 
 
 def manifest_to_dict(manifest: DatasetManifest) -> dict:

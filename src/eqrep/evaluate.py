@@ -1,6 +1,6 @@
 """Evaluation harness: MSE reports, true-vs-predicted scatter export, and the
-four named experiments (fine sweep, coarse sweep, interpolation, multi-band
-model comparison).
+four named experiments, each a function of the manifest it runs on: the fine
+sweep, coarse sweep and interpolation all take one 1 dB single-band sweep.
 """
 
 import hashlib
@@ -19,6 +19,8 @@ from .models import (TrainConfig, predict, train_forest, train_linear, train_mlp
 # observable in the features.
 REPRODUCTION_PITCH = "C2"
 REPRODUCTION_PARTIALS = 300
+MULTI_BAND_MIN_SAMPLES = 500
+_LINEAR = (("linear", train_linear),)
 
 
 def reproduction_corpus(sample_rate: int = DEFAULT_SAMPLE_RATE):
@@ -118,69 +120,56 @@ def scatter_import(path):
     return ids, np.array([preds[i] for i in ids]), np.array([trues[i] for i in ids])
 
 
-def _evaluate_split(manifest, model, test_idx, experiment_id, kind, seed, config):
-    x = manifest.feature_matrix()[test_idx]
-    y = manifest.target_matrix()[test_idx]
-    preds = predict(model, x)
-    report = make_report(experiment_id, kind, preds, y, seed, config)
+def _fit_and_report(manifest, split, experiment_id, trainers, seed, config) -> list:
+    """Fit each (kind, trainer) on the train rows of `split`, report it on the
+    test rows; one ExperimentResult per trainer, in order."""
+    train_idx, test_idx = split
+    x, y = manifest.feature_matrix(), manifest.target_matrix()
     ids = [manifest.samples[i].sample_id for i in test_idx]
-    return ExperimentResult(report, ids, preds, y)
+    results = []
+    for kind, train in trainers:
+        preds = predict(train(x[train_idx], y[train_idx]), x[test_idx])
+        report = make_report(experiment_id, kind, preds, y[test_idx], seed, config)
+        results.append(ExperimentResult(report, ids, preds, y[test_idx]))
+    return results
 
 
-def _single_band_experiment(corpus, grid, experiment_id, seed,
-                            stft=None) -> ExperimentResult:
-    stft = ds.StftConfig() if stft is None else stft
-    manifest = ds.build_dataset(corpus, ds.single_band_settings(grid), stft=stft, seed=seed)
-    train_idx, test_idx = ds.split(manifest, 0.8, seed)
-    model = train_linear(manifest.feature_matrix()[train_idx],
-                         manifest.target_matrix()[train_idx])
+def _sweep_experiment(sweep, grid, experiment_id, seed) -> ExperimentResult:
     config = {"grid": list(np.asarray(grid, dtype=float)), "train_fraction": 0.8}
-    return _evaluate_split(manifest, model, test_idx, experiment_id, "linear", seed, config)
+    split = ds.split(sweep, 0.8, seed)
+    return _fit_and_report(sweep, split, experiment_id, _LINEAR, seed, config)[0]
 
 
-def experiment_single_band_fine(corpus, seed: int = 42) -> ExperimentResult:
+def experiment_single_band_fine(sweep, seed: int = 42) -> ExperimentResult:
     """1 dB single-band sweep, linear regression, 80/20 held-out MSE."""
-    return _single_band_experiment(corpus, ds.FINE_GRID, "single_band_fine", seed)
+    return _sweep_experiment(sweep, ds.FINE_GRID, "single_band_fine", seed)
 
 
-def experiment_single_band_coarse(corpus, seed: int = 42) -> ExperimentResult:
-    """4 dB single-band sweep; smaller train set degrades the held-out MSE."""
-    return _single_band_experiment(corpus, ds.COARSE_GRID, "single_band_coarse", seed)
+def experiment_single_band_coarse(sweep, seed: int = 42) -> ExperimentResult:
+    """4 dB rows of the 1 dB sweep; the smaller train set degrades the held-out MSE."""
+    coarse = ds.sweep_subset(sweep, ds.COARSE_GRID)
+    return _sweep_experiment(coarse, ds.COARSE_GRID, "single_band_coarse", seed)
 
 
-def experiment_interpolation(corpus, seed: int = 42) -> ExperimentResult:
+def experiment_interpolation(sweep, seed: int = 42) -> ExperimentResult:
     """Train on the 4 dB grid points of the 1 dB sweep, validate in between."""
-    manifest = ds.build_dataset(corpus, ds.single_band_settings(ds.FINE_GRID), seed=seed)
-    train_idx, val_idx = ds.interpolation_split(manifest, ds.COARSE_GRID)
-    model = train_linear(manifest.feature_matrix()[train_idx],
-                         manifest.target_matrix()[train_idx])
+    split = ds.interpolation_split(sweep, ds.COARSE_GRID)
     config = {"coarse_grid": list(ds.COARSE_GRID)}
-    return _evaluate_split(manifest, model, val_idx, "interpolation", "linear", seed, config)
+    return _fit_and_report(sweep, split, "interpolation", _LINEAR, seed, config)[0]
 
 
-def experiment_multi_band(corpus, limit: int = 3000, seed: int = 42,
-                          train_config: TrainConfig | None = None,
-                          tree_count: int = 50, jobs: int = 1):
+def experiment_multi_band(manifest, seed: int = 42,
+                          train_config: TrainConfig | None = None, tree_count: int = 50):
     """Multi-band 4 dB grid comparison: linear vs forest vs MLP on one shared
     80/20 split. Returns results in that order."""
-    if limit is not None and limit < 500:
-        raise ValueError("multi-band experiment needs limit >= 500")
-    manifest = ds.build_dataset(corpus, ds.multi_band_settings(ds.COARSE_GRID),
-                                limit=limit, seed=seed, jobs=jobs)
-    train_idx, test_idx = ds.split(manifest, 0.8, seed)
-    x_train = manifest.feature_matrix()[train_idx]
-    y_train = manifest.target_matrix()[train_idx]
+    if len(manifest.samples) < MULTI_BAND_MIN_SAMPLES:
+        raise ValueError(f"multi-band experiment needs >= {MULTI_BAND_MIN_SAMPLES} samples")
     cfg = train_config or TrainConfig(seed=seed)
-    config = {"limit": limit, "hidden_dim": cfg.hidden_dim, "epochs": cfg.epochs,
-              "tree_count": tree_count}
-
-    results = []
-    for kind, model in (
-        ("linear", train_linear(x_train, y_train)),
-        ("forest", train_forest(x_train, y_train, tree_count=tree_count, seed=seed)),
-        ("mlp", train_mlp(x_train, y_train, cfg)),
-    ):
-        results.append(
-            _evaluate_split(manifest, model, test_idx, "multi_band", kind, seed, config)
-        )
-    return results
+    config = {"limit": len(manifest.samples), "hidden_dim": cfg.hidden_dim,
+              "epochs": cfg.epochs, "tree_count": tree_count}
+    trainers = _LINEAR + (
+        ("forest", lambda x, y: train_forest(x, y, tree_count=tree_count, seed=seed)),
+        ("mlp", lambda x, y: train_mlp(x, y, cfg)),
+    )
+    split = ds.split(manifest, 0.8, seed)
+    return _fit_and_report(manifest, split, "multi_band", trainers, seed, config)

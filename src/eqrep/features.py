@@ -60,13 +60,6 @@ class FeatureVector:
              np.asarray(self.mfcc_mean, dtype=np.float64), [self.rms]]
         )
 
-    @classmethod
-    def from_array(cls, values) -> "FeatureVector":
-        values = np.asarray(values, dtype=np.float64)
-        if values.shape != (FEATURE_DIM,):
-            raise ValueError(f"expected {FEATURE_DIM} features")
-        return cls(values[0], values[1], values[2], values[3:16].copy(), values[16])
-
 
 def hann_window(frame_size: int) -> np.ndarray:
     # periodic Hann, the usual STFT analysis window

@@ -1,7 +1,10 @@
 """SplitMix64 deterministic generator.
 
-Used for model weight initialization so trained artifacts reproduce
-bit-for-bit across platforms and numpy versions.
+Used for model weight initialization only, so initial weights are the same for
+a seed on every platform and numpy version. Dataset subsampling, train/test
+splits, MLP shuffles and forest bootstraps and feature draws use
+`np.random.default_rng`, whose streams are stable only within one numpy version
+(NEP 19); trained artifacts are therefore reproducible within one.
 """
 
 import numpy as np

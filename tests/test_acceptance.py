@@ -100,7 +100,8 @@ def test_criterion_3_gradient_check():
 
 def test_criterion_4_fine_sweep_experiment(corpus):
     start = time.time()
-    result = ev.experiment_single_band_fine(corpus, seed=42)
+    sweep = build_dataset(corpus, single_band_settings(FINE_GRID), seed=42)
+    result = ev.experiment_single_band_fine(sweep, seed=42)
     elapsed = time.time() - start
     assert result.report.overall_mse <= 0.5
     assert elapsed < 120
@@ -110,9 +111,10 @@ def test_criterion_4_fine_sweep_experiment(corpus):
 
 def test_criterion_5_coarse_and_interpolation(corpus):
     start = time.time()
-    fine = ev.experiment_single_band_fine(corpus, seed=42).report.overall_mse
-    coarse = ev.experiment_single_band_coarse(corpus, seed=42).report.overall_mse
-    interp = ev.experiment_interpolation(corpus, seed=42).report.overall_mse
+    sweep = build_dataset(corpus, single_band_settings(FINE_GRID), seed=42)
+    fine = ev.experiment_single_band_fine(sweep, seed=42).report.overall_mse
+    coarse = ev.experiment_single_band_coarse(sweep, seed=42).report.overall_mse
+    interp = ev.experiment_interpolation(sweep, seed=42).report.overall_mse
     elapsed = time.time() - start
     assert coarse >= fine
     assert interp <= coarse

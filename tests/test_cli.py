@@ -4,8 +4,9 @@ import os
 import numpy as np
 import pytest
 
+from eqrep import dataset as ds
 from eqrep.cli import build_parser, main
-from eqrep.features import FEATURE_NAMES
+from eqrep.features import FEATURE_NAMES, StftConfig
 
 
 def run(*argv):
@@ -172,6 +173,45 @@ class TestJobsBound:
         cpus = os.cpu_count() or 1
         assert build_parser().parse_args(_jobs_argv(command, cpus)).jobs == cpus
         assert build_parser().parse_args(_jobs_argv(command, 1)).jobs == 1
+
+
+def _limit_argv(command, limit):
+    extra = ["--corpus", "corpus", "--mode", "multi"] if command == "dataset" else []
+    return [command, "--limit", str(limit)] + extra
+
+
+class TestLimitBound:
+    """Parsed only: no dataset is built."""
+
+    @pytest.mark.parametrize("command, limit", [
+        ("dataset", "0"), ("dataset", "-5"), ("dataset", "many"),
+        ("reproduce", "100"), ("reproduce", "499"), ("reproduce", "16808"),
+        ("reproduce", "2e3"),
+    ])
+    def test_out_of_range_is_usage_error(self, command, limit, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(_limit_argv(command, limit))
+        assert exc.value.code == 1
+        assert "argument --limit" in capsys.readouterr().err.splitlines()[-1]
+
+    @pytest.mark.parametrize("command, limit", [
+        ("dataset", 1), ("dataset", 99999), ("reproduce", 500), ("reproduce", 16807),
+    ])
+    def test_range_ends_are_accepted(self, command, limit):
+        assert build_parser().parse_args(_limit_argv(command, limit)).limit == limit
+
+
+def test_reproduce_builds_with_the_stft_options(monkeypatch, tmp_path, capsys):
+    seen = []
+
+    def build_dataset(corpus, settings, stft=None, **kwargs):
+        seen.append(stft)
+        raise RuntimeError("build stopped by the test")
+
+    monkeypatch.setattr(ds, "build_dataset", build_dataset)
+    assert run("reproduce", "--frame-size", 1024, "--hop-size", 256, "--out", tmp_path) == 2
+    assert seen == [StftConfig(1024, 256)]
+    assert capsys.readouterr().err.splitlines() == ["eqrep: build stopped by the test"]
 
 
 class TestEnvOverride:

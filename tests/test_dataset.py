@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from eqrep import dataset as ds
-from eqrep.audio import NoteSpec, synthesize_note
+from eqrep.audio import NoteSpec, note_corpus, synthesize_note
 from eqrep.eq import apply_eq
 from eqrep.features import FEATURE_DIM, StftConfig, extract_features
 
@@ -145,6 +145,28 @@ class TestInterpolationSplit:
     def test_full_grid_rejected(self):
         with pytest.raises(ValueError):
             ds.interpolation_split(self._sweep_manifest(), ds.FINE_GRID)
+
+
+class TestSweepSubset:
+    @pytest.mark.parametrize("pitches", ["C3", "C3,G4"])
+    def test_coarse_rows_equal_a_coarse_build(self, pitches):
+        pitches = pitches.split(",")
+        corpus = note_corpus(pitches, SR, duration_s=0.1, partial_count=40)
+        sweep = ds.build_dataset(corpus, ds.single_band_settings(ds.FINE_GRID), stft=STFT)
+        coarse = ds.build_dataset(corpus, ds.single_band_settings(ds.COARSE_GRID), stft=STFT)
+        taken = ds.sweep_subset(sweep, ds.COARSE_GRID)
+        assert len(taken.samples) == 35 * len(pitches)
+        assert [s.sample_id for s in taken.samples] == [s.sample_id for s in coarse.samples]
+        assert [s.base_label for s in taken.samples] == [s.base_label for s in coarse.samples]
+        np.testing.assert_array_equal(taken.target_matrix(), coarse.target_matrix())
+        np.testing.assert_array_equal(taken.feature_matrix(), coarse.feature_matrix())
+        assert ds.manifest_to_dict(taken) == ds.manifest_to_dict(coarse)
+
+    def test_subsampled_sweep_rejected(self, tiny_corpus):
+        settings = ds.single_band_settings(ds.FINE_GRID)
+        sweep = ds.build_dataset(tiny_corpus, settings, stft=STFT, limit=60, seed=1)
+        with pytest.raises(ValueError, match="every grid setting"):
+            ds.sweep_subset(sweep, ds.COARSE_GRID)
 
 
 class TestManifestPersistence:

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from eqrep import dataset as ds
 from eqrep import evaluate as ev
+from eqrep.features import FEATURE_DIM, StftConfig
 
 
 class TestMse:
@@ -95,35 +97,39 @@ class TestReports:
 
 
 @pytest.fixture(scope="module")
-def small_corpus():
+def small_sweep():
     from eqrep.audio import NoteSpec, synthesize_note
-    return [("C2", synthesize_note(NoteSpec("C2", 65.40639132514966, 0.3, 100), 44100))]
+    corpus = [("C2", synthesize_note(NoteSpec("C2", 65.40639132514966, 0.3, 100), 44100))]
+    return ds.build_dataset(corpus, ds.single_band_settings(ds.FINE_GRID))
 
 
 class TestExperimentShapes:
     """Cheap structural checks; the full-scale runs live in the acceptance suite."""
 
-    def test_fine_dataset_size(self, small_corpus):
-        result = ev.experiment_single_band_fine(small_corpus, seed=0)
+    def test_fine_dataset_size(self, small_sweep):
+        result = ev.experiment_single_band_fine(small_sweep, seed=0)
         # 125 samples, 80/20 split: 25 held out
         assert result.report.n_samples == 25
         assert result.report.overall_mse >= 0
         assert np.isfinite(result.report.overall_mse)
 
-    def test_interpolation_sizes(self, small_corpus):
-        result = ev.experiment_interpolation(small_corpus, seed=0)
+    def test_interpolation_sizes(self, small_sweep):
+        result = ev.experiment_interpolation(small_sweep, seed=0)
         assert result.report.n_samples == 90
         for target in result.targets:
             active = target[target != 0]
             assert active.size == 1 and active[0] % 4 != 0
 
-    def test_coarse_determinism(self, small_corpus):
-        a = ev.experiment_single_band_coarse(small_corpus, seed=3)
-        b = ev.experiment_single_band_coarse(small_corpus, seed=3)
+    def test_coarse_determinism(self, small_sweep):
+        a = ev.experiment_single_band_coarse(small_sweep, seed=3)
+        b = ev.experiment_single_band_coarse(small_sweep, seed=3)
         assert a.report.overall_mse == b.report.overall_mse
         np.testing.assert_array_equal(a.report.per_band_mse, b.report.per_band_mse)
         np.testing.assert_array_equal(a.predictions, b.predictions)
 
-    def test_multi_band_limit_guard(self, small_corpus):
+    def test_multi_band_limit_guard(self):
+        samples = [ds.DatasetSample(f"s{i}", "x", np.zeros(5), np.zeros(FEATURE_DIM))
+                   for i in range(100)]
+        manifest = ds.DatasetManifest(44100, StftConfig(), [], samples, 0)
         with pytest.raises(ValueError):
-            ev.experiment_multi_band(small_corpus, limit=100, seed=0)
+            ev.experiment_multi_band(manifest, seed=0)

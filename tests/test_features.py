@@ -4,7 +4,7 @@ import pytest
 import oracles
 from eqrep.audio import AudioBuffer, NoteSpec, synthesize_note
 from eqrep.eq import apply_eq
-from eqrep.features import (BLOCK_FRAMES, FEATURE_DIM, FeatureVector, StftConfig,
+from eqrep.features import (BLOCK_FRAMES, FEATURE_DIM, StftConfig,
                             analysis_constants, extract_features, fft_bin_freqs,
                             frame_signal, hann_window, hz_to_mel, mel_filterbank,
                             mel_to_hz, mfcc_means, rms_mean, spectral_bandwidth,
@@ -168,8 +168,6 @@ class TestExtractFeatures:
     def test_dimension(self, noise_buffer):
         fv = extract_features(noise_buffer)
         assert fv.to_array().shape == (FEATURE_DIM,)
-        back = FeatureVector.from_array(fv.to_array())
-        np.testing.assert_array_equal(back.to_array(), fv.to_array())
 
     def test_high_shelf_boost_raises_centroid(self, c2_note):
         flat = extract_features(c2_note)
