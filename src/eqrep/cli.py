@@ -340,7 +340,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reproduce", help="run all four experiments end to end")
     _add_common(p)
     p.add_argument("--pitches", default=None,
-                   help="corpus notes for the runs (default: broadband C2)")
+                   help="distinct corpus notes for the runs (default: broadband C2); "
+                        "the five built-in checks are calibrated for the single "
+                        "broadband C2 note, so a multi-note corpus such as C2,G4 "
+                        "can fail them and exit 2")
     low, high = ev.MULTI_BAND_MIN_SAMPLES, len(ds.COARSE_GRID) ** 5
     p.add_argument("--limit", type=_int_range(low, high), default=3000,
                    help=f"multi-band samples ({low}..{high})")

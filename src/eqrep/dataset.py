@@ -90,7 +90,8 @@ def build_dataset(corpus, settings, stft: StftConfig = StftConfig(),
                   limit=None, seed: int = 42, jobs: int = 1,
                   keep_audio_dir=None) -> DatasetManifest:
     """EQ every (note, setting) pair with the standard bands, extract features,
-    assemble a manifest.
+    assemble a manifest. Sample ids are `{label}-{setting index:05d}`, so the
+    corpus labels must be distinct.
 
     With `limit`, a uniform random subset of pairs is drawn with `seed`; the
     manifest keeps settings order either way, so output is deterministic."""
@@ -99,6 +100,10 @@ def build_dataset(corpus, settings, stft: StftConfig = StftConfig(),
     settings = np.asarray(settings, dtype=np.float64)
     if not corpus:
         raise ValueError("corpus must be nonempty")
+    labels = [label for label, _ in corpus]
+    repeated = sorted({label for label in labels if labels.count(label) > 1})
+    if repeated:
+        raise ValueError(f"corpus repeats note label(s) {', '.join(repeated)}")
     if settings.ndim != 2 or settings.shape[1] != 5:
         raise ValueError("settings must be an (n, 5) array of dB gains")
 

@@ -4,7 +4,7 @@ All map 17 features to the 5 band gains in dB.
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -132,6 +132,15 @@ def mlp_loss_and_grads(params: dict, x: np.ndarray, targets: np.ndarray):
     return loss, grads
 
 
+def _unflatten(flat: np.ndarray, like: dict) -> dict:
+    """Views into `flat` shaped like the arrays of `like`, in its key order."""
+    views, offset = {}, 0
+    for k, v in like.items():
+        views[k] = flat[offset:offset + v.size].reshape(v.shape)
+        offset += v.size
+    return views
+
+
 def train_mlp(features: np.ndarray, targets: np.ndarray,
               config: TrainConfig = TrainConfig()) -> MlpModel:
     """Mini-batch training on normalized features; returns the parameters with
@@ -155,9 +164,13 @@ def train_mlp(features: np.ndarray, targets: np.ndarray,
     x_val = x_all[val_idx] if n_val else x_train
     y_val = targets[val_idx] if n_val else y_train
 
-    params = init_mlp_params(x_all.shape[1], config.hidden_dim, targets.shape[1], config.seed)
-    state = {k: np.zeros_like(v) for k, v in params.items()}
-    state2 = {k: np.zeros_like(v) for k, v in params.items()}
+    # One flat vector holds every parameter; params[k] are reshaped views into
+    # it, so the optimizer updates all of them in one elementwise pass.
+    init = init_mlp_params(x_all.shape[1], config.hidden_dim, targets.shape[1], config.seed)
+    theta = np.concatenate([v.ravel() for v in init.values()])
+    params = _unflatten(theta, init)
+    state = np.zeros_like(theta)
+    state2 = np.zeros_like(theta)
     step = 0
 
     def val_mse(p):
@@ -165,7 +178,7 @@ def train_mlp(features: np.ndarray, targets: np.ndarray,
         return float(((pred - y_val) ** 2).mean())
 
     best_mse = val_mse(params)
-    best = {k: v.copy() for k, v in params.items()}
+    best = theta.copy()
 
     for _ in range(config.epochs):
         batch_order = rng.permutation(len(x_train))
@@ -175,21 +188,22 @@ def train_mlp(features: np.ndarray, targets: np.ndarray,
             if not np.isfinite(loss):
                 raise RuntimeError(f"training diverged: non-finite loss at step {step}")
             step += 1
-            for k in params:
-                if config.optimizer == "adam":
-                    state[k] = 0.9 * state[k] + 0.1 * grads[k]
-                    state2[k] = 0.999 * state2[k] + 0.001 * grads[k] ** 2
-                    m_hat = state[k] / (1 - 0.9 ** step)
-                    v_hat = state2[k] / (1 - 0.999 ** step)
-                    params[k] = params[k] - config.learning_rate * m_hat / (np.sqrt(v_hat) + 1e-8)
-                else:
-                    state[k] = 0.9 * state[k] - config.learning_rate * grads[k]
-                    params[k] = params[k] + state[k]
+            grad = np.concatenate([grads[k].ravel() for k in params])
+            if config.optimizer == "adam":
+                state = 0.9 * state + 0.1 * grad
+                state2 = 0.999 * state2 + 0.001 * grad ** 2
+                m_hat = state / (1 - 0.9 ** step)
+                v_hat = state2 / (1 - 0.999 ** step)
+                theta -= config.learning_rate * m_hat / (np.sqrt(v_hat) + 1e-8)
+            else:
+                state = 0.9 * state - config.learning_rate * grad
+                theta += state
         mse = val_mse(params)
         if mse < best_mse:
             best_mse = mse
-            best = {k: v.copy() for k, v in params.items()}
+            best = theta.copy()
 
+    best = {k: v.copy() for k, v in _unflatten(best, params).items()}
     return MlpModel(params=best, hidden_dim=config.hidden_dim, norm=norm)
 
 
@@ -200,6 +214,21 @@ def train_mlp(features: np.ndarray, targets: np.ndarray,
 class ForestModel:
     trees: list  # each tree: dict of parallel node arrays
     norm: Normalization
+    # The trees' node arrays packed end to end, child indices made global;
+    # derived from `trees`, so they are neither arguments nor saved.
+    packed: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if not self.trees:
+            raise ValueError("a forest needs at least one tree")
+        offsets = np.cumsum([0] + [len(t["feature"]) for t in self.trees])
+        packed = {key: np.concatenate([t[key] for t in self.trees])
+                  for key in ("feature", "threshold", "value")}
+        for key in ("left", "right"):
+            child = np.concatenate([t[key] + off for t, off in zip(self.trees, offsets)])
+            packed[key] = np.where(packed["feature"] >= 0, child, -1)
+        packed["roots"] = offsets[:-1]
+        object.__setattr__(self, "packed", packed)
 
     @property
     def tree_count(self):
@@ -210,61 +239,72 @@ MIN_LEAF_SAMPLES = 5
 SPLIT_CANDIDATES = 5  # ceil(sqrt(17))
 
 
+def _best_split(x: np.ndarray, yi: np.ndarray, idx: np.ndarray, candidates: np.ndarray):
+    """(summed child SSE, feature, threshold) of the best cut over all
+    `candidates` at once; `yi` is `y[idx]`. A cut after sorted position p puts
+    the first k = p + 1 rows on the left; cuts between equal values score inf.
+    Ties go to the lowest position, then to the earliest candidate."""
+    n, cols = len(idx), np.arange(len(candidates))
+    xv = x[idx[:, None], candidates]                       # (n, c)
+    order = np.argsort(xv, axis=0, kind="stable")
+    xs = xv[order, cols]
+    ys = yi[order]                                         # (n, c, 5)
+    csum = np.cumsum(ys, axis=0)
+    csum2 = np.cumsum(np.square(ys, out=ys), axis=0)
+    # Per target, left SSE = s2 - s**2 / k and right SSE =
+    # (tot2 - s2) - (tot - s)**2 / (n - k), built in place.
+    k = np.arange(1, n, dtype=np.int64)[:, None, None]
+    left = np.square(csum[:-1])
+    left /= k
+    np.subtract(csum2[:-1], left, out=left)
+    right = np.subtract(csum[-1], csum[:-1])
+    np.square(right, out=right)
+    right /= n - k
+    rest2 = np.subtract(csum2[-1], csum2[:-1], out=csum2[:-1])
+    np.subtract(rest2, right, out=right)
+    total = left.sum(axis=2) + right.sum(axis=2)           # (n - 1, c)
+    total[~(xs[1:] > xs[:-1])] = np.inf
+    pos = np.argmin(total, axis=0)
+    col = int(np.argmin(total[pos, cols]))
+    p = pos[col]
+    return (float(total[p, col]), int(candidates[col]),
+            float((xs[p, col] + xs[p + 1, col]) / 2))
+
+
 def _grow_tree(x: np.ndarray, y: np.ndarray, rng, min_leaf: int = MIN_LEAF_SAMPLES) -> dict:
     """CART regression tree: greedy splits minimizing summed per-target SSE,
-    with SPLIT_CANDIDATES random candidate features per node."""
+    with SPLIT_CANDIDATES random candidate features per node. Nodes are
+    numbered depth-first, left subtree first, which is also the order the
+    candidates are drawn from `rng`."""
     feature, threshold = [], []
     left, right, value = [], [], []
-
-    def sse(t):  # total squared deviation from the mean, summed over targets
-        return float(((t - t.mean(axis=0)) ** 2).sum())
-
-    def add_node(idx):
+    stack = [(np.arange(len(x)), None, None)]  # (rows, parent's child list, parent)
+    while stack:
+        idx, link, parent = stack.pop()
         node = len(feature)
+        if link is not None:
+            link[parent] = node
         feature.append(-1)
         threshold.append(0.0)
         left.append(-1)
         right.append(-1)
-        value.append(y[idx].mean(axis=0))
+        yi = y[idx]
+        mean = yi.sum(axis=0) / len(idx)  # yi.mean(axis=0)'s arithmetic, less overhead
+        value.append(mean)
 
-        n = len(idx)
-        parent_sse = sse(y[idx])
-        if n <= min_leaf or parent_sse <= 0.0:
-            return node
-
-        best = None  # (sse_total, feature, threshold)
+        parent_sse = float(((yi - mean) ** 2).sum())
+        if len(idx) <= min_leaf or parent_sse <= 0.0:
+            continue
         candidates = rng.choice(x.shape[1], size=min(SPLIT_CANDIDATES, x.shape[1]),
                                 replace=False)
-        for f in candidates:
-            xv = x[idx, f]
-            order = np.argsort(xv, kind="stable")
-            xs, ys = xv[order], y[idx][order]
-            cuts = np.nonzero(np.diff(xs) > 0)[0]  # split after position i
-            if len(cuts) == 0:
-                continue
-            csum = np.cumsum(ys, axis=0)
-            csum2 = np.cumsum(ys ** 2, axis=0)
-            tot, tot2 = csum[-1], csum2[-1]
-            k = cuts + 1
-            left_sse = (csum2[cuts] - csum[cuts] ** 2 / k[:, None]).sum(axis=1)
-            nr = n - k
-            right_sse = ((tot2 - csum2[cuts]) - (tot - csum[cuts]) ** 2 / nr[:, None]).sum(axis=1)
-            total = left_sse + right_sse
-            i = int(np.argmin(total))
-            if best is None or total[i] < best[0]:
-                best = (float(total[i]), int(f), float((xs[cuts[i]] + xs[cuts[i] + 1]) / 2))
-
-        if best is None or best[0] >= parent_sse:
-            return node
-
-        go_left = x[idx, best[1]] <= best[2]
-        feature[node] = best[1]
-        threshold[node] = best[2]
-        left[node] = add_node(idx[go_left])
-        right[node] = add_node(idx[~go_left])
-        return node
-
-    add_node(np.arange(len(x)))
+        best_sse, f, thr = _best_split(x, yi, idx, candidates)
+        if best_sse >= parent_sse:  # also when no candidate has a cut (inf)
+            continue
+        go_left = x[idx, f] <= thr
+        feature[node] = f
+        threshold[node] = thr
+        stack.append((idx[~go_left], right, node))
+        stack.append((idx[go_left], left, node))
     return {
         "feature": np.array(feature),
         "threshold": np.array(threshold),
@@ -274,17 +314,21 @@ def _grow_tree(x: np.ndarray, y: np.ndarray, rng, min_leaf: int = MIN_LEAF_SAMPL
     }
 
 
-def _tree_predict(tree: dict, x: np.ndarray) -> np.ndarray:
-    out = np.empty((len(x), tree["value"].shape[1]))
-    for i, row in enumerate(x):
-        node = 0
-        while tree["feature"][node] >= 0:
-            if row[tree["feature"][node]] <= tree["threshold"][node]:
-                node = tree["left"][node]
-            else:
-                node = tree["right"][node]
-        out[i] = tree["value"][node]
-    return out
+def _forest_predict(forest: ForestModel, x: np.ndarray) -> np.ndarray:
+    """Mean leaf value over trees: every (tree, row) pair descends one level
+    per step until all of them sit on a leaf."""
+    p = forest.packed
+    rows = len(x)
+    node = np.repeat(p["roots"], rows)                     # tree-major pairs
+    row = np.tile(np.arange(rows), len(p["roots"]))
+    active = np.flatnonzero(p["feature"][node] >= 0)
+    while active.size:
+        at = node[active]
+        go_left = x[row[active], p["feature"][at]] <= p["threshold"][at]
+        at = np.where(go_left, p["left"][at], p["right"][at])
+        node[active] = at
+        active = active[p["feature"][at] >= 0]
+    return p["value"][node].reshape(len(p["roots"]), rows, p["value"].shape[1]).mean(axis=0)
 
 
 def train_forest(features: np.ndarray, targets: np.ndarray,
@@ -325,7 +369,7 @@ def predict(model, features: np.ndarray) -> np.ndarray:
     elif isinstance(model, MlpModel):
         out, _ = mlp_forward(model.params, x)
     elif isinstance(model, ForestModel):
-        out = np.mean([_tree_predict(tree, x) for tree in model.trees], axis=0)
+        out = _forest_predict(model, x)
     else:
         raise TypeError(f"unknown model type {type(model).__name__}")
     return out[0] if single else out

@@ -1,14 +1,23 @@
-"""Independent brute-force oracles for the EQ and feature pipeline.
+"""Independent brute-force oracles for the EQ, feature and model code.
 
 Everything here deliberately avoids the fast paths under test: the EQ is a
 sample-by-sample difference-equation loop, the DFT is the O(n^2) definition,
 the DCT is the direct cosine sum, and the per-frame stats are plain Python
 loops over the definitions.
+
+The model references at the end are the loop forms of the vectorized model
+code: a recursive CART grower that searches one candidate feature at a time,
+a per-row tree walk, and an MLP trainer that updates one parameter array at a
+time. They do the same arithmetic in the same order, so the fast paths must
+match them exactly.
 """
 
 import math
 
 import numpy as np
+
+from eqrep.models import (SPLIT_CANDIDATES, fit_normalization, init_mlp_params,
+                          mlp_forward, mlp_loss_and_grads)
 
 
 def biquad_cascade(samples, sections):
@@ -126,3 +135,142 @@ def feature_vector(samples, sample_rate, frame_size, hop_size,
         np.mean(mfccs, axis=0),
         [np.mean(rmss)],
     ])
+
+
+# ------------------------------------------------------------------ models
+
+
+def grow_tree(x, y, rng, min_leaf):
+    """Recursive CART regression tree, one split candidate at a time; draws
+    the candidates from `rng` exactly as `models._grow_tree` does."""
+    feature, threshold = [], []
+    left, right, value = [], [], []
+
+    def sse(t):
+        return float(((t - t.mean(axis=0)) ** 2).sum())
+
+    def add_node(idx):
+        node = len(feature)
+        feature.append(-1)
+        threshold.append(0.0)
+        left.append(-1)
+        right.append(-1)
+        value.append(y[idx].mean(axis=0))
+
+        n = len(idx)
+        parent_sse = sse(y[idx])
+        if n <= min_leaf or parent_sse <= 0.0:
+            return node
+
+        best = None  # (sse_total, feature, threshold)
+        candidates = rng.choice(x.shape[1], size=min(SPLIT_CANDIDATES, x.shape[1]),
+                                replace=False)
+        for f in candidates:
+            xv = x[idx, f]
+            order = np.argsort(xv, kind="stable")
+            xs, ys = xv[order], y[idx][order]
+            cuts = np.nonzero(np.diff(xs) > 0)[0]  # split after position i
+            if len(cuts) == 0:
+                continue
+            csum = np.cumsum(ys, axis=0)
+            csum2 = np.cumsum(ys ** 2, axis=0)
+            tot, tot2 = csum[-1], csum2[-1]
+            k = cuts + 1
+            left_sse = (csum2[cuts] - csum[cuts] ** 2 / k[:, None]).sum(axis=1)
+            nr = n - k
+            right_sse = ((tot2 - csum2[cuts]) - (tot - csum[cuts]) ** 2 / nr[:, None]).sum(axis=1)
+            total = left_sse + right_sse
+            i = int(np.argmin(total))
+            if best is None or total[i] < best[0]:
+                best = (float(total[i]), int(f), float((xs[cuts[i]] + xs[cuts[i] + 1]) / 2))
+
+        if best is None or best[0] >= parent_sse:
+            return node
+
+        go_left = x[idx, best[1]] <= best[2]
+        feature[node] = best[1]
+        threshold[node] = best[2]
+        left[node] = add_node(idx[go_left])
+        right[node] = add_node(idx[~go_left])
+        return node
+
+    add_node(np.arange(len(x)))
+    return {
+        "feature": np.array(feature),
+        "threshold": np.array(threshold),
+        "left": np.array(left),
+        "right": np.array(right),
+        "value": np.array(value),
+    }
+
+
+def tree_predict(tree, x):
+    """Walk one tree per row, from the root to a leaf."""
+    out = np.empty((len(x), tree["value"].shape[1]))
+    for i, row in enumerate(x):
+        node = 0
+        while tree["feature"][node] >= 0:
+            if row[tree["feature"][node]] <= tree["threshold"][node]:
+                node = tree["left"][node]
+            else:
+                node = tree["right"][node]
+        out[i] = tree["value"][node]
+    return out
+
+
+def forest_predict(forest, features):
+    """Mean over trees of the per-row walks, on normalized features."""
+    x = forest.norm.apply(np.atleast_2d(np.asarray(features, dtype=np.float64)))
+    return np.mean([tree_predict(tree, x) for tree in forest.trees], axis=0)
+
+
+def train_mlp_params(features, targets, config):
+    """`models.train_mlp` with the optimizer state kept per parameter array
+    and updated one array at a time; returns the best parameter dict."""
+    features = np.asarray(features, dtype=np.float64)
+    targets = np.asarray(targets, dtype=np.float64)
+    norm = fit_normalization(features)
+    x_all = norm.apply(features)
+
+    rng = np.random.default_rng(config.seed)
+    n = len(x_all)
+    n_val = int(n * config.validation_fraction)
+    order = rng.permutation(n)
+    val_idx, train_idx = order[:n_val], order[n_val:]
+    x_train, y_train = x_all[train_idx], targets[train_idx]
+    x_val = x_all[val_idx] if n_val else x_train
+    y_val = targets[val_idx] if n_val else y_train
+
+    params = init_mlp_params(x_all.shape[1], config.hidden_dim, targets.shape[1], config.seed)
+    state = {k: np.zeros_like(v) for k, v in params.items()}
+    state2 = {k: np.zeros_like(v) for k, v in params.items()}
+    step = 0
+
+    def val_mse(p):
+        pred, _ = mlp_forward(p, x_val)
+        return float(((pred - y_val) ** 2).mean())
+
+    best_mse = val_mse(params)
+    best = {k: v.copy() for k, v in params.items()}
+
+    for _ in range(config.epochs):
+        batch_order = rng.permutation(len(x_train))
+        for start in range(0, len(x_train), config.batch_size):
+            idx = batch_order[start:start + config.batch_size]
+            _, grads = mlp_loss_and_grads(params, x_train[idx], y_train[idx])
+            step += 1
+            for k in params:
+                if config.optimizer == "adam":
+                    state[k] = 0.9 * state[k] + 0.1 * grads[k]
+                    state2[k] = 0.999 * state2[k] + 0.001 * grads[k] ** 2
+                    m_hat = state[k] / (1 - 0.9 ** step)
+                    v_hat = state2[k] / (1 - 0.999 ** step)
+                    params[k] = params[k] - config.learning_rate * m_hat / (np.sqrt(v_hat) + 1e-8)
+                else:
+                    state[k] = 0.9 * state[k] - config.learning_rate * grads[k]
+                    params[k] = params[k] + state[k]
+        mse = val_mse(params)
+        if mse < best_mse:
+            best_mse = mse
+            best = {k: v.copy() for k, v in params.items()}
+    return best

@@ -214,6 +214,18 @@ def test_reproduce_builds_with_the_stft_options(monkeypatch, tmp_path, capsys):
     assert capsys.readouterr().err.splitlines() == ["eqrep: build stopped by the test"]
 
 
+def test_reproduce_rejects_repeated_pitches(monkeypatch, tmp_path, capsys):
+    def apply_eq(*args, **kwargs):
+        raise AssertionError("EQ work started")
+
+    monkeypatch.setattr(ds, "apply_eq", apply_eq)
+    assert run("reproduce", "--pitches", "C2,C2", "--sample-rate", 8000,
+               "--out", tmp_path) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "eqrep: corpus repeats note label(s) C2"]
+    assert list(tmp_path.iterdir()) == []
+
+
 class TestEnvOverride:
     def test_eqrep_out(self, tmp_path, monkeypatch):
         monkeypatch.setenv("EQREP_OUT", str(tmp_path / "env_out"))

@@ -66,6 +66,11 @@ class TestBuildDataset:
         assert all(s.features.shape == (FEATURE_DIM,) for s in manifest.samples)
         assert len({s.sample_id for s in manifest.samples}) == 15
 
+    def test_repeated_label_rejected(self, tiny_corpus):
+        corpus = tiny_corpus + tiny_corpus
+        with pytest.raises(ValueError, match="repeats note label"):
+            ds.build_dataset(corpus, ds.single_band_settings([0.0]), stft=STFT)
+
     def test_limit_zero_rejected(self, tiny_corpus):
         settings = ds.single_band_settings([0.0])
         with pytest.raises(ValueError):

@@ -1,11 +1,15 @@
+import gc
+
 import numpy as np
 import pytest
 
+import oracles
 from eqrep.models import (ForestModel, LinearModel, MlpModel, Normalization,
                           TrainConfig, fit_normalization, init_mlp_params,
                           load_model, mlp_forward, mlp_loss_and_grads,
                           model_from_dict, model_to_dict, predict, save_model,
-                          train_forest, train_linear, train_mlp, RIDGE_DAMPING)
+                          train_forest, train_linear, train_mlp, RIDGE_DAMPING,
+                          _grow_tree)
 
 
 def _random_instance(n, seed=0, noise=0.0):
@@ -149,6 +153,20 @@ class TestMlp:
         bound = np.sqrt(6.0 / 3)
         assert np.all(np.abs(params["W1"]) < bound)
 
+    @pytest.mark.parametrize("optimizer", ["adam", "sgd_momentum"])
+    @pytest.mark.parametrize("validation_fraction", [0.0, 0.2])
+    def test_flat_update_matches_per_parameter_loop(self, optimizer, validation_fraction):
+        x, y = _random_instance(45, seed=22, noise=0.5)
+        cfg = TrainConfig(epochs=12, batch_size=16, hidden_dim=6, seed=3,
+                          learning_rate=1e-2, optimizer=optimizer,
+                          validation_fraction=validation_fraction)
+        model = train_mlp(x, y, cfg)
+        reference = oracles.train_mlp_params(x, y, cfg)
+        assert list(model.params) == list(reference)
+        for key, value in reference.items():
+            np.testing.assert_array_equal(model.params[key], value)
+            assert model.params[key].flags.owndata
+
     def test_bad_config(self):
         with pytest.raises(ValueError):
             TrainConfig(epochs=0)
@@ -197,6 +215,105 @@ class TestForest:
         a = train_forest(x, y, tree_count=5, seed=4)
         b = train_forest(x, y, tree_count=5, seed=4)
         np.testing.assert_array_equal(predict(a, x), predict(b, x))
+
+
+def _tie_heavy_instance(n, seed):
+    """Features on a coarse lattice with one constant column, and targets with
+    repeated rows, so equal values and equal split scores are common."""
+    rng = np.random.default_rng(seed)
+    x = rng.integers(-2, 3, size=(n, 17)).astype(float)
+    x[:, 4] = 0.5
+    y = rng.integers(-1, 2, size=(n, 5)).astype(float)
+    return x, y
+
+
+def _assert_same_tree(a, b):
+    assert sorted(a) == sorted(b) == ["feature", "left", "right", "threshold", "value"]
+    for key in b:
+        assert a[key].shape == b[key].shape, key
+        np.testing.assert_array_equal(a[key], b[key], err_msg=key)
+
+
+class TestTreeGrowthOracle:
+    @pytest.mark.parametrize("case", ["random", "ties", "bootstrap"])
+    @pytest.mark.parametrize("min_leaf", [0, 1, 2, 5, 40])
+    def test_arrays_match_reference_grower(self, case, min_leaf):
+        if case == "ties":
+            x, y = _tie_heavy_instance(120, seed=23)
+        else:
+            x, y = _random_instance(120, seed=24, noise=1.0)
+        if case == "bootstrap":
+            idx = np.random.default_rng(25).integers(0, len(x), size=len(x))
+            x, y = x[idx], y[idx]
+        tree = _grow_tree(x, y, np.random.default_rng(26), min_leaf)
+        reference = oracles.grow_tree(x, y, np.random.default_rng(26), min_leaf)
+        _assert_same_tree(tree, reference)
+
+    def test_min_leaf_edges(self):
+        # a node splits only when it holds more than min_leaf rows
+        x, y = _random_instance(12, seed=27, noise=1.0)
+        for min_leaf in (10, 11, 12):
+            tree = _grow_tree(x, y, np.random.default_rng(28), min_leaf)
+            reference = oracles.grow_tree(x, y, np.random.default_rng(28), min_leaf)
+            _assert_same_tree(tree, reference)
+        assert len(_grow_tree(x, y, np.random.default_rng(28), 12)["feature"]) == 1
+
+    def test_no_usable_cut_makes_a_leaf(self):
+        # every feature constant: no candidate has a cut, however y varies
+        x = np.ones((20, 17))
+        y = np.random.default_rng(29).standard_normal((20, 5))
+        tree = _grow_tree(x, y, np.random.default_rng(30), 1)
+        _assert_same_tree(tree, oracles.grow_tree(x, y, np.random.default_rng(30), 1))
+        assert tree["feature"].tolist() == [-1]
+
+    def test_forest_matches_reference_trees(self):
+        x, y = _tie_heavy_instance(150, seed=31)
+        model = train_forest(x, y, tree_count=4, seed=7)
+        z = model.norm.apply(x)
+        for t, tree in enumerate(model.trees):
+            rng = np.random.default_rng(7 + t)
+            idx = rng.integers(0, len(z), size=len(z))
+            _assert_same_tree(tree, oracles.grow_tree(z[idx], y[idx], rng, 5))
+
+    def test_training_leaves_no_garbage_cycles(self):
+        x, y = _random_instance(200, seed=32, noise=1.0)
+        gc.collect()
+        gc.disable()
+        try:
+            train_forest(x, y, tree_count=3, seed=0)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+
+class TestForestPredictOracle:
+    @pytest.fixture(scope="class")
+    def forest(self):
+        x, y = _tie_heavy_instance(160, seed=33)
+        return train_forest(x, y, tree_count=9, seed=5)
+
+    def test_batch_matches_tree_walk(self, forest):
+        rng = np.random.default_rng(34)
+        queries = np.vstack([rng.integers(-3, 4, size=(40, 17)).astype(float),
+                             3 * rng.standard_normal((40, 17))])
+        np.testing.assert_array_equal(predict(forest, queries),
+                                      oracles.forest_predict(forest, queries))
+
+    def test_single_rows_match_tree_walk(self, forest):
+        rng = np.random.default_rng(35)
+        for query in rng.integers(-3, 4, size=(10, 17)).astype(float):
+            np.testing.assert_array_equal(predict(forest, query),
+                                          oracles.forest_predict(forest, query)[0])
+
+    def test_single_node_trees(self):
+        x, y = _random_instance(30, seed=36)
+        model = train_forest(x, y, tree_count=3, seed=0, min_leaf=30)
+        assert all(len(t["feature"]) == 1 for t in model.trees)
+        np.testing.assert_array_equal(predict(model, x), oracles.forest_predict(model, x))
+
+    def test_empty_forest_rejected(self):
+        with pytest.raises(ValueError, match="at least one tree"):
+            ForestModel([], fit_normalization(np.eye(2)))
 
 
 class TestTrainingProgress:
