@@ -7,6 +7,7 @@ environment variable overrides the default output directory.
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -181,7 +182,7 @@ def cmd_reproduce(args):
         corpus = ev.reproduction_corpus(args.sample_rate)
     stft = _stft_from_args(args)
     sweep = ds.build_dataset(corpus, ds.single_band_settings(ds.FINE_GRID),
-                             stft=stft, seed=args.seed)
+                             stft=stft, seed=args.seed, jobs=args.jobs)
     results = [
         ev.experiment_single_band_fine(sweep, args.seed),
         ev.experiment_single_band_coarse(sweep, args.seed),
@@ -189,7 +190,7 @@ def cmd_reproduce(args):
     ]
     multi = ds.build_dataset(corpus, ds.multi_band_settings(ds.COARSE_GRID), stft=stft,
                              limit=args.limit, seed=args.seed, jobs=args.jobs)
-    results += ev.experiment_multi_band(multi, args.seed)
+    results += ev.experiment_multi_band(multi, args.seed, jobs=args.jobs)
     summary = []
     for res in results:
         rep = res.report
@@ -270,7 +271,22 @@ def _int_range(low, high=None, note=""):
     return parse
 
 
+def _positive_float(text):
+    """An argparse type: a positive finite float."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text!r}")
+    return value
+
+
 _jobs = _int_range(1, os.cpu_count() or 1, " (the CPU count)")
+# The cores this process may run on: the default worker count.
+USABLE_CORES = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                else os.cpu_count() or 1)
+JOBS_HELP = "worker processes (1..CPU count; default: the usable cores)"
 
 
 def _add_common(parser, out=True):
@@ -303,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--full", action="store_true", help="no subsampling (multi mode)")
     p.add_argument("--csv", action="store_true", help="also export manifest.csv")
     p.add_argument("--keep-audio", action="store_true", help="keep processed WAVs")
-    p.add_argument("--jobs", type=_jobs, default=1, help="worker threads (1..CPU count)")
+    p.add_argument("--jobs", type=_jobs, default=USABLE_CORES, help=JOBS_HELP)
     p.set_defaults(func=cmd_dataset)
 
     p = sub.add_parser("extract", help="extract the 17 features from WAV files")
@@ -317,12 +333,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", choices=["linear", "forest", "mlp"], required=True)
     p.add_argument("--outfile", required=True, help="model artifact path")
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--hidden-dim", type=int, default=64)
-    p.add_argument("--epochs", type=int, default=500)
-    p.add_argument("--batch-size", type=int, default=64)
-    p.add_argument("--learning-rate", type=float, default=1e-3)
+    p.add_argument("--hidden-dim", type=_int_range(1), default=64)
+    p.add_argument("--epochs", type=_int_range(1), default=500)
+    p.add_argument("--batch-size", type=_int_range(1), default=64)
+    p.add_argument("--learning-rate", type=_positive_float, default=1e-3)
     p.add_argument("--optimizer", choices=["adam", "sgd_momentum"], default="adam")
-    p.add_argument("--trees", type=int, default=50)
+    p.add_argument("--trees", type=_int_range(1), default=50)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("predict", help="predict the 5 EQ gains for WAV files")
@@ -347,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     low, high = ev.MULTI_BAND_MIN_SAMPLES, len(ds.COARSE_GRID) ** 5
     p.add_argument("--limit", type=_int_range(low, high), default=3000,
                    help=f"multi-band samples ({low}..{high})")
-    p.add_argument("--jobs", type=_jobs, default=1, help="worker threads (1..CPU count)")
+    p.add_argument("--jobs", type=_jobs, default=USABLE_CORES, help=JOBS_HELP)
     p.set_defaults(func=cmd_reproduce)
 
     p = sub.add_parser("response", help="CSV of the combined EQ magnitude curve")

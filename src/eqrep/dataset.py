@@ -5,7 +5,6 @@ manifest with optional CSV export.
 
 import itertools
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -13,6 +12,7 @@ import numpy as np
 from .audio import write_wav
 from .eq import BAND_NAMES, EqBandSpec, apply_eq, standard_bands
 from .features import FEATURE_NAMES, StftConfig, extract_features
+from .pool import fork_map
 
 MANIFEST_SCHEMA_VERSION = 1
 
@@ -94,7 +94,9 @@ def build_dataset(corpus, settings, stft: StftConfig = StftConfig(),
     corpus labels must be distinct.
 
     With `limit`, a uniform random subset of pairs is drawn with `seed`; the
-    manifest keeps settings order either way, so output is deterministic."""
+    manifest keeps settings order either way, so output is deterministic.
+    With `jobs` > 1 the pairs are processed on that many fork-started worker
+    processes (`pool.fork_map`); the manifest is the same for any `jobs`."""
     bands = standard_bands()
     corpus = list(corpus)
     settings = np.asarray(settings, dtype=np.float64)
@@ -115,21 +117,19 @@ def build_dataset(corpus, settings, stft: StftConfig = StftConfig(),
         rng = np.random.default_rng(seed)
         pair_indices = np.sort(rng.choice(total, size=limit, replace=False))
 
-    def make_sample(pair):
-        note_idx, setting_idx = divmod(int(pair), len(settings))
-        label, buffer = corpus[note_idx]
-        sample_id = f"{label}-{setting_idx:05d}"
-        processed = apply_eq(buffer, settings[setting_idx], bands)
-        if keep_audio_dir is not None:
-            write_wav(processed, f"{keep_audio_dir}/{sample_id}.wav")
-        return DatasetSample(sample_id, label, settings[setting_idx].copy(),
-                             extract_features(processed, stft).to_array())
+    located = [divmod(int(pair), len(settings)) for pair in pair_indices]
+    ids = [f"{labels[note]}-{setting:05d}" for note, setting in located]
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            samples = list(pool.map(make_sample, pair_indices))
-    else:
-        samples = [make_sample(pair) for pair in pair_indices]
+    def features_of(k):
+        note, setting = located[k]
+        processed = apply_eq(corpus[note][1], settings[setting], bands)
+        if keep_audio_dir is not None:
+            write_wav(processed, f"{keep_audio_dir}/{ids[k]}.wav")
+        return extract_features(processed, stft).to_array()
+
+    with fork_map(features_of, range(len(located)), jobs) as rows:
+        samples = [DatasetSample(ids[k], labels[note], settings[setting].copy(), row)
+                   for k, ((note, setting), row) in enumerate(zip(located, rows))]
 
     sample_rate = corpus[0][1].sample_rate
     return DatasetManifest(sample_rate, stft, bands, samples, seed)

@@ -13,6 +13,7 @@ from . import dataset as ds
 from .audio import DEFAULT_SAMPLE_RATE, note_corpus
 from .eq import BAND_NAMES
 from .models import (TrainConfig, predict, train_forest, train_linear, train_mlp)
+from .pool import fork_map
 
 # Default note for the reproduction runs: low fundamental with enough partials
 # that every EQ band overlaps real signal energy, so all five gains are
@@ -120,18 +121,27 @@ def scatter_import(path):
     return ids, np.array([preds[i] for i in ids]), np.array([trues[i] for i in ids])
 
 
-def _fit_and_report(manifest, split, experiment_id, trainers, seed, config) -> list:
+def _fit_and_report(manifest, split, experiment_id, trainers, seed, config,
+                    jobs: int = 1) -> list:
     """Fit each (kind, trainer) on the train rows of `split`, report it on the
-    test rows; one ExperimentResult per trainer, in order."""
+    test rows; one ExperimentResult per trainer, in order. With `jobs` > 1
+    every trainer but the last fits on worker processes, which send back only
+    their test-row predictions, while the last fits in this process."""
     train_idx, test_idx = split
     x, y = manifest.feature_matrix(), manifest.target_matrix()
     ids = [manifest.samples[i].sample_id for i in test_idx]
-    results = []
-    for kind, train in trainers:
-        preds = predict(train(x[train_idx], y[train_idx]), x[test_idx])
-        report = make_report(experiment_id, kind, preds, y[test_idx], seed, config)
-        results.append(ExperimentResult(report, ids, preds, y[test_idx]))
-    return results
+
+    def fit_predict(k):
+        train = trainers[k][1]
+        return predict(train(x[train_idx], y[train_idx]), x[test_idx])
+
+    *pooled, last = range(len(trainers))
+    with fork_map(fit_predict, pooled, jobs) as pending:
+        last_preds = fit_predict(last)
+        all_preds = [*pending, last_preds]
+    return [ExperimentResult(make_report(experiment_id, kind, preds, y[test_idx], seed, config),
+                             ids, preds, y[test_idx])
+            for (kind, _), preds in zip(trainers, all_preds)]
 
 
 def _sweep_experiment(sweep, grid, experiment_id, seed) -> ExperimentResult:
@@ -159,9 +169,12 @@ def experiment_interpolation(sweep, seed: int = 42) -> ExperimentResult:
 
 
 def experiment_multi_band(manifest, seed: int = 42,
-                          train_config: TrainConfig | None = None, tree_count: int = 50):
+                          train_config: TrainConfig | None = None, tree_count: int = 50,
+                          jobs: int = 1):
     """Multi-band 4 dB grid comparison: linear vs forest vs MLP on one shared
-    80/20 split. Returns results in that order."""
+    80/20 split. Returns results in that order. With `jobs` > 1 the linear
+    fit and the forest run on worker processes, so the forest trains beside
+    the MLP; the results are the same for any `jobs`."""
     if len(manifest.samples) < MULTI_BAND_MIN_SAMPLES:
         raise ValueError(f"multi-band experiment needs >= {MULTI_BAND_MIN_SAMPLES} samples")
     cfg = train_config or TrainConfig(seed=seed)
@@ -172,4 +185,4 @@ def experiment_multi_band(manifest, seed: int = 42,
         ("mlp", lambda x, y: train_mlp(x, y, cfg)),
     )
     split = ds.split(manifest, 0.8, seed)
-    return _fit_and_report(manifest, split, "multi_band", trainers, seed, config)
+    return _fit_and_report(manifest, split, "multi_band", trainers, seed, config, jobs)

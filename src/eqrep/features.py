@@ -6,7 +6,8 @@ Flattened feature order is fixed and models depend on it:
 
 `extract_features` makes one pass over the STFT frames in blocks of
 `BLOCK_FRAMES`, so every temporary stays small enough to be reused from call
-to call instead of being mapped fresh from the kernel.
+to call instead of being mapped fresh from the kernel. The pass makes no BLAS
+call, so its bytes do not depend on the BLAS thread count.
 """
 
 import functools
@@ -92,7 +93,8 @@ def spectral_centroid(magnitudes: np.ndarray, bin_freqs: np.ndarray) -> np.ndarr
     """Magnitude-weighted mean frequency per frame; 0 for an all-zero frame."""
     mags = np.atleast_2d(magnitudes)
     total = mags.sum(axis=1)
-    out = np.divide(mags @ bin_freqs, total, out=np.zeros(len(mags)), where=total > 0)
+    weighted = np.einsum("ij,j->i", mags, bin_freqs)
+    out = np.divide(weighted, total, out=np.zeros(len(mags)), where=total > 0)
     return out if magnitudes.ndim == 2 else out[0]
 
 
@@ -148,21 +150,42 @@ def mel_filterbank(n_mels: int, frame_size: int, sample_rate: int) -> np.ndarray
     return weights
 
 
-def mel_log_energies(magnitudes: np.ndarray, filterbank: np.ndarray) -> np.ndarray:
-    """log(filterbank @ power + floor), frame-major."""
-    power = magnitudes ** 2
-    return np.log(power @ filterbank.T + LOG_FLOOR)
+def mel_bands(filterbank: np.ndarray):
+    """The filterbank in banded form, (cols, weights, starts): filter m's
+    nonzero weights and their bin indices are `weights[starts[m]:starts[m+1]]`
+    and `cols[...]` (the last runs to the end). Each bin lies in at most two
+    filters, so the gather is at most twice as wide as the spectrum."""
+    if np.count_nonzero(filterbank, axis=0).max() > 2:
+        raise ValueError("an FFT bin lies in more than two mel filters")
+    rows, cols = np.nonzero(filterbank)
+    starts = np.searchsorted(rows, np.arange(len(filterbank)))
+    return cols, filterbank[rows, cols], starts
+
+
+def mel_log_energies(magnitudes: np.ndarray, bands) -> np.ndarray:
+    """Log mel energies, log(filter-weighted power sum + floor), frame-major,
+    from the banded filterbank of `mel_bands`: one gather of the filters'
+    bins and one segmented sum per filter."""
+    cols, weights, starts = bands
+    gathered = np.take(magnitudes, cols, axis=-1)
+    np.square(gathered, out=gathered)
+    gathered *= weights
+    energies = np.add.reduceat(gathered, starts, axis=-1)
+    energies += LOG_FLOOR
+    return np.log(energies, out=energies)
 
 
 @functools.lru_cache(maxsize=16)
 def analysis_constants(sample_rate: int, frame_size: int):
-    """(Hann window, bin frequencies, N_MELS-filter mel filterbank) of one STFT
-    geometry. Built once per (sample_rate, frame_size) and shared read-only."""
-    constants = (hann_window(frame_size), fft_bin_freqs(frame_size, sample_rate),
-                 mel_filterbank(N_MELS, frame_size, sample_rate))
-    for array in constants:
+    """(Hann window, bin frequencies, `mel_bands` of the N_MELS-filter mel
+    filterbank) of one STFT geometry. Built once per (sample_rate,
+    frame_size) and shared read-only."""
+    window = hann_window(frame_size)
+    bin_freqs = fft_bin_freqs(frame_size, sample_rate)
+    bands = mel_bands(mel_filterbank(N_MELS, frame_size, sample_rate))
+    for array in (window, bin_freqs, *bands):
         array.setflags(write=False)
-    return constants
+    return window, bin_freqs, bands
 
 
 def mfcc_means(buffer: AudioBuffer, config: StftConfig) -> np.ndarray:
@@ -181,10 +204,10 @@ def extract_features(buffer: AudioBuffer, config: StftConfig = StftConfig()) -> 
     Each block of frames is windowed and transformed once; the per-frame
     stats of the block are added to running sums. The DCT is linear, so it is
     applied once, to the mean log mel energies."""
-    window, bin_freqs, fbank = analysis_constants(buffer.sample_rate, config.frame_size)
+    window, bin_freqs, bands = analysis_constants(buffer.sample_rate, config.frame_size)
     frames = frame_signal(buffer.samples, config)
     centroid_sum = bandwidth_sum = rolloff_sum = rms_sum = 0.0
-    logmel_sum = np.zeros(len(fbank))
+    logmel_sum = np.zeros(N_MELS)
     for start in range(0, len(frames), BLOCK_FRAMES):
         block = frames[start:start + BLOCK_FRAMES]
         mags = _magnitudes(block, window)
@@ -192,7 +215,7 @@ def extract_features(buffer: AudioBuffer, config: StftConfig = StftConfig()) -> 
         centroid_sum += centroid.sum()
         bandwidth_sum += spectral_bandwidth(mags, bin_freqs, centroid).sum()
         rolloff_sum += spectral_rolloff(mags, bin_freqs).sum()
-        logmel_sum += mel_log_energies(mags, fbank).sum(axis=0)
+        logmel_sum += mel_log_energies(mags, bands).sum(axis=0)
         rms_sum += np.sqrt(np.einsum("ij,ij->i", block, block) / config.frame_size).sum()
         # Free the spectra before the next block allocates its own: the heap
         # then peaks at one block and is reused, not grown, trimmed and

@@ -1,9 +1,14 @@
+import faulthandler
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import eqrep
 from eqrep import dataset as ds
 from eqrep.cli import build_parser, main
 from eqrep.features import FEATURE_NAMES, StftConfig
@@ -175,6 +180,40 @@ class TestJobsBound:
         assert build_parser().parse_args(_jobs_argv(command, 1)).jobs == 1
 
 
+class TestTrainOptionBounds:
+    """Parsed only: no manifest is read."""
+
+    ARGV = ["train", "--manifest", "m.json", "--model", "forest", "--outfile", "f.json"]
+
+    @pytest.mark.parametrize("option, value", [
+        ("--trees", "0"), ("--trees", "-1"), ("--trees", "1.5"),
+        ("--epochs", "0"), ("--hidden-dim", "0"), ("--batch-size", "-64"),
+        ("--learning-rate", "0"), ("--learning-rate", "-1e-3"),
+        ("--learning-rate", "nan"), ("--learning-rate", "inf"), ("--learning-rate", "fast"),
+    ])
+    def test_bad_value_is_usage_error(self, option, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(self.ARGV + [option, value])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert f"argument {option}" in err.splitlines()[-1]
+        assert "Traceback" not in err
+
+    def test_smallest_values_are_accepted(self):
+        args = build_parser().parse_args(self.ARGV + [
+            "--trees", "1", "--epochs", "1", "--hidden-dim", "1", "--batch-size", "1",
+            "--learning-rate", "1e-9"])
+        assert (args.trees, args.epochs, args.hidden_dim, args.batch_size) == (1, 1, 1, 1)
+        assert args.learning_rate == 1e-9
+
+
+def test_jobs_default_to_the_usable_cores():
+    usable = len(os.sched_getaffinity(0))
+    assert build_parser().parse_args(["reproduce"]).jobs == usable
+    dataset = ["dataset", "--corpus", "corpus", "--mode", "multi"]
+    assert build_parser().parse_args(dataset).jobs == usable
+
+
 def _limit_argv(command, limit):
     extra = ["--corpus", "corpus", "--mode", "multi"] if command == "dataset" else []
     return [command, "--limit", str(limit)] + extra
@@ -224,6 +263,59 @@ def test_reproduce_rejects_repeated_pitches(monkeypatch, tmp_path, capsys):
     assert capsys.readouterr().err.splitlines() == [
         "eqrep: corpus repeats note label(s) C2"]
     assert list(tmp_path.iterdir()) == []
+
+
+POOL_JOBS = str(min(2, os.cpu_count() or 1))
+
+
+def test_reproduce_error_in_a_worker_is_one_line(tmp_path, capsys):
+    assert run("reproduce", "--sample-rate", 16000, "--jobs", POOL_JOBS,
+               "--out", tmp_path) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "eqrep: center 10000.0 Hz is at or above Nyquist"]
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="--jobs 2 needs two CPUs")
+def test_reproduce_dead_worker_is_one_line(monkeypatch, tmp_path, capsys):
+    parent = os.getpid()
+    real_apply_eq = ds.apply_eq
+
+    def apply_eq(*args, **kwargs):
+        if os.getpid() != parent:
+            os._exit(3)
+        return real_apply_eq(*args, **kwargs)
+
+    monkeypatch.setattr(ds, "apply_eq", apply_eq)
+    # A pool that waited forever for the dead worker would hang the suite:
+    # end the test run with a traceback instead.
+    faulthandler.dump_traceback_later(120, exit=True, file=sys.__stderr__)
+    try:
+        code = run("reproduce", "--sample-rate", 8000, "--jobs", "2", "--out", tmp_path)
+    finally:
+        faulthandler.cancel_dump_traceback_later()
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("eqrep: ")
+    assert "terminated abruptly" in err[0]
+
+
+def test_reproduce_bytes_do_not_depend_on_blas_threads_or_jobs(tmp_path):
+    """The same run with one BLAS thread in process and with two BLAS threads
+    on two workers: same exit code, byte-identical output files."""
+    src = str(Path(eqrep.__file__).resolve().parents[1])
+    runs = []
+    for threads, jobs in (("1", "1"), ("2", POOL_JOBS)):
+        out = tmp_path / f"blas{threads}_jobs{jobs}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "eqrep.cli", "reproduce", "--sample-rate", "22050",
+             "--limit", "500", "--seed", "42", "--jobs", jobs, "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=300)
+        files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        runs.append((proc.returncode, files))
+    assert len(runs[0][1]) == 13
+    assert runs[0] == runs[1]
 
 
 class TestEnvOverride:

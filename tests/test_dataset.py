@@ -90,6 +90,19 @@ class TestBuildDataset:
         assert [s.sample_id for s in serial.samples] == [s.sample_id for s in parallel.samples]
         np.testing.assert_array_equal(serial.feature_matrix(), parallel.feature_matrix())
 
+    def test_jobs_give_identical_manifest_and_audio(self, tiny_corpus, tmp_path):
+        settings = ds.multi_band_settings([-12.0, 0.0, 12.0])
+        out = {}
+        for jobs in (1, 2):
+            keep = tmp_path / f"jobs{jobs}"
+            keep.mkdir()
+            manifest = ds.build_dataset(tiny_corpus, settings, stft=STFT, limit=40,
+                                        seed=9, jobs=jobs, keep_audio_dir=keep)
+            wavs = {p.name: p.read_bytes() for p in sorted(keep.iterdir())}
+            out[jobs] = (ds.manifest_to_dict(manifest), wavs)
+        assert len(out[1][1]) == 40
+        assert out[1] == out[2]
+
     def test_labels_match_applied_settings(self, tiny_corpus):
         settings = ds.single_band_settings([-9.0, 9.0])
         manifest = ds.build_dataset(tiny_corpus, settings, stft=STFT)

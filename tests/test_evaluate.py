@@ -4,6 +4,7 @@ import pytest
 from eqrep import dataset as ds
 from eqrep import evaluate as ev
 from eqrep.features import FEATURE_DIM, StftConfig
+from eqrep.models import TrainConfig
 
 
 class TestMse:
@@ -133,3 +134,22 @@ class TestExperimentShapes:
         manifest = ds.DatasetManifest(44100, StftConfig(), [], samples, 0)
         with pytest.raises(ValueError):
             ev.experiment_multi_band(manifest, seed=0)
+
+
+def test_multi_band_jobs_give_identical_results():
+    """Fits on worker processes send back the same predictions and reports."""
+    rng = np.random.default_rng(4)
+    gains = rng.choice(ds.COARSE_GRID, size=(600, 5))
+    mixing = rng.standard_normal((5, FEATURE_DIM))
+    feats = gains @ mixing + 0.1 * rng.standard_normal((600, FEATURE_DIM))
+    samples = [ds.DatasetSample(f"s{i}", "x", g, f) for i, (g, f) in enumerate(zip(gains, feats))]
+    manifest = ds.DatasetManifest(44100, StftConfig(), [], samples, 0)
+    cfg = TrainConfig(epochs=5, seed=1)
+    serial = ev.experiment_multi_band(manifest, 1, cfg, tree_count=3, jobs=1)
+    pooled = ev.experiment_multi_band(manifest, 1, cfg, tree_count=3, jobs=2)
+    assert [r.report.model_kind for r in pooled] == ["linear", "forest", "mlp"]
+    for a, b in zip(serial, pooled):
+        assert ev.report_to_dict(a.report) == ev.report_to_dict(b.report)
+        assert a.sample_ids == b.sample_ids
+        np.testing.assert_array_equal(a.predictions, b.predictions)
+        np.testing.assert_array_equal(a.targets, b.targets)

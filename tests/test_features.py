@@ -4,11 +4,12 @@ import pytest
 import oracles
 from eqrep.audio import AudioBuffer, NoteSpec, synthesize_note
 from eqrep.eq import apply_eq
-from eqrep.features import (BLOCK_FRAMES, FEATURE_DIM, StftConfig,
+from eqrep.features import (BLOCK_FRAMES, FEATURE_DIM, LOG_FLOOR, StftConfig,
                             analysis_constants, extract_features, fft_bin_freqs,
-                            frame_signal, hann_window, hz_to_mel, mel_filterbank,
-                            mel_to_hz, mfcc_means, rms_mean, spectral_bandwidth,
-                            spectral_centroid, spectral_rolloff, stft_magnitudes)
+                            frame_signal, hann_window, hz_to_mel, mel_bands,
+                            mel_filterbank, mel_log_energies, mel_to_hz, mfcc_means,
+                            rms_mean, spectral_bandwidth, spectral_centroid,
+                            spectral_rolloff, stft_magnitudes)
 
 SR = 44100
 
@@ -124,6 +125,35 @@ class TestMelFilterbank:
             mel_filterbank(1000, 2048, SR)
 
 
+class TestMelBands:
+    @pytest.mark.parametrize("sample_rate", [22050, 44100])
+    @pytest.mark.parametrize("frame_size", [512, 1024, 2048, 4096])
+    def test_banded_equals_dense(self, sample_rate, frame_size):
+        bank = mel_filterbank(40, frame_size, sample_rate)
+        rng = np.random.default_rng(frame_size + sample_rate)
+        mags = np.abs(rng.standard_normal((2 * BLOCK_FRAMES, bank.shape[1])))
+        mags[3] = 0.0
+        mags[BLOCK_FRAMES:BLOCK_FRAMES + 4] = 0.0
+        dense = np.log(mags ** 2 @ bank.T + LOG_FLOOR)
+        banded = mel_log_energies(mags, mel_bands(bank))
+        np.testing.assert_allclose(banded, dense, rtol=1e-12, atol=0.0)
+        np.testing.assert_array_equal(banded[3], np.log(LOG_FLOOR))
+        # one frame as a 1-D spectrum gives the same row
+        np.testing.assert_array_equal(mel_log_energies(mags[5], mel_bands(bank)), banded[5])
+
+    @pytest.mark.parametrize("frame_size", [512, 2048])
+    def test_at_most_two_filters_per_bin(self, frame_size):
+        bank = mel_filterbank(40, frame_size, 22050)
+        assert np.count_nonzero(bank, axis=0).max() <= 2
+        cols, weights, starts = mel_bands(bank)
+        assert len(cols) == len(weights) == np.count_nonzero(bank) <= 2 * bank.shape[1]
+        assert starts[0] == 0 and np.all(np.diff(starts) > 0)
+
+    def test_three_overlapping_filters_rejected(self):
+        with pytest.raises(ValueError, match="more than two"):
+            mel_bands(np.ones((3, 8)))
+
+
 class TestMfcc:
     def test_near_silence_has_flat_cepstrum(self):
         rng = np.random.default_rng(0)
@@ -209,12 +239,16 @@ class TestExtractFeatures:
 
 class TestAnalysisConstants:
     def test_cached_read_only(self):
-        window, freqs, bank = analysis_constants(SR, 2048)
-        assert analysis_constants(SR, 2048)[2] is bank
+        window, freqs, bands = analysis_constants(SR, 2048)
+        again = analysis_constants(SR, 2048)
+        assert again[0] is window and again[1] is freqs and again[2] is bands
         np.testing.assert_array_equal(window, hann_window(2048))
         np.testing.assert_array_equal(freqs, fft_bin_freqs(2048, SR))
-        np.testing.assert_array_equal(bank, mel_filterbank(40, 2048, SR))
-        for array in (window, freqs, bank):
+        fresh = mel_bands(mel_filterbank(40, 2048, SR))
+        assert len(bands) == len(fresh) == 3
+        for cached, built in zip(bands, fresh):
+            np.testing.assert_array_equal(cached, built)
+        for array in (window, freqs, *bands):
             with pytest.raises(ValueError):
                 array[0] = 1.0
 
