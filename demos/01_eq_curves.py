@@ -1,16 +1,13 @@
 """Tour of the parametric EQ engine.
 
-Designs the five standard piano bands, prints their coefficients, and tabulates
-the combined magnitude response for a few settings. Pipe the CSV block into
-any plotting tool, or use the equivalent CLI command:
+Designs the five standard piano bands, prints the cascade's second-order
+sections, and tabulates the combined magnitude response for a few settings.
+Pipe the CSV block into any plotting tool, or use the equivalent CLI command:
 
     eqrep response --gains 6,-3,0,4,-6
 """
 
-import numpy as np
-
-from eqrep.eq import (design_biquad, eq_response, log_frequency_grid,
-                      standard_bands)
+from eqrep.eq import eq_response, eq_sos, log_frequency_grid, standard_bands
 
 SR = 44100
 
@@ -19,11 +16,11 @@ print("The five bands:")
 for band in bands:
     print(f"  {band.center_hz:>8.0f} Hz  {band.filter_kind:<10s}  q={band.q}")
 
-print("\nBiquad coefficients for +6 dB on each band:")
-for band in bands:
-    c = design_biquad(band, 6.0, SR)
-    print(f"  {band.center_hz:>8.0f} Hz: b=({c.b0:+.4f}, {c.b1:+.4f}, {c.b2:+.4f})"
-          f"  a=({c.a1:+.4f}, {c.a2:+.4f})  stable={c.is_stable()}")
+print("\nSOS rows [b0, b1, b2, a0, a1, a2] for +6 dB on each band:")
+for band, (b0, b1, b2, _, a1, a2) in zip(bands, eq_sos([6.0] * 5, bands, SR)):
+    stable = abs(a2) < 1.0 and abs(a1) < 1.0 + a2  # both poles inside the unit circle
+    print(f"  {band.center_hz:>8.0f} Hz: b=({b0:+.4f}, {b1:+.4f}, {b2:+.4f})"
+          f"  a=(1, {a1:+.4f}, {a2:+.4f})  stable={stable}")
 
 # The bell filters are exact at their center frequency: +g dB in -> +g dB out.
 for gain in (3.0, 12.0, -9.0):

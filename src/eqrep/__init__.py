@@ -5,17 +5,10 @@ extract a 17-dim timbral feature vector, and train models (linear, random
 forest, MLP) that invert the features back to the gains in dB.
 """
 
-from .audio import AudioBuffer, NoteSpec, note_corpus, read_wav, synthesize_note, write_wav
-from .eq import (BAND_NAMES, BiquadCoeffs, EqBandSpec, apply_biquad, apply_eq,
-                 design_biquad, eq_response, standard_bands)
-from .features import FEATURE_NAMES, FeatureVector, StftConfig, extract_features
-from .dataset import (COARSE_GRID, FINE_GRID, build_dataset, interpolation_split,
-                      load_manifest, multi_band_settings, save_manifest,
-                      single_band_settings, split)
-from .models import (ForestModel, LinearModel, MlpModel, TrainConfig, load_model,
-                     predict, save_model, train_forest, train_linear, train_mlp)
-from .evaluate import (EvalReport, experiment_interpolation, experiment_multi_band,
-                       experiment_single_band_coarse, experiment_single_band_fine,
-                       mse, scatter_export)
+from .audio import NoteSpec, synthesize_note
+from .eq import apply_eq
+from .features import extract_features
+from .dataset import FINE_GRID, build_dataset, single_band_settings, split
+from .models import predict, train_linear
 
 __version__ = "0.1.0"

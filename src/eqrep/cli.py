@@ -362,7 +362,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "can fail them and exit 2")
     low, high = ev.MULTI_BAND_MIN_SAMPLES, len(ds.COARSE_GRID) ** 5
     p.add_argument("--limit", type=_int_range(low, high), default=3000,
-                   help=f"multi-band samples ({low}..{high})")
+                   help=f"multi-band samples ({low}..{high}); below about 2000 the "
+                        "built-in 'MLP MSE < linear MSE' check can fail and exit 2")
     p.add_argument("--jobs", type=_jobs, default=USABLE_CORES, help=JOBS_HELP)
     p.set_defaults(func=cmd_reproduce)
 

@@ -1,6 +1,6 @@
-"""Parametric EQ: biquad design (low-shelf, bell, high-shelf), cascade
-application as one second-order-sections (SOS) filter, and frequency-response
-evaluation.
+"""Parametric EQ: biquad design (low-shelf, bell, high-shelf) as
+second-order-sections (SOS) rows, the cascade as one SOS matrix, its
+application with `sosfilt` and its magnitude response with `sosfreqz`.
 
 Coefficients follow the standard audio-EQ cookbook parameterization with
 A = 10^(gain_db/40), w0 = 2*pi*f0/fs, alpha = sin(w0)/(2*q).
@@ -9,7 +9,7 @@ A = 10^(gain_db/40), w0 = 2*pi*f0/fs, alpha = sin(w0)/(2*q).
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import sosfilt
+from scipy.signal import sosfilt, sosfreqz
 
 from .audio import AudioBuffer
 
@@ -37,24 +37,6 @@ class EqBandSpec:
             raise ValueError(f"unknown filter kind {self.filter_kind!r}")
 
 
-@dataclass(frozen=True)
-class BiquadCoeffs:
-    """Second-order section, a0 normalized to 1."""
-
-    b0: float
-    b1: float
-    b2: float
-    a1: float
-    a2: float
-
-    def is_stable(self):
-        return abs(self.a2) < 1.0 and abs(self.a1) < 1.0 + self.a2
-
-    def sos_row(self):
-        """The section as a `scipy.signal` SOS row [b0, b1, b2, 1, a1, a2]."""
-        return (self.b0, self.b1, self.b2, 1.0, self.a1, self.a2)
-
-
 def standard_bands():
     """The five piano EQ bands: 80 low-shelf, 240/2500/4000 bell, 10k high-shelf."""
     return [
@@ -76,7 +58,8 @@ def validate_setting(gains_db) -> np.ndarray:
     return gains
 
 
-def design_biquad(spec: EqBandSpec, gain_db: float, sample_rate: int) -> BiquadCoeffs:
+def design_biquad(spec: EqBandSpec, gain_db: float, sample_rate: int) -> np.ndarray:
+    """One section as the SOS row [b0, b1, b2, 1, a1, a2], a0 normalized to 1."""
     if spec.center_hz >= sample_rate / 2:
         raise ValueError(f"center {spec.center_hz} Hz is at or above Nyquist")
     if abs(gain_db) > GAIN_LIMIT_DB:
@@ -111,47 +94,34 @@ def design_biquad(spec: EqBandSpec, gain_db: float, sample_rate: int) -> BiquadC
         a1 = 2 * ((big_a - 1) - (big_a + 1) * cw)
         a2 = (big_a + 1) - (big_a - 1) * cw - sq
 
-    return BiquadCoeffs(b0 / a0, b1 / a0, b2 / a0, a1 / a0, a2 / a0)
+    return np.array([b0 / a0, b1 / a0, b2 / a0, 1.0, a1 / a0, a2 / a0])
 
 
-def apply_biquad(buffer: AudioBuffer, coeffs: BiquadCoeffs) -> AudioBuffer:
-    """Filter with zero initial state; length and sample rate preserved."""
-    return AudioBuffer(sosfilt([coeffs.sos_row()], buffer.samples), buffer.sample_rate)
+def eq_sos(gains_db, bands, sample_rate: int) -> np.ndarray:
+    """The cascade as a (bands, 6) SOS matrix, one row per band in band order."""
+    gains = validate_setting(gains_db)
+    if len(bands) != len(gains):
+        raise ValueError("band count and gain count differ")
+    return np.array([design_biquad(spec, float(gain), sample_rate)
+                     for spec, gain in zip(bands, gains)])
 
 
 def apply_eq(buffer: AudioBuffer, gains_db, bands=None) -> AudioBuffer:
     """Serial cascade of the five band filters in band order, run as one
-    (5, 6) SOS matrix in a single pass with zero initial state."""
+    SOS filter in a single pass with zero initial state."""
     bands = standard_bands() if bands is None else bands
-    gains = validate_setting(gains_db)
-    if len(bands) != len(gains):
-        raise ValueError("band count and gain count differ")
-    sos = [design_biquad(spec, float(gain), buffer.sample_rate).sos_row()
-           for spec, gain in zip(bands, gains)]
+    sos = eq_sos(gains_db, bands, buffer.sample_rate)
     return AudioBuffer(sosfilt(sos, buffer.samples), buffer.sample_rate)
 
 
-def biquad_response_db(coeffs: BiquadCoeffs, freqs_hz, sample_rate: int) -> np.ndarray:
-    """Magnitude response 20*log10|H(e^jw)| of one section."""
+def eq_response(gains_db, bands, freqs_hz, sample_rate: int) -> np.ndarray:
+    """Combined cascade magnitude response 20*log10|H(e^jw)| in dB."""
+    sos = eq_sos(gains_db, bands, sample_rate)
     freqs = np.asarray(freqs_hz, dtype=np.float64)
     if np.any(freqs >= sample_rate / 2) or np.any(freqs < 0):
         raise ValueError("frequencies must lie in [0, Nyquist)")
-    z1 = np.exp(-1j * 2.0 * np.pi * freqs / sample_rate)
-    z2 = z1 * z1
-    h = (coeffs.b0 + coeffs.b1 * z1 + coeffs.b2 * z2) / (1.0 + coeffs.a1 * z1 + coeffs.a2 * z2)
-    return 20.0 * np.log10(np.abs(h))
-
-
-def eq_response(gains_db, bands, freqs_hz, sample_rate: int) -> np.ndarray:
-    """Combined cascade magnitude response in dB (sum of section responses)."""
-    gains = validate_setting(gains_db)
-    freqs = np.asarray(freqs_hz, dtype=np.float64)
-    total = np.zeros_like(freqs)
-    for spec, gain in zip(bands, gains):
-        total += biquad_response_db(
-            design_biquad(spec, float(gain), sample_rate), freqs, sample_rate
-        )
-    return total
+    _, h = sosfreqz(sos, worN=freqs.ravel(), fs=sample_rate)
+    return 20.0 * np.log10(np.abs(h)).reshape(freqs.shape)
 
 
 def log_frequency_grid(start_hz=20.0, stop_hz=20000.0, points=200) -> np.ndarray:

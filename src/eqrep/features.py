@@ -188,16 +188,6 @@ def analysis_constants(sample_rate: int, frame_size: int):
     return window, bin_freqs, bands
 
 
-def mfcc_means(buffer: AudioBuffer, config: StftConfig) -> np.ndarray:
-    """File-level mean of MFCCs 0..12 (log mel energies -> orthonormal DCT-II)."""
-    return extract_features(buffer, config).mfcc_mean
-
-
-def rms_mean(buffer: AudioBuffer, config: StftConfig) -> float:
-    """File-level mean of the per-frame RMS of raw (unwindowed) samples."""
-    return extract_features(buffer, config).rms
-
-
 def extract_features(buffer: AudioBuffer, config: StftConfig = StftConfig()) -> FeatureVector:
     """Assemble the 17-dim feature vector of file-level means.
 

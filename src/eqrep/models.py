@@ -235,7 +235,9 @@ class ForestModel:
         return len(self.trees)
 
 
-MIN_LEAF_SAMPLES = 5
+# A node with at most this many rows is not split. It bounds the size of the
+# nodes that split, not of the leaves: a split child may hold a single row.
+MAX_UNSPLIT_ROWS = 5
 SPLIT_CANDIDATES = 5  # ceil(sqrt(17))
 
 
@@ -271,11 +273,13 @@ def _best_split(x: np.ndarray, yi: np.ndarray, idx: np.ndarray, candidates: np.n
             float((xs[p, col] + xs[p + 1, col]) / 2))
 
 
-def _grow_tree(x: np.ndarray, y: np.ndarray, rng, min_leaf: int = MIN_LEAF_SAMPLES) -> dict:
+def _grow_tree(x: np.ndarray, y: np.ndarray, rng,
+               max_unsplit: int = MAX_UNSPLIT_ROWS) -> dict:
     """CART regression tree: greedy splits minimizing summed per-target SSE,
-    with SPLIT_CANDIDATES random candidate features per node. Nodes are
-    numbered depth-first, left subtree first, which is also the order the
-    candidates are drawn from `rng`."""
+    with SPLIT_CANDIDATES random candidate features per node. A node with at
+    most `max_unsplit` rows, or with zero SSE, stays a leaf; a split child
+    may hold a single row. Nodes are numbered depth-first, left subtree
+    first, which is also the order the candidates are drawn from `rng`."""
     feature, threshold = [], []
     left, right, value = [], [], []
     stack = [(np.arange(len(x)), None, None)]  # (rows, parent's child list, parent)
@@ -293,7 +297,7 @@ def _grow_tree(x: np.ndarray, y: np.ndarray, rng, min_leaf: int = MIN_LEAF_SAMPL
         value.append(mean)
 
         parent_sse = float(((yi - mean) ** 2).sum())
-        if len(idx) <= min_leaf or parent_sse <= 0.0:
+        if len(idx) <= max_unsplit or parent_sse <= 0.0:
             continue
         candidates = rng.choice(x.shape[1], size=min(SPLIT_CANDIDATES, x.shape[1]),
                                 replace=False)
@@ -333,7 +337,7 @@ def _forest_predict(forest: ForestModel, x: np.ndarray) -> np.ndarray:
 
 def train_forest(features: np.ndarray, targets: np.ndarray,
                  tree_count: int = 50, seed: int = 42,
-                 min_leaf: int = MIN_LEAF_SAMPLES,
+                 max_unsplit: int = MAX_UNSPLIT_ROWS,
                  bootstrap: bool = True) -> ForestModel:
     """Bagged CART trees; per-tree seeds derive from (seed + tree index)."""
     features = np.asarray(features, dtype=np.float64)
@@ -349,7 +353,7 @@ def train_forest(features: np.ndarray, targets: np.ndarray,
             idx = rng.integers(0, len(x), size=len(x))
         else:
             idx = np.arange(len(x))
-        trees.append(_grow_tree(x[idx], targets[idx], rng, min_leaf))
+        trees.append(_grow_tree(x[idx], targets[idx], rng, max_unsplit))
     return ForestModel(trees=trees, norm=norm)
 
 

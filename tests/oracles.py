@@ -1,9 +1,10 @@
 """Independent brute-force oracles for the EQ, feature and model code.
 
 Everything here deliberately avoids the fast paths under test: the EQ is a
-sample-by-sample difference-equation loop, the DFT is the O(n^2) definition,
-the DCT is the direct cosine sum, and the per-frame stats are plain Python
-loops over the definitions.
+sample-by-sample difference-equation loop and its response is H(z) evaluated
+term by term, the DFT is the O(n^2) definition, the DCT is the direct cosine
+sum, the per-frame stats are plain Python loops over the definitions, and
+SplitMix64 steps one Python-int draw at a time.
 
 The model references at the end are the loop forms of the vectorized model
 code: a recursive CART grower that searches one candidate feature at a time,
@@ -21,16 +22,45 @@ from eqrep.models import (SPLIT_CANDIDATES, fit_normalization, init_mlp_params,
 
 
 def biquad_cascade(samples, sections):
-    """Serial direct-form I biquads, zero initial state. Each section is
-    (b0, b1, b2, a1, a2) with a0 = 1."""
+    """Serial direct-form I biquads, zero initial state. Each section is an
+    SOS row (b0, b1, b2, 1, a1, a2), a0 normalized to 1."""
     out = [float(v) for v in samples]
-    for b0, b1, b2, a1, a2 in sections:
+    for b0, b1, b2, _, a1, a2 in sections:
         x1 = x2 = y1 = y2 = 0.0
         for i, x in enumerate(out):
             y = b0 * x + b1 * x1 + b2 * x2 - a1 * y1 - a2 * y2
             x2, x1, y2, y1 = x1, x, y1, y
             out[i] = y
     return np.array(out)
+
+
+def biquad_response_db(row, freqs_hz, sample_rate):
+    """Magnitude response 20*log10|H(e^jw)| of one SOS row, with H(z) =
+    (b0 + b1 z^-1 + b2 z^-2) / (a0 + a1 z^-1 + a2 z^-2) written out."""
+    b0, b1, b2, a0, a1, a2 = row
+    z1 = np.exp(-1j * 2.0 * np.pi * np.asarray(freqs_hz, dtype=np.float64) / sample_rate)
+    z2 = z1 * z1
+    h = (b0 + b1 * z1 + b2 * z2) / (a0 + a1 * z1 + a2 * z2)
+    return 20.0 * np.log10(np.abs(h))
+
+
+def splitmix64_uniform(seed, low, high, sizes):
+    """Arrays of uniform floats in [low, high), one per size, drawn in turn
+    from one SplitMix64 stream: the state steps by gamma per draw and each
+    draw keeps the top 53 bits of the mixed state."""
+    mask = (1 << 64) - 1
+    state = seed & mask
+    out = []
+    for size in sizes:
+        unit = []
+        for _ in range(int(np.prod(size))):
+            state = (state + 0x9E3779B97F4A7C15) & mask
+            z = state
+            z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+            unit.append(((z ^ (z >> 31)) >> 11) * (1.0 / (1 << 53)))
+        out.append((low + (high - low) * np.array(unit)).reshape(size))
+    return out
 
 
 def hann(n):
@@ -140,7 +170,7 @@ def feature_vector(samples, sample_rate, frame_size, hop_size,
 # ------------------------------------------------------------------ models
 
 
-def grow_tree(x, y, rng, min_leaf):
+def grow_tree(x, y, rng, max_unsplit):
     """Recursive CART regression tree, one split candidate at a time; draws
     the candidates from `rng` exactly as `models._grow_tree` does."""
     feature, threshold = [], []
@@ -159,7 +189,7 @@ def grow_tree(x, y, rng, min_leaf):
 
         n = len(idx)
         parent_sse = sse(y[idx])
-        if n <= min_leaf or parent_sse <= 0.0:
+        if n <= max_unsplit or parent_sse <= 0.0:
             return node
 
         best = None  # (sse_total, feature, threshold)

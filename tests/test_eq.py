@@ -1,14 +1,12 @@
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
 from eqrep.audio import AudioBuffer
-from eqrep.eq import (BELL, HIGH_SHELF, LOW_SHELF, BiquadCoeffs, EqBandSpec,
-                      apply_biquad, apply_eq, biquad_response_db, design_biquad,
-                      eq_response, log_frequency_grid, standard_bands)
+from eqrep.eq import (BELL, HIGH_SHELF, LOW_SHELF, EqBandSpec, apply_eq,
+                      design_biquad, eq_response, eq_sos, log_frequency_grid,
+                      standard_bands)
 from eqrep.features import extract_features
 
 SR = 44100
@@ -26,18 +24,19 @@ class TestStandardBands:
 class TestDesignBiquad:
     def test_zero_gain_collapses(self):
         for spec in standard_bands():
-            c = design_biquad(spec, 0.0, SR)
-            assert c.b0 == pytest.approx(1.0, abs=1e-12)
-            assert c.b1 == pytest.approx(c.a1, abs=1e-12)
-            assert c.b2 == pytest.approx(c.a2, abs=1e-12)
+            b0, b1, b2, a0, a1, a2 = design_biquad(spec, 0.0, SR)
+            assert a0 == 1.0
+            assert b0 == pytest.approx(1.0, abs=1e-12)
+            assert b1 == pytest.approx(a1, abs=1e-12)
+            assert b2 == pytest.approx(a2, abs=1e-12)
 
     def test_bell_center_gain(self):
-        c = design_biquad(EqBandSpec(2500.0, BELL, 1.0), 6.0, SR)
-        assert biquad_response_db(c, [2500.0], SR)[0] == pytest.approx(6.0, abs=1e-9)
+        row = design_biquad(EqBandSpec(2500.0, BELL, 1.0), 6.0, SR)
+        assert oracles.biquad_response_db(row, [2500.0], SR)[0] == pytest.approx(6.0, abs=1e-9)
 
     def test_low_shelf_dc_gain(self):
-        c = design_biquad(EqBandSpec(80.0, LOW_SHELF, 0.707), -12.0, SR)
-        dc = 20 * np.log10(abs((c.b0 + c.b1 + c.b2) / (1 + c.a1 + c.a2)))
+        row = design_biquad(EqBandSpec(80.0, LOW_SHELF, 0.707), -12.0, SR)
+        dc = 20 * np.log10(abs(row[:3].sum() / row[3:].sum()))
         assert dc == pytest.approx(-12.0, abs=1e-9)
 
     def test_center_above_nyquist(self):
@@ -56,42 +55,64 @@ class TestDesignBiquad:
         kind=st.sampled_from([LOW_SHELF, BELL, HIGH_SHELF]),
     )
     def test_stability(self, gain, q, center, kind):
-        assert design_biquad(EqBandSpec(center, kind, q), gain, SR).is_stable()
+        # poles inside the unit circle: the stability triangle of 1 + a1/z + a2/z^2
+        _, _, _, _, a1, a2 = design_biquad(EqBandSpec(center, kind, q), gain, SR)
+        assert abs(a2) < 1.0 and abs(a1) < 1.0 + a2
 
     @settings(max_examples=50, deadline=None)
     @given(gain=st.floats(0.1, 24), q=st.floats(0.3, 4.0), center=st.floats(50, 18000))
     def test_bell_gain_symmetry(self, gain, q, center):
         freqs = log_frequency_grid(20, 20000, 50)
         spec = EqBandSpec(center, BELL, q)
-        up = biquad_response_db(design_biquad(spec, gain, SR), freqs, SR)
-        down = biquad_response_db(design_biquad(spec, -gain, SR), freqs, SR)
+        up = oracles.biquad_response_db(design_biquad(spec, gain, SR), freqs, SR)
+        down = oracles.biquad_response_db(design_biquad(spec, -gain, SR), freqs, SR)
         np.testing.assert_allclose(up, -down, atol=1e-9)
 
 
 class TestApplyBiquad:
+    """One section on its own: hand-written SOS rows through the oracle
+    cascade, and one active band through `apply_eq`."""
+
     def test_identity_coefficients(self, noise_buffer):
-        out = apply_biquad(noise_buffer, BiquadCoeffs(1, 0, 0, 0, 0))
-        np.testing.assert_array_equal(out.samples, noise_buffer.samples)
+        out = oracles.biquad_cascade(noise_buffer.samples, [(1, 0, 0, 1, 0, 0)])
+        np.testing.assert_array_equal(out, noise_buffer.samples)
 
     def test_pure_gain_impulse(self):
-        impulse = AudioBuffer(np.eye(1, 16)[0], SR)
-        out = apply_biquad(impulse, BiquadCoeffs(0.5, 0, 0, 0, 0))
-        np.testing.assert_array_equal(out.samples, 0.5 * impulse.samples)
+        impulse = np.eye(1, 16)[0]
+        out = oracles.biquad_cascade(impulse, [(0.5, 0, 0, 1, 0, 0)])
+        np.testing.assert_array_equal(out, 0.5 * impulse)
 
     def test_sine_steady_state_gain(self):
         t = np.arange(SR) / SR
         sine = AudioBuffer(np.sin(2 * np.pi * 2500 * t), SR)
-        coeffs = design_biquad(EqBandSpec(2500.0, BELL, 1.0), 6.0, SR)
-        out = apply_biquad(sine, coeffs)
+        out = apply_eq(sine, [0, 0, 6, 0, 0])
         skip = SR // 10  # discard 100 ms transient
         ratio = np.sqrt((out.samples[skip:] ** 2).mean() / (sine.samples[skip:] ** 2).mean())
         assert ratio == pytest.approx(10 ** (6 / 20), rel=0.01)
 
     def test_preserves_length_and_rate(self, noise_buffer):
-        coeffs = design_biquad(EqBandSpec(500.0, BELL, 1.0), 3.0, SR)
-        out = apply_biquad(noise_buffer, coeffs)
+        out = apply_eq(noise_buffer, [0, 3, 0, 0, 0])
         assert len(out) == len(noise_buffer)
         assert out.sample_rate == SR
+
+
+class TestEqSos:
+    def test_rows_in_band_order(self):
+        bands = standard_bands()
+        gains = [3.0, -6.0, 9.0, -12.0, 4.5]
+        sos = eq_sos(gains, bands, SR)
+        assert sos.shape == (5, 6) and sos.dtype == np.float64
+        for row, spec, gain in zip(sos, bands, gains):
+            np.testing.assert_array_equal(row, design_biquad(spec, gain, SR))
+
+    def test_zero_setting_rows_cancel_exactly(self):
+        # at 0 dB the numerator and denominator come out of the same arithmetic
+        sos = eq_sos([0, 0, 0, 0, 0], standard_bands(), SR)
+        np.testing.assert_array_equal(sos[:, :3], sos[:, 3:])
+
+    def test_band_count_mismatch(self):
+        with pytest.raises(ValueError, match="band count"):
+            eq_sos([0, 0, 0, 0, 0], standard_bands()[:4], SR)
 
 
 class TestApplyEq:
@@ -127,10 +148,8 @@ class TestApplyEq:
         else:
             samples = np.eye(1, n)[0]
         gains = [6.0, -9.0, 12.0, -3.0, 8.0]
-        sections = [dataclasses.astuple(design_biquad(spec, gain, SR))
-                    for spec, gain in zip(standard_bands(), gains)]
         fast = apply_eq(AudioBuffer(samples, SR), gains).samples
-        slow = oracles.biquad_cascade(samples, sections)
+        slow = oracles.biquad_cascade(samples, eq_sos(gains, standard_bands(), SR))
         assert np.max(np.abs(fast - slow)) <= 1e-9
 
 
@@ -160,10 +179,32 @@ class TestEqResponse:
         with pytest.raises(ValueError):
             eq_response([0, 0, 0, 0, 0], standard_bands(), [SR / 2], SR)
 
+    def test_matches_summed_section_oracle(self):
+        # sosfreqz of the cascade against the sum of the written-out H(z) of
+        # each section, over random +/-24 dB settings
+        freqs = log_frequency_grid(20, 20000, 500)
+        bands = standard_bands()
+        rng = np.random.default_rng(12)
+        for _ in range(20):
+            gains = rng.uniform(-24, 24, 5)
+            slow = sum(oracles.biquad_response_db(row, freqs, SR)
+                       for row in eq_sos(gains, bands, SR))
+            np.testing.assert_allclose(eq_response(gains, bands, freqs, SR), slow,
+                                       rtol=0, atol=1e-9)
+
+    def test_keeps_the_frequency_shape(self):
+        bands = standard_bands()
+        grid = log_frequency_grid(20, 20000, 12).reshape(3, 4)
+        resp = eq_response([0, 0, 12, 0, 0], bands, grid, SR)
+        assert resp.shape == (3, 4)
+        np.testing.assert_array_equal(resp.ravel(),
+                                      eq_response([0, 0, 12, 0, 0], bands, grid.ravel(), SR))
+        assert eq_response([0, 0, 12, 0, 0], bands, 2500.0, SR).shape == ()
+
 
 class TestImpulseResponseCrossCheck:
     def test_fft_of_impulse_response_matches_design(self):
-        # cross-validates apply_biquad/apply_eq against the analytic response
+        # cross-validates apply_eq against the analytic response
         gains = np.array([6.0, -9.0, 12.0, -3.0, 8.0])
         n = 1 << 16
         impulse = AudioBuffer(np.eye(1, n)[0], SR)

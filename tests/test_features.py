@@ -7,9 +7,9 @@ from eqrep.eq import apply_eq
 from eqrep.features import (BLOCK_FRAMES, FEATURE_DIM, LOG_FLOOR, StftConfig,
                             analysis_constants, extract_features, fft_bin_freqs,
                             frame_signal, hann_window, hz_to_mel, mel_bands,
-                            mel_filterbank, mel_log_energies, mel_to_hz, mfcc_means,
-                            rms_mean, spectral_bandwidth, spectral_centroid,
-                            spectral_rolloff, stft_magnitudes)
+                            mel_filterbank, mel_log_energies, mel_to_hz,
+                            spectral_bandwidth, spectral_centroid, spectral_rolloff,
+                            stft_magnitudes)
 
 SR = 44100
 
@@ -158,7 +158,7 @@ class TestMfcc:
     def test_near_silence_has_flat_cepstrum(self):
         rng = np.random.default_rng(0)
         buf = AudioBuffer(1e-12 * rng.standard_normal(8192), SR)
-        coeffs = mfcc_means(buf, StftConfig(2048, 512))
+        coeffs = extract_features(buf, StftConfig(2048, 512)).mfcc_mean
         # the log floor dominates every mel band, so AC terms vanish
         assert np.max(np.abs(coeffs[1:])) < 1e-3 * abs(coeffs[0])
 
@@ -168,30 +168,32 @@ class TestMfcc:
         # strong spectral tilt: integrate white noise (1/f emphasis)
         tilted = AudioBuffer(np.cumsum(flat.samples) * 0.01, SR)
         config = StftConfig(2048, 512)
-        c_flat = mfcc_means(flat, config)
-        c_tilted = mfcc_means(tilted, config)
+        c_flat = extract_features(flat, config).mfcc_mean
+        c_tilted = extract_features(tilted, config).mfcc_mean
         assert abs(c_flat[1]) < abs(c_tilted[1])
 
     def test_deterministic(self, noise_buffer):
-        a = mfcc_means(noise_buffer, StftConfig(2048, 512))
-        b = mfcc_means(noise_buffer, StftConfig(2048, 512))
+        a = extract_features(noise_buffer, StftConfig(2048, 512)).mfcc_mean
+        b = extract_features(noise_buffer, StftConfig(2048, 512)).mfcc_mean
         np.testing.assert_array_equal(a, b)
 
 
 class TestRms:
     def test_constant_buffer(self):
         buf = AudioBuffer(np.full(4096, 0.5), SR)
-        assert rms_mean(buf, StftConfig(2048, 512)) == pytest.approx(0.5)
+        assert extract_features(buf, StftConfig(2048, 512)).rms == pytest.approx(0.5)
 
     def test_full_scale_sine(self):
         t = np.arange(SR) / SR
         buf = AudioBuffer(np.sin(2 * np.pi * 1000 * t), SR)
-        assert rms_mean(buf, StftConfig(2048, 512)) == pytest.approx(2 ** -0.5, abs=1e-3)
+        rms = extract_features(buf, StftConfig(2048, 512)).rms
+        assert rms == pytest.approx(2 ** -0.5, abs=1e-3)
 
     def test_homogeneity(self, noise_buffer):
         config = StftConfig(2048, 512)
         doubled = AudioBuffer(2 * noise_buffer.samples, SR)
-        assert rms_mean(doubled, config) == pytest.approx(2 * rms_mean(noise_buffer, config))
+        rms = extract_features(noise_buffer, config).rms
+        assert extract_features(doubled, config).rms == pytest.approx(2 * rms)
 
 
 class TestExtractFeatures:

@@ -181,7 +181,7 @@ class TestForest:
         rng = np.random.default_rng(8)
         x = rng.standard_normal((10, 17))
         y = rng.standard_normal((10, 5))
-        model = train_forest(x, y, tree_count=1, seed=0, min_leaf=1, bootstrap=False)
+        model = train_forest(x, y, tree_count=1, seed=0, max_unsplit=1, bootstrap=False)
         mse = ((predict(model, x) - y) ** 2).mean()
         assert mse == 0.0
 
@@ -236,8 +236,8 @@ def _assert_same_tree(a, b):
 
 class TestTreeGrowthOracle:
     @pytest.mark.parametrize("case", ["random", "ties", "bootstrap"])
-    @pytest.mark.parametrize("min_leaf", [0, 1, 2, 5, 40])
-    def test_arrays_match_reference_grower(self, case, min_leaf):
+    @pytest.mark.parametrize("max_unsplit", [0, 1, 2, 5, 40])
+    def test_arrays_match_reference_grower(self, case, max_unsplit):
         if case == "ties":
             x, y = _tie_heavy_instance(120, seed=23)
         else:
@@ -245,16 +245,16 @@ class TestTreeGrowthOracle:
         if case == "bootstrap":
             idx = np.random.default_rng(25).integers(0, len(x), size=len(x))
             x, y = x[idx], y[idx]
-        tree = _grow_tree(x, y, np.random.default_rng(26), min_leaf)
-        reference = oracles.grow_tree(x, y, np.random.default_rng(26), min_leaf)
+        tree = _grow_tree(x, y, np.random.default_rng(26), max_unsplit)
+        reference = oracles.grow_tree(x, y, np.random.default_rng(26), max_unsplit)
         _assert_same_tree(tree, reference)
 
-    def test_min_leaf_edges(self):
-        # a node splits only when it holds more than min_leaf rows
+    def test_max_unsplit_edges(self):
+        # a node splits only when it holds more than max_unsplit rows
         x, y = _random_instance(12, seed=27, noise=1.0)
-        for min_leaf in (10, 11, 12):
-            tree = _grow_tree(x, y, np.random.default_rng(28), min_leaf)
-            reference = oracles.grow_tree(x, y, np.random.default_rng(28), min_leaf)
+        for max_unsplit in (10, 11, 12):
+            tree = _grow_tree(x, y, np.random.default_rng(28), max_unsplit)
+            reference = oracles.grow_tree(x, y, np.random.default_rng(28), max_unsplit)
             _assert_same_tree(tree, reference)
         assert len(_grow_tree(x, y, np.random.default_rng(28), 12)["feature"]) == 1
 
@@ -307,7 +307,7 @@ class TestForestPredictOracle:
 
     def test_single_node_trees(self):
         x, y = _random_instance(30, seed=36)
-        model = train_forest(x, y, tree_count=3, seed=0, min_leaf=30)
+        model = train_forest(x, y, tree_count=3, seed=0, max_unsplit=30)
         assert all(len(t["feature"]) == 1 for t in model.trees)
         np.testing.assert_array_equal(predict(model, x), oracles.forest_predict(model, x))
 
