@@ -177,7 +177,9 @@ def cmd_eval(args):
 def cmd_reproduce(args):
     out = _out_dir(args)
     if args.pitches:
-        corpus = note_corpus(args.pitches.split(","), args.sample_rate)
+        # the reference note's partial policy; note_corpus caps it per note
+        corpus = note_corpus(args.pitches.split(","), args.sample_rate,
+                             partial_count=ev.REPRODUCTION_PARTIALS)
     else:
         corpus = ev.reproduction_corpus(args.sample_rate)
     stft = _stft_from_args(args)

@@ -49,12 +49,13 @@ def standard_bands():
 
 
 def validate_setting(gains_db) -> np.ndarray:
-    """Check a 5-vector of band gains in dB against the safety envelope."""
+    """Check a 5-vector of band gains in dB against the safety envelope;
+    NaN lies outside it."""
     gains = np.asarray(gains_db, dtype=np.float64)
     if gains.shape != (5,):
         raise ValueError("an EQ setting is exactly 5 gains (dB)")
-    if np.any(np.abs(gains) > GAIN_LIMIT_DB):
-        raise ValueError(f"gains must lie within +/-{GAIN_LIMIT_DB} dB")
+    if not np.all(np.abs(gains) <= GAIN_LIMIT_DB):  # false for NaN too
+        raise ValueError(f"gains must be finite and lie within +/-{GAIN_LIMIT_DB} dB")
     return gains
 
 
@@ -62,8 +63,8 @@ def design_biquad(spec: EqBandSpec, gain_db: float, sample_rate: int) -> np.ndar
     """One section as the SOS row [b0, b1, b2, 1, a1, a2], a0 normalized to 1."""
     if spec.center_hz >= sample_rate / 2:
         raise ValueError(f"center {spec.center_hz} Hz is at or above Nyquist")
-    if abs(gain_db) > GAIN_LIMIT_DB:
-        raise ValueError(f"|gain_db| must be <= {GAIN_LIMIT_DB}")
+    if not abs(gain_db) <= GAIN_LIMIT_DB:  # false for NaN too
+        raise ValueError(f"gain_db must be finite and |gain_db| <= {GAIN_LIMIT_DB}")
 
     big_a = 10.0 ** (gain_db / 40.0)
     w0 = 2.0 * np.pi * spec.center_hz / sample_rate

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .features import FEATURE_DIM
-from .rng import SplitMix64
+from .rng import SplitMix64, splitmix64
 
 MODEL_SCHEMA_VERSION = 1
 OUTPUT_DIM = 5
@@ -239,83 +239,186 @@ class ForestModel:
 # nodes that split, not of the leaves: a split child may hold a single row.
 MAX_UNSPLIT_ROWS = 5
 SPLIT_CANDIDATES = 5  # ceil(sqrt(17))
+# Bytes of temporaries one batch of the grower may hold, whatever the tree
+# and row counts. A node whose search block alone is larger is searched by
+# itself, as a per-node grower would.
+BATCH_BYTES = 4 << 20
+# Temporaries per row of the partition step: index, gather and sort arrays.
+_PARTITION_ROW_BYTES = 96
 
 
-def _best_split(x: np.ndarray, yi: np.ndarray, idx: np.ndarray, candidates: np.ndarray):
-    """(summed child SSE, feature, threshold) of the best cut over all
-    `candidates` at once; `yi` is `y[idx]`. A cut after sorted position p puts
-    the first k = p + 1 rows on the left; cuts between equal values score inf.
-    Ties go to the lowest position, then to the earliest candidate."""
-    n, cols = len(idx), np.arange(len(candidates))
-    xv = x[idx[:, None], candidates]                       # (n, c)
-    order = np.argsort(xv, axis=0, kind="stable")
-    xs = xv[order, cols]
-    ys = yi[order]                                         # (n, c, 5)
-    csum = np.cumsum(ys, axis=0)
-    csum2 = np.cumsum(np.square(ys, out=ys), axis=0)
+def _target_sum(a: np.ndarray) -> np.ndarray:
+    """Sum over the leading (target) axis, left to right."""
+    total = a[0].copy()
+    for part in a[1:]:
+        total += part
+    return total
+
+
+def _node_draws(keys: np.ndarray, features: int):
+    """Split candidates and child keys of the nodes with these keys. A node's
+    candidates are the SPLIT_CANDIDATES smallest of the first `features`
+    outputs of its SplitMix64 stream, in increasing order (a stable argsort);
+    the next two outputs are its left and right child's keys."""
+    z = splitmix64(keys, features + 2)
+    order = np.argsort(z[:, :features], axis=1, kind="stable")
+    return order[:, :SPLIT_CANDIDATES], z[:, features:]
+
+
+def _node_stats(yv: np.ndarray, count: np.ndarray):
+    """Mean (nodes, targets) and SSE (nodes,) of padded target blocks
+    `yv` (targets, nodes, width), whose first count[b] rows are node b's.
+    Sums run over rows in row order, then over targets left to right."""
+    last = (count - 1)[None, :, None]
+    mean = np.take_along_axis(np.cumsum(yv, axis=2), last, axis=2)[..., 0] / count
+    dev = np.subtract(yv, mean[..., None])
+    np.square(dev, out=dev)
+    sse = _target_sum(np.take_along_axis(np.cumsum(dev, axis=2), last, axis=2)[..., 0])
+    return mean.T, sse
+
+
+def _best_splits(x, yt, block, count, candidates):
+    """(summed child SSE, feature, threshold) of each node's best cut over
+    its candidates. `block` (nodes, width) holds each node's rows, padded
+    past count[b] by repeating one; `yt` is the targets transposed. A cut
+    after sorted position p puts the first k = p + 1 rows on the left; cuts
+    between equal values, or past a node's rows, score inf. Ties go to the
+    lowest position, then to the earliest candidate."""
+    nodes, width = block.shape
+    xv = x[block[:, None, :], candidates[:, :, None]]          # (nodes, c, width)
+    np.copyto(xv, np.inf, where=(np.arange(width) >= count[:, None])[:, None, :])
+    order = np.argsort(xv, axis=2, kind="stable")
+    xs = np.take_along_axis(xv, order, axis=2)
+    ys = yt[:, block[np.arange(nodes)[:, None, None], order]]  # (targets, nodes, c, width)
+    csum = np.cumsum(ys, axis=3)
+    csum2 = np.cumsum(np.square(ys, out=ys), axis=3)
+    del ys
+    last = (count - 1)[None, :, None, None]
+    k = np.arange(1, width)
     # Per target, left SSE = s2 - s**2 / k and right SSE =
-    # (tot2 - s2) - (tot - s)**2 / (n - k), built in place.
-    k = np.arange(1, n, dtype=np.int64)[:, None, None]
-    left = np.square(csum[:-1])
-    left /= k
-    np.subtract(csum2[:-1], left, out=left)
-    right = np.subtract(csum[-1], csum[:-1])
+    # (tot2 - s2) - (tot - s)**2 / (n - k), built in place over the sums.
+    s, s2 = csum[..., :-1], csum2[..., :-1]
+    right = np.subtract(np.take_along_axis(csum, last, axis=3), s)
     np.square(right, out=right)
-    right /= n - k
-    rest2 = np.subtract(csum2[-1], csum2[:-1], out=csum2[:-1])
+    right /= np.maximum(count[:, None, None] - k, 1)  # past the rows: masked below
+    left = np.square(s, out=s)
+    left /= k
+    np.subtract(s2, left, out=left)
+    rest2 = np.subtract(np.take_along_axis(csum2, last, axis=3), s2, out=s2)
     np.subtract(rest2, right, out=right)
-    total = left.sum(axis=2) + right.sum(axis=2)           # (n - 1, c)
-    total[~(xs[1:] > xs[:-1])] = np.inf
-    pos = np.argmin(total, axis=0)
-    col = int(np.argmin(total[pos, cols]))
-    p = pos[col]
-    return (float(total[p, col]), int(candidates[col]),
-            float((xs[p, col] + xs[p + 1, col]) / 2))
+    total = _target_sum(left) + _target_sum(right)             # (nodes, c, width - 1)
+    usable = (xs[..., 1:] > xs[..., :-1]) & (k <= count[:, None] - 1)[:, None, :]
+    total[~usable] = np.inf
+    pos = np.argmin(total, axis=2)
+    per_candidate = np.take_along_axis(total, pos[..., None], axis=2)[..., 0]
+    col = np.argmin(per_candidate, axis=1)
+    b = np.arange(nodes)
+    p = pos[b, col]
+    return (per_candidate[b, col], candidates[b, col],
+            (xs[b, col, p] + xs[b, col, p + 1]) / 2)
 
 
-def _grow_tree(x: np.ndarray, y: np.ndarray, rng,
-               max_unsplit: int = MAX_UNSPLIT_ROWS) -> dict:
-    """CART regression tree: greedy splits minimizing summed per-target SSE,
-    with SPLIT_CANDIDATES random candidate features per node. A node with at
-    most `max_unsplit` rows, or with zero SSE, stays a leaf; a split child
-    may hold a single row. Nodes are numbered depth-first, left subtree
-    first, which is also the order the candidates are drawn from `rng`."""
-    feature, threshold = [], []
-    left, right, value = [], [], []
-    stack = [(np.arange(len(x)), None, None)]  # (rows, parent's child list, parent)
-    while stack:
-        idx, link, parent = stack.pop()
-        node = len(feature)
-        if link is not None:
-            link[parent] = node
-        feature.append(-1)
-        threshold.append(0.0)
-        left.append(-1)
-        right.append(-1)
-        yi = y[idx]
-        mean = yi.sum(axis=0) / len(idx)  # yi.mean(axis=0)'s arithmetic, less overhead
-        value.append(mean)
+def _partition(x, rows, start, count, feature, threshold):
+    """The rows of each split node, stably partitioned into those at or below
+    its threshold and those above, laid out node after node, left part
+    first; returns (rows, left counts). Works in batches of whole nodes."""
+    out = np.empty(int(count.sum()), dtype=rows.dtype)
+    left_count = np.empty(len(count), dtype=np.int64)
+    ends = np.cumsum(count)
+    lo = 0
+    while lo < len(count):
+        hi = max(lo + 1, int(np.searchsorted(
+            ends, ends[lo] - count[lo] + BATCH_BYTES // _PARTITION_ROW_BYTES, side="right")))
+        n = count[lo:hi]
+        node = np.repeat(np.arange(hi - lo), n)
+        r = rows[np.arange(len(node)) + np.repeat(start[lo:hi] - (np.cumsum(n) - n), n)]
+        go_left = x[r, feature[lo:hi][node]] <= threshold[lo:hi][node]
+        first = ends[lo] - count[lo]
+        out[first:first + len(r)] = r[np.argsort(2 * node + ~go_left, kind="stable")]
+        left_count[lo:hi] = np.bincount(node[go_left], minlength=hi - lo)
+        lo = hi
+    return out, left_count
 
-        parent_sse = float(((yi - mean) ** 2).sum())
-        if len(idx) <= max_unsplit or parent_sse <= 0.0:
-            continue
-        candidates = rng.choice(x.shape[1], size=min(SPLIT_CANDIDATES, x.shape[1]),
-                                replace=False)
-        best_sse, f, thr = _best_split(x, yi, idx, candidates)
-        if best_sse >= parent_sse:  # also when no candidate has a cut (inf)
-            continue
-        go_left = x[idx, f] <= thr
-        feature[node] = f
-        threshold[node] = thr
-        stack.append((idx[~go_left], right, node))
-        stack.append((idx[go_left], left, node))
-    return {
-        "feature": np.array(feature),
-        "threshold": np.array(threshold),
-        "left": np.array(left),
-        "right": np.array(right),
-        "value": np.array(value),
-    }
+
+def _grow_trees(x: np.ndarray, y: np.ndarray, roots, keys,
+                max_unsplit: int = MAX_UNSPLIT_ROWS) -> list:
+    """CART regression trees, one per (root rows, root key) pair: greedy
+    splits minimizing summed per-target SSE, with SPLIT_CANDIDATES candidate
+    features per node drawn from the node's key (`_node_draws`). A node with
+    at most `max_unsplit` rows, or with zero SSE, stays a leaf; a split child
+    may hold a single row. Rows are indices into `x` and `y`.
+
+    All trees grow together, one level per step. Each level's nodes are
+    searched in batches of one size class, each node's rows padded to the
+    class width; a batch holds at most BATCH_BYTES of temporaries. A node's draws and arithmetic depend
+    only on its own rows and key, so its tree is the same whichever trees
+    grow beside it. Each tree's nodes are numbered in level order, left
+    child before right."""
+    features = x.shape[1]
+    yt = np.ascontiguousarray(y.T)
+    # search temporaries per (node, row): a few arrays per target and candidate
+    row_bytes = 8 * (6 + 5 * len(yt)) * min(SPLIT_CANDIDATES, features)
+    rows = np.concatenate(roots)
+    count = np.array([len(r) for r in roots])
+    tree = np.arange(len(roots))
+    key = np.asarray(keys, dtype=np.uint64)
+    parts = {name: [] for name in ("tree", "feature", "threshold", "value", "left", "right")}
+    next_id = 0
+    while len(count):
+        nodes = len(count)
+        start = np.cumsum(count) - count
+        value = np.empty((nodes, len(yt)))
+        feature = np.full(nodes, -1)
+        threshold = np.zeros(nodes)
+        child_key = np.zeros((nodes, 2), dtype=np.uint64)
+        # Size class: count rounded up to a multiple of 1/16 of the power of
+        # two at or above it (of 1 below 16), so padding stays under 1/8.
+        step = 1 << np.maximum(np.frexp(count - 1)[1] - 4, 0)
+        width = -(-count // step) * step
+        for w in np.unique(width).tolist():
+            members = np.flatnonzero(width == w)
+            per_batch = max(1, BATCH_BYTES // (w * row_bytes))
+            for at in range(0, len(members), per_batch):
+                batch = members[at:at + per_batch]
+                block = rows[start[batch, None] + np.minimum(np.arange(w), count[batch, None] - 1)]
+                value[batch], sse = _node_stats(yt[:, block], count[batch])
+                grow = (count[batch] > max_unsplit) & (sse > 0.0)
+                if not grow.any():
+                    continue
+                ids = batch[grow]
+                drawn, kids = _node_draws(key[ids], features)
+                best, f, thr = _best_splits(x, yt, block[grow], count[ids], drawn)
+                split = best < sse[grow]  # also false when no candidate has a cut (inf)
+                ids = ids[split]
+                feature[ids], threshold[ids], child_key[ids] = f[split], thr[split], kids[split]
+        split = np.flatnonzero(feature >= 0)
+        left, right = np.full(nodes, -1), np.full(nodes, -1)
+        left[split] = next_id + nodes + 2 * np.arange(len(split))
+        right[split] = left[split] + 1
+        for name, a in zip(parts, (tree, feature, threshold, value, left, right)):
+            parts[name].append(a)
+        next_id += nodes
+        rows, left_count = _partition(x, rows, start[split], count[split],
+                                      feature[split], threshold[split])
+        count = np.column_stack([left_count, count[split] - left_count]).ravel()
+        tree = np.repeat(tree[split], 2)
+        key = child_key[split].ravel()
+
+    # Renumber per tree: the global ids run level by level, each level tree
+    # by tree, so a stable sort by tree leaves each tree in level order.
+    # Each field is gathered as its level parts are released.
+    tree = np.concatenate(parts.pop("tree"))
+    order = np.argsort(tree, kind="stable")
+    sizes = np.bincount(tree, minlength=len(roots))
+    first = np.cumsum(sizes) - sizes
+    local = np.empty_like(order)
+    local[order] = np.arange(len(order)) - np.repeat(first, sizes)
+    fields = {}
+    for name in list(parts):
+        a = np.concatenate(parts.pop(name))[order]
+        fields[name] = np.where(a >= 0, local[a], -1) if name in ("left", "right") else a
+    return [{name: a[lo:lo + size] for name, a in fields.items()}
+            for lo, size in zip(first.tolist(), sizes.tolist())]
 
 
 def _forest_predict(forest: ForestModel, x: np.ndarray) -> np.ndarray:
@@ -339,22 +442,23 @@ def train_forest(features: np.ndarray, targets: np.ndarray,
                  tree_count: int = 50, seed: int = 42,
                  max_unsplit: int = MAX_UNSPLIT_ROWS,
                  bootstrap: bool = True) -> ForestModel:
-    """Bagged CART trees; per-tree seeds derive from (seed + tree index)."""
+    """Bagged CART trees grown together by `_grow_trees`. Tree t draws its
+    bootstrap rows from `np.random.default_rng(seed + t)` and its split
+    candidates from root key seed + t, so it is the single tree that
+    `train_forest(..., tree_count=1, seed=seed + t)` grows."""
     features = np.asarray(features, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
     if len(features) == 0:
         raise ValueError("empty training set")
+    if tree_count < 1:
+        raise ValueError("a forest needs at least one tree")
     norm = fit_normalization(features)
     x = norm.apply(features)
-    trees = []
-    for t in range(tree_count):
-        rng = np.random.default_rng(seed + t)
-        if bootstrap:
-            idx = rng.integers(0, len(x), size=len(x))
-        else:
-            idx = np.arange(len(x))
-        trees.append(_grow_tree(x[idx], targets[idx], rng, max_unsplit))
-    return ForestModel(trees=trees, norm=norm)
+    n = len(x)
+    roots = [np.random.default_rng(seed + t).integers(0, n, size=n) if bootstrap
+             else np.arange(n) for t in range(tree_count)]
+    keys = [(seed + t) % 2 ** 64 for t in range(tree_count)]
+    return ForestModel(trees=_grow_trees(x, targets, roots, keys, max_unsplit), norm=norm)
 
 
 # -------------------------------------------------------------- predict

@@ -7,12 +7,13 @@ sum, the per-frame stats are plain Python loops over the definitions, and
 SplitMix64 steps one Python-int draw at a time.
 
 The model references at the end are the loop forms of the vectorized model
-code: a recursive CART grower that searches one candidate feature at a time,
-a per-row tree walk, and an MLP trainer that updates one parameter array at a
-time. They do the same arithmetic in the same order, so the fast paths must
-match them exactly.
+code: a CART grower that takes one node at a time from a FIFO queue and
+searches one candidate feature at a time, a per-row tree walk, and an MLP
+trainer that updates one parameter array at a time. They do the same
+arithmetic in the same order, so the fast paths must match them exactly.
 """
 
+import collections
 import math
 
 import numpy as np
@@ -44,23 +45,27 @@ def biquad_response_db(row, freqs_hz, sample_rate):
     return 20.0 * np.log10(np.abs(h))
 
 
+def splitmix64_outputs(key, count):
+    """The first `count` outputs of the SplitMix64 stream started at `key`,
+    as Python ints, one draw at a time: the state steps by gamma per draw."""
+    mask = (1 << 64) - 1
+    state, out = key & mask, []
+    for _ in range(count):
+        state = (state + 0x9E3779B97F4A7C15) & mask
+        z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        out.append(z ^ (z >> 31))
+    return out
+
+
 def splitmix64_uniform(seed, low, high, sizes):
     """Arrays of uniform floats in [low, high), one per size, drawn in turn
-    from one SplitMix64 stream: the state steps by gamma per draw and each
-    draw keeps the top 53 bits of the mixed state."""
-    mask = (1 << 64) - 1
-    state = seed & mask
-    out = []
-    for size in sizes:
-        unit = []
-        for _ in range(int(np.prod(size))):
-            state = (state + 0x9E3779B97F4A7C15) & mask
-            z = state
-            z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
-            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
-            unit.append(((z ^ (z >> 31)) >> 11) * (1.0 / (1 << 53)))
-        out.append((low + (high - low) * np.array(unit)).reshape(size))
-    return out
+    from one SplitMix64 stream; each draw keeps the top 53 bits."""
+    counts = [int(np.prod(size)) for size in sizes]
+    draws = iter(splitmix64_outputs(seed, sum(counts)))
+    return [(low + (high - low) * np.array([(next(draws) >> 11) * (1.0 / (1 << 53))
+                                            for _ in range(count)])).reshape(size)
+            for count, size in zip(counts, sizes)]
 
 
 def hann(n):
@@ -170,31 +175,48 @@ def feature_vector(samples, sample_rate, frame_size, hop_size,
 # ------------------------------------------------------------------ models
 
 
-def grow_tree(x, y, rng, max_unsplit):
-    """Recursive CART regression tree, one split candidate at a time; draws
-    the candidates from `rng` exactly as `models._grow_tree` does."""
-    feature, threshold = [], []
-    left, right, value = [], [], []
+def node_draws(key, features):
+    """(split candidates, left child key, right child key) of the tree node
+    with this key: the candidates are the features whose stream outputs are
+    the SPLIT_CANDIDATES smallest, smallest first, lower feature on a tie."""
+    z = splitmix64_outputs(key, features + 2)
+    candidates = sorted(range(features), key=lambda f: (z[f], f))[:SPLIT_CANDIDATES]
+    return candidates, z[features], z[features + 1]
 
-    def sse(t):
-        return float(((t - t.mean(axis=0)) ** 2).sum())
 
-    def add_node(idx):
-        node = len(feature)
-        feature.append(-1)
-        threshold.append(0.0)
-        left.append(-1)
-        right.append(-1)
-        value.append(y[idx].mean(axis=0))
+def target_sum(values):
+    """Sum over targets (the last axis), left to right."""
+    total = values[..., 0]
+    for t in range(1, values.shape[-1]):
+        total = total + values[..., t]
+    return total
 
+
+def grow_tree(x, y, key, max_unsplit):
+    """CART regression tree grown one node at a time from a FIFO queue, one
+    split candidate at a time, with the candidates and child keys drawn from
+    each node's key as `models._grow_trees` does. Node sums run over rows in
+    row order and then over targets, as there; nodes are numbered in level
+    order, left child before right."""
+    feature, threshold, left, right, value = [-1], [0.0], [-1], [-1], [None]
+    queue = collections.deque([(0, np.arange(len(x)), key)])
+    while queue:
+        node, idx, key = queue.popleft()
         n = len(idx)
-        parent_sse = sse(y[idx])
+        total = y[idx[0]]
+        for i in idx[1:]:
+            total = total + y[i]
+        mean = total / n
+        value[node] = mean
+        dev = (y[idx[0]] - mean) ** 2
+        for i in idx[1:]:
+            dev = dev + (y[i] - mean) ** 2
+        parent_sse = target_sum(dev)
         if n <= max_unsplit or parent_sse <= 0.0:
-            return node
+            continue
 
         best = None  # (sse_total, feature, threshold)
-        candidates = rng.choice(x.shape[1], size=min(SPLIT_CANDIDATES, x.shape[1]),
-                                replace=False)
+        candidates, left_key, right_key = node_draws(key, x.shape[1])
         for f in candidates:
             xv = x[idx, f]
             order = np.argsort(xv, kind="stable")
@@ -206,25 +228,27 @@ def grow_tree(x, y, rng, max_unsplit):
             csum2 = np.cumsum(ys ** 2, axis=0)
             tot, tot2 = csum[-1], csum2[-1]
             k = cuts + 1
-            left_sse = (csum2[cuts] - csum[cuts] ** 2 / k[:, None]).sum(axis=1)
+            left_sse = target_sum(csum2[cuts] - csum[cuts] ** 2 / k[:, None])
             nr = n - k
-            right_sse = ((tot2 - csum2[cuts]) - (tot - csum[cuts]) ** 2 / nr[:, None]).sum(axis=1)
-            total = left_sse + right_sse
-            i = int(np.argmin(total))
-            if best is None or total[i] < best[0]:
-                best = (float(total[i]), int(f), float((xs[cuts[i]] + xs[cuts[i] + 1]) / 2))
+            right_sse = target_sum((tot2 - csum2[cuts]) - (tot - csum[cuts]) ** 2 / nr[:, None])
+            sse = left_sse + right_sse
+            i = int(np.argmin(sse))
+            if best is None or sse[i] < best[0]:
+                best = (float(sse[i]), int(f), float((xs[cuts[i]] + xs[cuts[i] + 1]) / 2))
 
         if best is None or best[0] >= parent_sse:
-            return node
-
+            continue
         go_left = x[idx, best[1]] <= best[2]
-        feature[node] = best[1]
-        threshold[node] = best[2]
-        left[node] = add_node(idx[go_left])
-        right[node] = add_node(idx[~go_left])
-        return node
-
-    add_node(np.arange(len(x)))
+        feature[node], threshold[node] = best[1], best[2]
+        for link, rows, child_key in ((left, idx[go_left], left_key),
+                                      (right, idx[~go_left], right_key)):
+            link[node] = len(feature)
+            feature.append(-1)
+            threshold.append(0.0)
+            left.append(-1)
+            right.append(-1)
+            value.append(None)
+            queue.append((link[node], rows, child_key))
     return {
         "feature": np.array(feature),
         "threshold": np.array(threshold),

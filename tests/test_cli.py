@@ -10,6 +10,7 @@ import pytest
 
 import eqrep
 from eqrep import dataset as ds
+from eqrep import evaluate as ev
 from eqrep.cli import build_parser, main
 from eqrep.features import FEATURE_NAMES, StftConfig
 
@@ -54,6 +55,12 @@ class TestResponse:
 
     def test_bad_gain_syntax(self):
         assert run("response", "--gains", "a,b,c") == 2
+
+    def test_nan_gain_is_runtime_error(self, capsys):
+        assert run("response", "--gains", "6,-3,0,4,nan") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "finite" in captured.err
 
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as exc:
@@ -251,6 +258,22 @@ def test_reproduce_builds_with_the_stft_options(monkeypatch, tmp_path, capsys):
     assert run("reproduce", "--frame-size", 1024, "--hop-size", 256, "--out", tmp_path) == 2
     assert seen == [StftConfig(1024, 256)]
     assert capsys.readouterr().err.splitlines() == ["eqrep: build stopped by the test"]
+
+
+def test_reproduce_pitches_take_the_reference_partials(monkeypatch, tmp_path):
+    seen = []
+
+    def build_dataset(corpus, settings, stft=None, **kwargs):
+        seen.append(corpus)
+        raise RuntimeError("build stopped by the test")
+
+    monkeypatch.setattr(ds, "build_dataset", build_dataset)
+    assert run("reproduce", "--pitches", "C2", "--sample-rate", 22050,
+               "--out", tmp_path) == 2
+    [[(label, note)]] = seen
+    [(ref_label, ref)] = ev.reproduction_corpus(22050)
+    assert label == ref_label and note.sample_rate == ref.sample_rate
+    np.testing.assert_array_equal(note.samples, ref.samples)
 
 
 def test_reproduce_rejects_repeated_pitches(monkeypatch, tmp_path, capsys):

@@ -47,6 +47,11 @@ class TestDesignBiquad:
         with pytest.raises(ValueError):
             design_biquad(EqBandSpec(100.0, BELL, 1.0), 25.0, SR)
 
+    @pytest.mark.parametrize("gain", [np.nan, -np.inf])
+    def test_non_finite_gain(self, gain):
+        with pytest.raises(ValueError, match="finite"):
+            design_biquad(EqBandSpec(100.0, BELL, 1.0), gain, SR)
+
     @settings(max_examples=200, deadline=None)
     @given(
         gain=st.floats(-24, 24),
@@ -139,6 +144,11 @@ class TestApplyEq:
     def test_band_count_mismatch(self, noise_buffer):
         with pytest.raises(ValueError):
             apply_eq(noise_buffer, [0, 0, 0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 24.5])
+    def test_gain_outside_the_envelope(self, noise_buffer, bad):
+        with pytest.raises(ValueError, match="finite"):
+            apply_eq(noise_buffer, [6, -3, 0, 4, bad])
 
     @pytest.mark.parametrize("signal", ["noise", "impulse"])
     def test_matches_direct_form_oracle(self, signal):

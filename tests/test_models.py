@@ -1,4 +1,5 @@
 import gc
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from eqrep.models import (ForestModel, LinearModel, MlpModel, Normalization,
                           load_model, mlp_forward, mlp_loss_and_grads,
                           model_from_dict, model_to_dict, predict, save_model,
                           train_forest, train_linear, train_mlp, RIDGE_DAMPING,
-                          _grow_tree)
+                          _grow_trees)
 
 
 def _random_instance(n, seed=0, noise=0.0):
@@ -234,6 +235,11 @@ def _assert_same_tree(a, b):
         np.testing.assert_array_equal(a[key], b[key], err_msg=key)
 
 
+def _grow_one(x, y, key, max_unsplit, rows=None):
+    rows = np.arange(len(x)) if rows is None else rows
+    return _grow_trees(x, y, [rows], [key], max_unsplit)[0]
+
+
 class TestTreeGrowthOracle:
     @pytest.mark.parametrize("case", ["random", "ties", "bootstrap"])
     @pytest.mark.parametrize("max_unsplit", [0, 1, 2, 5, 40])
@@ -243,27 +249,29 @@ class TestTreeGrowthOracle:
         else:
             x, y = _random_instance(120, seed=24, noise=1.0)
         if case == "bootstrap":
+            # the grower takes the bootstrap as row indices; the oracle, as copies
             idx = np.random.default_rng(25).integers(0, len(x), size=len(x))
-            x, y = x[idx], y[idx]
-        tree = _grow_tree(x, y, np.random.default_rng(26), max_unsplit)
-        reference = oracles.grow_tree(x, y, np.random.default_rng(26), max_unsplit)
+            tree = _grow_one(x, y, 26, max_unsplit, idx)
+            reference = oracles.grow_tree(x[idx], y[idx], 26, max_unsplit)
+        else:
+            tree = _grow_one(x, y, 26, max_unsplit)
+            reference = oracles.grow_tree(x, y, 26, max_unsplit)
         _assert_same_tree(tree, reference)
 
     def test_max_unsplit_edges(self):
         # a node splits only when it holds more than max_unsplit rows
         x, y = _random_instance(12, seed=27, noise=1.0)
         for max_unsplit in (10, 11, 12):
-            tree = _grow_tree(x, y, np.random.default_rng(28), max_unsplit)
-            reference = oracles.grow_tree(x, y, np.random.default_rng(28), max_unsplit)
-            _assert_same_tree(tree, reference)
-        assert len(_grow_tree(x, y, np.random.default_rng(28), 12)["feature"]) == 1
+            tree = _grow_one(x, y, 28, max_unsplit)
+            _assert_same_tree(tree, oracles.grow_tree(x, y, 28, max_unsplit))
+        assert len(_grow_one(x, y, 28, 12)["feature"]) == 1
 
     def test_no_usable_cut_makes_a_leaf(self):
         # every feature constant: no candidate has a cut, however y varies
         x = np.ones((20, 17))
         y = np.random.default_rng(29).standard_normal((20, 5))
-        tree = _grow_tree(x, y, np.random.default_rng(30), 1)
-        _assert_same_tree(tree, oracles.grow_tree(x, y, np.random.default_rng(30), 1))
+        tree = _grow_one(x, y, 30, 1)
+        _assert_same_tree(tree, oracles.grow_tree(x, y, 30, 1))
         assert tree["feature"].tolist() == [-1]
 
     def test_forest_matches_reference_trees(self):
@@ -271,9 +279,35 @@ class TestTreeGrowthOracle:
         model = train_forest(x, y, tree_count=4, seed=7)
         z = model.norm.apply(x)
         for t, tree in enumerate(model.trees):
-            rng = np.random.default_rng(7 + t)
-            idx = rng.integers(0, len(z), size=len(z))
-            _assert_same_tree(tree, oracles.grow_tree(z[idx], y[idx], rng, 5))
+            idx = np.random.default_rng(7 + t).integers(0, len(z), size=len(z))
+            _assert_same_tree(tree, oracles.grow_tree(z[idx], y[idx], 7 + t, 5))
+
+    def test_tree_does_not_depend_on_its_neighbours(self):
+        # tree t of a forest is the one tree grown from seed + t, whatever grows beside it
+        x, y = _random_instance(300, seed=37, noise=1.0)
+        forest = train_forest(x, y, tree_count=6, seed=11)
+        for t in (0, 3, 5):
+            _assert_same_tree(forest.trees[t], train_forest(x, y, 1, 11 + t).trees[0])
+
+    def test_batch_cap_bounds_memory_not_tree_count(self):
+        # Peak allocation may grow with tree_count only by the forest's own
+        # node arrays (trees and packed copy) and the grower's row indices:
+        # two int64 index arrays over every (tree, row) pair. The search and
+        # partition batches hold at most BATCH_BYTES whatever the tree count.
+        x, y = _random_instance(4000, seed=38, noise=1.0)
+        peaks, node_bytes = {}, {}
+        for trees in (10, 40):
+            tracemalloc.start()
+            try:
+                model = train_forest(x, y, tree_count=trees, seed=1)
+                peaks[trees] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            node_bytes[trees] = (sum(a.nbytes for t in model.trees for a in t.values())
+                                 + sum(a.nbytes for a in model.packed.values()))
+            del model
+        index_bytes = 30 * len(x) * 2 * 8
+        assert peaks[40] - peaks[10] <= node_bytes[40] - node_bytes[10] + index_bytes + (1 << 20)
 
     def test_training_leaves_no_garbage_cycles(self):
         x, y = _random_instance(200, seed=32, noise=1.0)
