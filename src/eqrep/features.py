@@ -5,8 +5,12 @@ Flattened feature order is fixed and models depend on it:
 [centroid, bandwidth, rolloff, mfcc0..mfcc12, rms].
 
 `extract_features` makes one pass over the STFT frames in blocks of
-`BLOCK_FRAMES`, so every temporary stays small enough to be reused from call
-to call instead of being mapped fresh from the kernel. The pass makes no BLAS
+`BLOCK_FRAMES`, so its temporaries stay at one block's size, whatever the
+signal length, and are reused from block to block. Whether they are reused
+from call to call is up to the allocator: glibc's dynamic trim threshold
+returns the heap top to the kernel when a call's last block is freed along
+with a large input (an EQ output), and the next call faults it in again.
+`pool` workers fix the threshold for this reason. The pass makes no BLAS
 call, so its bytes do not depend on the BLAS thread count.
 """
 
@@ -208,8 +212,8 @@ def extract_features(buffer: AudioBuffer, config: StftConfig = StftConfig()) -> 
         logmel_sum += mel_log_energies(mags, bands).sum(axis=0)
         rms_sum += np.sqrt(np.einsum("ij,ij->i", block, block) / config.frame_size).sum()
         # Free the spectra before the next block allocates its own: the heap
-        # then peaks at one block and is reused, not grown, trimmed and
-        # faulted in again on every block.
+        # then peaks at one block and is reused from block to block, not
+        # grown, trimmed and faulted in again on every block.
         del mags
     count = len(frames)
     return FeatureVector(

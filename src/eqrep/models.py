@@ -30,10 +30,19 @@ def fit_normalization(features: np.ndarray) -> Normalization:
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2 or len(features) < 2:
         raise ValueError("need a matrix with at least 2 rows")
+    if not np.all(np.isfinite(features)):
+        raise ValueError("non-finite feature in the training set")
     mean = features.mean(axis=0)
     std = features.std(axis=0)
     std = np.where(std > 0, std, 1.0)
     return Normalization(mean, std)
+
+
+def _training_targets(targets: np.ndarray) -> np.ndarray:
+    targets = np.asarray(targets, dtype=np.float64)
+    if not np.all(np.isfinite(targets)):
+        raise ValueError("non-finite target in the training set")
+    return targets
 
 
 @dataclass(frozen=True)
@@ -69,7 +78,7 @@ def train_linear(features: np.ndarray, targets: np.ndarray) -> LinearModel:
     """Least squares on normalized features, closed form with a small ridge
     damping on the normal equations for conditioning."""
     features = np.asarray(features, dtype=np.float64)
-    targets = np.asarray(targets, dtype=np.float64)
+    targets = _training_targets(targets)
     n, d = features.shape
     if n <= d:
         raise ValueError(f"need more rows ({n}) than features ({d})")
@@ -103,32 +112,41 @@ def init_mlp_params(input_dim: int, hidden_dim: int, output_dim: int, seed: int)
 
 
 def mlp_forward(params: dict, x: np.ndarray):
-    z1 = x @ params["W1"] + params["b1"]
+    z1 = x @ params["W1"]
+    z1 += params["b1"]
     a1 = np.maximum(z1, 0.0)
-    z2 = a1 @ params["W2"] + params["b2"]
+    z2 = a1 @ params["W2"]
+    z2 += params["b2"]
     a2 = np.maximum(z2, 0.0)
-    y = a2 @ params["W3"] + params["b3"]
+    y = a2 @ params["W3"]
+    y += params["b3"]
     return y, (x, z1, a1, z2, a2)
 
 
-def mlp_loss_and_grads(params: dict, x: np.ndarray, targets: np.ndarray):
-    """Mean squared error over all (sample, output) pairs, with backprop grads."""
+def mlp_loss_and_grads(params: dict, x: np.ndarray, targets: np.ndarray,
+                       grads: dict | None = None):
+    """Mean squared error over all (sample, output) pairs, with backprop grads.
+    The gradients are written into `grads`, arrays shaped like `params`, when
+    it is given, and into new arrays otherwise; the bytes are the same. The
+    backward pass takes the forward pass's activations as its buffers."""
     y, (x, z1, a1, z2, a2) = mlp_forward(params, x)
-    n = x.shape[0]
-    diff = y - targets
-    loss = float((diff ** 2).mean())
-    dy = 2.0 * diff / diff.size
-    grads = {}
-    grads["W3"] = a2.T @ dy
-    grads["b3"] = dy.sum(axis=0)
-    da2 = dy @ params["W3"].T
-    dz2 = da2 * (z2 > 0)
-    grads["W2"] = a1.T @ dz2
-    grads["b2"] = dz2.sum(axis=0)
-    da1 = dz2 @ params["W2"].T
-    dz1 = da1 * (z1 > 0)
-    grads["W1"] = x.T @ dz1
-    grads["b1"] = dz1.sum(axis=0)
+    if grads is None:
+        grads = {k: np.empty_like(v) for k, v in params.items()}
+    dy = np.subtract(y, targets, out=y)
+    loss = float(np.square(dy).mean())
+    dy *= 2.0
+    dy /= dy.size
+    np.matmul(a2.T, dy, out=grads["W3"])
+    np.add.reduce(dy, axis=0, out=grads["b3"])
+    # (dy @ W3.T) * (z2 > 0), with the mask as 1.0 / 0.0 in z2
+    dz2 = np.matmul(dy, params["W3"].T, out=a2)
+    dz2 *= np.greater(z2, 0.0, out=z2)
+    np.matmul(a1.T, dz2, out=grads["W2"])
+    np.add.reduce(dz2, axis=0, out=grads["b2"])
+    dz1 = np.matmul(dz2, params["W2"].T, out=a1)
+    dz1 *= np.greater(z1, 0.0, out=z1)
+    np.matmul(x.T, dz1, out=grads["W1"])
+    np.add.reduce(dz1, axis=0, out=grads["b1"])
     return loss, grads
 
 
@@ -144,9 +162,18 @@ def _unflatten(flat: np.ndarray, like: dict) -> dict:
 def train_mlp(features: np.ndarray, targets: np.ndarray,
               config: TrainConfig = TrainConfig()) -> MlpModel:
     """Mini-batch training on normalized features; returns the parameters with
-    the best validation MSE seen across epochs (initialization included)."""
+    the best validation MSE seen across epochs (initialization included).
+
+    One flat vector holds every parameter and another every gradient;
+    params[k] and grads[k] are reshaped views into them. Each step has
+    `mlp_loss_and_grads` write its gradients into the views, and the
+    optimizer then updates every parameter in place, in one elementwise
+    pass of the per-parameter update's operations, in its order. Each epoch
+    gathers its shuffled training rows once, and its batches are slices of
+    that copy. Past set-up, the forward activations are a step's only sizeable
+    allocations."""
     features = np.asarray(features, dtype=np.float64)
-    targets = np.asarray(targets, dtype=np.float64)
+    targets = _training_targets(targets)
     if len(features) == 0:
         raise ValueError("empty training set")
     norm = fit_normalization(features)
@@ -164,13 +191,14 @@ def train_mlp(features: np.ndarray, targets: np.ndarray,
     x_val = x_all[val_idx] if n_val else x_train
     y_val = targets[val_idx] if n_val else y_train
 
-    # One flat vector holds every parameter; params[k] are reshaped views into
-    # it, so the optimizer updates all of them in one elementwise pass.
     init = init_mlp_params(x_all.shape[1], config.hidden_dim, targets.shape[1], config.seed)
     theta = np.concatenate([v.ravel() for v in init.values()])
     params = _unflatten(theta, init)
+    grad = np.empty_like(theta)
+    grads = _unflatten(grad, init)
     state = np.zeros_like(theta)
     state2 = np.zeros_like(theta)
+    scratch = np.empty_like(theta)
     step = 0
 
     def val_mse(p):
@@ -182,26 +210,40 @@ def train_mlp(features: np.ndarray, targets: np.ndarray,
 
     for _ in range(config.epochs):
         batch_order = rng.permutation(len(x_train))
+        x_epoch, y_epoch = x_train[batch_order], y_train[batch_order]
         for start in range(0, len(x_train), config.batch_size):
-            idx = batch_order[start:start + config.batch_size]
-            loss, grads = mlp_loss_and_grads(params, x_train[idx], y_train[idx])
+            batch = slice(start, start + config.batch_size)
+            loss, _ = mlp_loss_and_grads(params, x_epoch[batch], y_epoch[batch], grads)
             if not np.isfinite(loss):
                 raise RuntimeError(f"training diverged: non-finite loss at step {step}")
             step += 1
-            grad = np.concatenate([grads[k].ravel() for k in params])
             if config.optimizer == "adam":
-                state = 0.9 * state + 0.1 * grad
-                state2 = 0.999 * state2 + 0.001 * grad ** 2
-                m_hat = state / (1 - 0.9 ** step)
-                v_hat = state2 / (1 - 0.999 ** step)
-                theta -= config.learning_rate * m_hat / (np.sqrt(v_hat) + 1e-8)
+                # state = 0.9 * state + 0.1 * grad
+                state *= 0.9
+                state += np.multiply(grad, 0.1, out=scratch)
+                # state2 = 0.999 * state2 + 0.001 * grad ** 2
+                state2 *= 0.999
+                np.square(grad, out=scratch)
+                scratch *= 0.001
+                state2 += scratch
+                # theta -= learning_rate * m_hat / (sqrt(v_hat) + 1e-8); the
+                # gradient is spent, so its vector holds v_hat
+                m_hat = np.divide(state, 1 - 0.9 ** step, out=scratch)
+                v_hat = np.divide(state2, 1 - 0.999 ** step, out=grad)
+                np.sqrt(v_hat, out=v_hat)
+                v_hat += 1e-8
+                m_hat *= config.learning_rate
+                m_hat /= v_hat
+                theta -= m_hat
             else:
-                state = 0.9 * state - config.learning_rate * grad
+                # state = 0.9 * state - learning_rate * grad; theta += state
+                state *= 0.9
+                state -= np.multiply(grad, config.learning_rate, out=scratch)
                 theta += state
         mse = val_mse(params)
         if mse < best_mse:
             best_mse = mse
-            best = theta.copy()
+            np.copyto(best, theta)
 
     best = {k: v.copy() for k, v in _unflatten(best, params).items()}
     return MlpModel(params=best, hidden_dim=config.hidden_dim, norm=norm)
@@ -447,7 +489,7 @@ def train_forest(features: np.ndarray, targets: np.ndarray,
     candidates from root key seed + t, so it is the single tree that
     `train_forest(..., tree_count=1, seed=seed + t)` grows."""
     features = np.asarray(features, dtype=np.float64)
-    targets = np.asarray(targets, dtype=np.float64)
+    targets = _training_targets(targets)
     if len(features) == 0:
         raise ValueError("empty training set")
     if tree_count < 1:

@@ -5,9 +5,18 @@ may be a closure over large inputs (a note corpus, a feature matrix); only the
 items and the results cross the process boundary. An exception raised in a
 worker is raised again in the caller. A worker that dies raises
 `BrokenProcessPool`, a RuntimeError, instead of leaving the caller waiting.
+
+Each worker keeps its heap. A build sample frees its EQ output and its
+feature-pass temporaries, about 1.6 MB, together at its end; with glibc's
+dynamic thresholds the allocator then trims the heap top and the next sample
+faults the same pages in again, some 300 minor faults and about 1 ms of system
+time per sample. The worker initializer therefore fixes glibc's mmap and trim
+thresholds (`mallopt`), so freed memory stays in the worker's heap and is
+reused. Only worker processes change; the calling process keeps its settings.
 """
 
 import contextlib
+import ctypes
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 
@@ -15,13 +24,36 @@ from concurrent.futures import ProcessPoolExecutor
 # enough that per-chunk queue traffic stays negligible.
 CHUNKS_PER_WORKER = 16
 
+# glibc `mallopt` parameters and the values a worker sets: blocks below
+# WORKER_MMAP_THRESHOLD come from the heap, and the heap top is returned to
+# the kernel only once WORKER_TRIM_THRESHOLD of it is free.
+M_TRIM_THRESHOLD = -1
+M_MMAP_THRESHOLD = -3
+WORKER_MMAP_THRESHOLD = 32 << 20
+WORKER_TRIM_THRESHOLD = 64 << 20
+
 # The running pool's task. Set only in worker processes, by the pool's
 # initializer; the calling process never changes it.
 _task = None
 
 
+def _keep_heap():
+    """Fix this process's glibc mmap and trim thresholds; on a C library
+    without `mallopt`, do nothing."""
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is None:
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    for param, value in ((M_MMAP_THRESHOLD, WORKER_MMAP_THRESHOLD),
+                         (M_TRIM_THRESHOLD, WORKER_TRIM_THRESHOLD)):
+        if mallopt(param, value) != 1:
+            raise RuntimeError(f"mallopt({param}, {value}) failed")
+
+
 def _install(task):
     global _task
+    _keep_heap()
     _task = task
 
 

@@ -133,6 +133,19 @@ class TestPipeline:
         assert doc["train_config"]["hidden_dim"] == 8
         assert doc["params"]["hidden_dim"] == 8
 
+    @pytest.mark.parametrize("model", ["linear", "forest", "mlp"])
+    def test_train_rejects_non_finite_feature(self, workspace, tmp_path, capsys, model):
+        doc = json.loads((workspace / "manifest.json").read_text())
+        doc["samples"][0]["features"][4] = float("nan")
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run("train", "--manifest", manifest, "--model", model, "--trees", "2",
+                   "--epochs", "2", "--outfile", tmp_path / "model.json") == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["eqrep: non-finite feature in the training set"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.json"]
+
     def test_predict_sample_rate_mismatch(self, workspace, tmp_path):
         other = tmp_path / "sr"
         run("synth", "--pitches", "C2", "--duration", "0.3",

@@ -1,10 +1,12 @@
 import gc
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import oracles
+from eqrep import models
 from eqrep.models import (ForestModel, LinearModel, MlpModel, Normalization,
                           TrainConfig, fit_normalization, init_mlp_params,
                           load_model, mlp_forward, mlp_loss_and_grads,
@@ -167,6 +169,36 @@ class TestMlp:
         for key, value in reference.items():
             np.testing.assert_array_equal(model.params[key], value)
             assert model.params[key].flags.owndata
+
+    def test_grads_into_given_arrays_match_allocating_call(self):
+        x, y = _random_instance(33, seed=23, noise=0.5)
+        params = init_mlp_params(17, 9, 5, seed=4)
+        params["b1"] = np.linspace(-0.5, 0.5, 9)
+        loss, fresh = mlp_loss_and_grads(params, x, y)
+        given = {k: np.full_like(v, np.nan) for k, v in params.items()}
+        loss_given, returned = mlp_loss_and_grads(params, x, y, given)
+        assert returned is given
+        assert loss_given == loss
+        assert set(given) == set(fresh)
+        for key, value in fresh.items():
+            assert given[key].tobytes() == value.tobytes(), key
+
+    @pytest.mark.parametrize("n, batch_size", [(45, 16), (40, 9), (20, 64)])
+    def test_one_gradient_call_per_step(self, monkeypatch, n, batch_size):
+        calls = []
+        inner = models.mlp_loss_and_grads
+
+        def counted(*args):
+            calls.append(len(args[1]))
+            return inner(*args)
+
+        monkeypatch.setattr(models, "mlp_loss_and_grads", counted)
+        x, y = _random_instance(n, seed=24, noise=0.5)
+        cfg = TrainConfig(epochs=7, batch_size=batch_size, hidden_dim=5, seed=2)
+        train_mlp(x, y, cfg)
+        n_train = n - int(n * cfg.validation_fraction)
+        assert len(calls) == cfg.epochs * math.ceil(n_train / batch_size)
+        assert sum(calls) == cfg.epochs * n_train
 
     def test_bad_config(self):
         with pytest.raises(ValueError):
@@ -366,6 +398,29 @@ class TestTrainingProgress:
 
         forest = train_forest(x, y, tree_count=10, seed=1)
         assert ((predict(forest, x) - y) ** 2).mean() <= init_loss
+
+
+class TestNonFiniteTrainingData:
+    TRAINERS = {
+        "linear": train_linear,
+        "forest": lambda x, y: train_forest(x, y, tree_count=2),
+        "mlp": lambda x, y: train_mlp(x, y, TrainConfig(epochs=2, hidden_dim=4)),
+    }
+
+    @pytest.mark.parametrize("kind", TRAINERS)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_feature_rejected(self, kind, bad):
+        x, y = _random_instance(40, seed=19)
+        x[0, 3] = bad
+        with pytest.raises(ValueError, match="non-finite feature"):
+            self.TRAINERS[kind](x, y)
+
+    @pytest.mark.parametrize("kind", TRAINERS)
+    def test_target_rejected(self, kind):
+        x, y = _random_instance(40, seed=19)
+        y[7, 2] = np.nan
+        with pytest.raises(ValueError, match="non-finite target"):
+            self.TRAINERS[kind](x, y)
 
 
 class TestPredict:
