@@ -1,11 +1,13 @@
 """Audio container, WAV I/O, and additive synthesis of the base note corpus."""
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.io import wavfile
 
 DEFAULT_SAMPLE_RATE = 44100
+DECAY_RATE = 1.5  # 1/s, the amplitude envelope of every note
 
 # Default pitch set: alternating C and G across octaves 0..7.
 DEFAULT_PITCHES = [f"{letter}{octave}" for octave in range(8) for letter in ("C", "G")]
@@ -33,26 +35,21 @@ class AudioBuffer:
     def __len__(self):
         return len(self.samples)
 
-    @property
-    def duration_s(self):
-        return len(self.samples) / self.sample_rate
-
 
 @dataclass(frozen=True)
 class NoteSpec:
-    """Additive-synthesis note: harmonic partials with exponential decay."""
+    """Additive-synthesis note: harmonic partials decaying at DECAY_RATE."""
 
     pitch_name: str
     fundamental_hz: float
     duration_s: float = 2.0
     partial_count: int = 20
-    decay_rate: float = 1.5  # 1/s
 
     def __post_init__(self):
         if self.fundamental_hz <= 0:
             raise ValueError("fundamental_hz must be positive")
-        if self.duration_s <= 0:
-            raise ValueError("duration_s must be positive")
+        if not (math.isfinite(self.duration_s) and self.duration_s > 0):
+            raise ValueError(f"duration_s must be positive and finite, got {self.duration_s}")
         if self.partial_count < 1:
             raise ValueError("partial_count must be at least 1")
 
@@ -113,7 +110,7 @@ def write_wav(buffer: AudioBuffer, path) -> None:
 
 
 def synthesize_note(spec: NoteSpec, sample_rate: int = DEFAULT_SAMPLE_RATE) -> AudioBuffer:
-    """Render sum_k (1/k) exp(-decay*t) sin(2*pi*k*f0*t), peak-normalized to 0.9.
+    """Render sum_k (1/k) exp(-DECAY_RATE*t) sin(2*pi*k*f0*t), peak-normalized to 0.9.
 
     Deterministic; raises if any partial would alias.
     """
@@ -125,7 +122,7 @@ def synthesize_note(spec: NoteSpec, sample_rate: int = DEFAULT_SAMPLE_RATE) -> A
     n = int(round(spec.duration_s * sample_rate))
     t = np.arange(n) / sample_rate
     out = np.zeros(n)
-    envelope = np.exp(-spec.decay_rate * t)
+    envelope = np.exp(-DECAY_RATE * t)
     for k in range(1, spec.partial_count + 1):
         out += (1.0 / k) * np.sin(2.0 * np.pi * k * spec.fundamental_hz * t)
     out *= envelope
@@ -144,8 +141,7 @@ def max_alias_free_partials(fundamental_hz: float, sample_rate: int) -> int:
 
 
 def note_corpus(pitch_list=None, sample_rate: int = DEFAULT_SAMPLE_RATE,
-                duration_s: float = 2.0, partial_count: int = 20,
-                decay_rate: float = 1.5):
+                duration_s: float = 2.0, partial_count: int = 20):
     """Synthesize one buffer per pitch label; returns [(label, AudioBuffer)].
 
     The partial count is reduced per note so no partial reaches Nyquist.
@@ -156,6 +152,6 @@ def note_corpus(pitch_list=None, sample_rate: int = DEFAULT_SAMPLE_RATE,
     for label in pitch_list:
         f0 = pitch_to_hz(label)
         partials = min(partial_count, max_alias_free_partials(f0, sample_rate))
-        spec = NoteSpec(label, f0, duration_s, partials, decay_rate)
+        spec = NoteSpec(label, f0, duration_s, partials)
         corpus.append((label, synthesize_note(spec, sample_rate)))
     return corpus

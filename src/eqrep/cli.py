@@ -291,13 +291,17 @@ USABLE_CORES = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
 JOBS_HELP = "worker processes (1..CPU count; default: the usable cores)"
 
 
-def _add_common(parser, out=True):
-    parser.add_argument("--sample-rate", type=int, default=DEFAULT_SAMPLE_RATE)
-    parser.add_argument("--seed", type=int, default=42)
+def _add_stft(parser):
     parser.add_argument("--frame-size", type=int, default=2048)
     parser.add_argument("--hop-size", type=int, default=512)
-    if out:
-        parser.add_argument("--out", default=".", help="output directory")
+
+
+def _add_build(parser):
+    """The options of the commands that build datasets: dataset, reproduce."""
+    parser.add_argument("--sample-rate", type=int, default=DEFAULT_SAMPLE_RATE)
+    parser.add_argument("--seed", type=int, default=42)
+    _add_stft(parser)
+    parser.add_argument("--out", default=".", help="output directory")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -305,13 +309,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="synthesize the base note corpus as WAV files")
-    _add_common(p)
+    p.add_argument("--sample-rate", type=int, default=DEFAULT_SAMPLE_RATE)
+    p.add_argument("--out", default=".", help="output directory")
     p.add_argument("--pitches", help="comma-separated pitch labels (default C/G 0..7)")
-    p.add_argument("--duration", type=float, default=2.0)
+    p.add_argument("--duration", type=_positive_float, default=2.0, help="seconds")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("dataset", help="build a labeled EQ dataset manifest")
-    _add_common(p)
+    _add_build(p)
     p.add_argument("--corpus", required=True, help="directory of base WAV files")
     p.add_argument("--mode", choices=["single", "multi"], required=True)
     p.add_argument("--step", type=_grid_step, default=1.0,
@@ -325,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_dataset)
 
     p = sub.add_parser("extract", help="extract the 17 features from WAV files")
-    _add_common(p, out=False)
+    _add_stft(p)
     p.add_argument("wavs", nargs="+")
     p.add_argument("--out", help="CSV output path (default stdout)")
     p.set_defaults(func=cmd_extract)
@@ -356,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("reproduce", help="run all four experiments end to end")
-    _add_common(p)
+    _add_build(p)
     p.add_argument("--pitches", default=None,
                    help="distinct corpus notes for the runs (default: broadband C2); "
                         "the five built-in checks are calibrated for the single "

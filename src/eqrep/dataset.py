@@ -77,7 +77,6 @@ class DatasetManifest:
     bands: list
     samples: list
     split_seed: int
-    schema_version: int = MANIFEST_SCHEMA_VERSION
 
     def feature_matrix(self) -> np.ndarray:
         return np.array([s.features for s in self.samples])
@@ -182,7 +181,7 @@ def sweep_subset(sweep: DatasetManifest, grid) -> DatasetManifest:
 
 def manifest_to_dict(manifest: DatasetManifest) -> dict:
     return {
-        "schema_version": manifest.schema_version,
+        "schema_version": MANIFEST_SCHEMA_VERSION,
         "sample_rate": manifest.sample_rate,
         "stft": {"frame_size": manifest.stft.frame_size, "hop_size": manifest.stft.hop_size},
         "bands": [
@@ -203,26 +202,30 @@ def manifest_to_dict(manifest: DatasetManifest) -> dict:
 
 
 def manifest_from_dict(doc: dict) -> DatasetManifest:
+    """The manifest of a JSON dict; a missing key raises ValueError."""
     if doc.get("schema_version") != MANIFEST_SCHEMA_VERSION:
         raise ValueError(f"unsupported manifest schema_version {doc.get('schema_version')}")
-    samples = [
-        DatasetSample(
-            sample_id=s["sample_id"],
-            base_label=s["base_label"],
-            gains_db=np.array(s["gains_db"], dtype=np.float64),
-            features=np.array(s["features"], dtype=np.float64),
+    try:
+        samples = [
+            DatasetSample(
+                sample_id=s["sample_id"],
+                base_label=s["base_label"],
+                gains_db=np.array(s["gains_db"], dtype=np.float64),
+                features=np.array(s["features"], dtype=np.float64),
+            )
+            for s in doc["samples"]
+        ]
+        return DatasetManifest(
+            sample_rate=doc["sample_rate"],
+            stft=StftConfig(doc["stft"]["frame_size"], doc["stft"]["hop_size"]),
+            bands=[
+                EqBandSpec(b["center_hz"], b["filter_kind"], b["q"]) for b in doc["bands"]
+            ],
+            samples=samples,
+            split_seed=doc["split_seed"],
         )
-        for s in doc["samples"]
-    ]
-    return DatasetManifest(
-        sample_rate=doc["sample_rate"],
-        stft=StftConfig(doc["stft"]["frame_size"], doc["stft"]["hop_size"]),
-        bands=[
-            EqBandSpec(b["center_hz"], b["filter_kind"], b["q"]) for b in doc["bands"]
-        ],
-        samples=samples,
-        split_seed=doc["split_seed"],
-    )
+    except KeyError as exc:
+        raise ValueError(f"manifest lacks key {exc.args[0]!r}") from None
 
 
 def save_manifest(manifest: DatasetManifest, path) -> None:

@@ -104,23 +104,6 @@ def scatter_export(sample_ids, predictions, targets, path) -> None:
                 fh.write(f"{sid},{name},{float(true[band])!r},{float(pred[band])!r}\n")
 
 
-def scatter_import(path):
-    """Parse a scatter CSV back to (sample_ids, predictions, targets)."""
-    ids, preds, trues = [], {}, {}
-    with open(path) as fh:
-        next(fh)
-        for line in fh:
-            sid, name, true_db, pred_db = line.rstrip("\n").split(",")
-            if sid not in preds:
-                ids.append(sid)
-                preds[sid] = [0.0] * 5
-                trues[sid] = [0.0] * 5
-            band = BAND_NAMES.index(name)
-            preds[sid][band] = float(pred_db)
-            trues[sid][band] = float(true_db)
-    return ids, np.array([preds[i] for i in ids]), np.array([trues[i] for i in ids])
-
-
 def _fit_and_report(manifest, split, experiment_id, trainers, seed, config,
                     jobs: int = 1) -> list:
     """Fit each (kind, trainer) on the train rows of `split`, report it on the

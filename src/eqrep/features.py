@@ -11,7 +11,9 @@ from call to call is up to the allocator: glibc's dynamic trim threshold
 returns the heap top to the kernel when a call's last block is freed along
 with a large input (an EQ output), and the next call faults it in again.
 `pool` workers fix the threshold for this reason. The pass makes no BLAS
-call, so its bytes do not depend on the BLAS thread count.
+call, so its bytes do not depend on the BLAS thread count. Its stage
+functions take a (frames, bins) block of magnitude spectra and return one
+value per frame.
 """
 
 import functools
@@ -83,50 +85,34 @@ def _magnitudes(frames: np.ndarray, window: np.ndarray) -> np.ndarray:
     return np.abs(np.fft.rfft(frames * window, axis=1))
 
 
-def stft_magnitudes(buffer: AudioBuffer, config: StftConfig) -> np.ndarray:
-    """Hann-windowed magnitude spectra, frame_size/2 + 1 bins per frame."""
-    window, _, _ = analysis_constants(buffer.sample_rate, config.frame_size)
-    return _magnitudes(frame_signal(buffer.samples, config), window)
-
-
 def fft_bin_freqs(frame_size: int, sample_rate: int) -> np.ndarray:
     return np.fft.rfftfreq(frame_size, d=1.0 / sample_rate)
 
 
 def spectral_centroid(magnitudes: np.ndarray, bin_freqs: np.ndarray) -> np.ndarray:
     """Magnitude-weighted mean frequency per frame; 0 for an all-zero frame."""
-    mags = np.atleast_2d(magnitudes)
-    total = mags.sum(axis=1)
-    weighted = np.einsum("ij,j->i", mags, bin_freqs)
-    out = np.divide(weighted, total, out=np.zeros(len(mags)), where=total > 0)
-    return out if magnitudes.ndim == 2 else out[0]
+    total = magnitudes.sum(axis=1)
+    weighted = np.einsum("ij,j->i", magnitudes, bin_freqs)
+    return np.divide(weighted, total, out=np.zeros(len(magnitudes)), where=total > 0)
 
 
 def spectral_bandwidth(magnitudes: np.ndarray, bin_freqs: np.ndarray,
-                       centroid) -> np.ndarray:
+                       centroid: np.ndarray) -> np.ndarray:
     """Magnitude-weighted std of frequency around the centroid (order 2)."""
-    mags = np.atleast_2d(magnitudes)
-    cents = np.atleast_1d(np.asarray(centroid, dtype=np.float64))
-    total = mags.sum(axis=1)
-    dev2 = (bin_freqs[None, :] - cents[:, None]) ** 2
-    var = np.divide(np.einsum("ij,ij->i", mags, dev2), total,
-                    out=np.zeros(len(mags)), where=total > 0)
-    out = np.sqrt(var)
-    return out if magnitudes.ndim == 2 else out[0]
+    total = magnitudes.sum(axis=1)
+    dev2 = (bin_freqs[None, :] - centroid[:, None]) ** 2
+    var = np.divide(np.einsum("ij,ij->i", magnitudes, dev2), total,
+                    out=np.zeros(len(magnitudes)), where=total > 0)
+    return np.sqrt(var)
 
 
-def spectral_rolloff(magnitudes: np.ndarray, bin_freqs: np.ndarray,
-                     fraction: float = ROLLOFF_FRACTION) -> np.ndarray:
-    """Lowest frequency where cumulative energy reaches fraction * total."""
-    if not 0 < fraction <= 1:
-        raise ValueError("fraction must be in (0, 1]")
-    mags = np.atleast_2d(magnitudes)
-    cum = np.cumsum(mags ** 2, axis=1)
+def spectral_rolloff(magnitudes: np.ndarray, bin_freqs: np.ndarray) -> np.ndarray:
+    """Lowest frequency where cumulative energy reaches ROLLOFF_FRACTION * total."""
+    cum = np.cumsum(magnitudes ** 2, axis=1)
     total = cum[:, -1]
     # first bin whose cumulative energy meets the threshold
-    idx = np.argmax(cum >= fraction * total[:, None], axis=1)
-    out = np.where(total > 0, bin_freqs[idx], 0.0)
-    return out if magnitudes.ndim == 2 else out[0]
+    idx = np.argmax(cum >= ROLLOFF_FRACTION * total[:, None], axis=1)
+    return np.where(total > 0, bin_freqs[idx], 0.0)
 
 
 def hz_to_mel(freq_hz):

@@ -94,8 +94,7 @@ def train_linear(features: np.ndarray, targets: np.ndarray) -> LinearModel:
 
 @dataclass(frozen=True)
 class MlpModel:
-    params: dict  # W1,b1,W2,b2,W3,b3
-    hidden_dim: int
+    params: dict  # W1,b1,W2,b2,W3,b3; W1 is (17, hidden width)
     norm: Normalization
 
 
@@ -246,7 +245,7 @@ def train_mlp(features: np.ndarray, targets: np.ndarray,
             np.copyto(best, theta)
 
     best = {k: v.copy() for k, v in _unflatten(best, params).items()}
-    return MlpModel(params=best, hidden_dim=config.hidden_dim, norm=norm)
+    return MlpModel(params=best, norm=norm)
 
 
 # --------------------------------------------------------------- forest
@@ -271,10 +270,6 @@ class ForestModel:
             packed[key] = np.where(packed["feature"] >= 0, child, -1)
         packed["roots"] = offsets[:-1]
         object.__setattr__(self, "packed", packed)
-
-    @property
-    def tree_count(self):
-        return len(self.trees)
 
 
 # A node with at most this many rows is not split. It bounds the size of the
@@ -481,9 +476,7 @@ def _forest_predict(forest: ForestModel, x: np.ndarray) -> np.ndarray:
 
 
 def train_forest(features: np.ndarray, targets: np.ndarray,
-                 tree_count: int = 50, seed: int = 42,
-                 max_unsplit: int = MAX_UNSPLIT_ROWS,
-                 bootstrap: bool = True) -> ForestModel:
+                 tree_count: int = 50, seed: int = 42) -> ForestModel:
     """Bagged CART trees grown together by `_grow_trees`. Tree t draws its
     bootstrap rows from `np.random.default_rng(seed + t)` and its split
     candidates from root key seed + t, so it is the single tree that
@@ -497,10 +490,9 @@ def train_forest(features: np.ndarray, targets: np.ndarray,
     norm = fit_normalization(features)
     x = norm.apply(features)
     n = len(x)
-    roots = [np.random.default_rng(seed + t).integers(0, n, size=n) if bootstrap
-             else np.arange(n) for t in range(tree_count)]
+    roots = [np.random.default_rng(seed + t).integers(0, n, size=n) for t in range(tree_count)]
     keys = [(seed + t) % 2 ** 64 for t in range(tree_count)]
-    return ForestModel(trees=_grow_trees(x, targets, roots, keys, max_unsplit), norm=norm)
+    return ForestModel(trees=_grow_trees(x, targets, roots, keys), norm=norm)
 
 
 # -------------------------------------------------------------- predict
@@ -544,7 +536,7 @@ def model_to_dict(model, train_config: dict | None = None,
     elif isinstance(model, MlpModel):
         kind = "mlp"
         params = {
-            "hidden_dim": model.hidden_dim,
+            "hidden_dim": model.params["W1"].shape[1],
             **{k: v.tolist() for k, v in model.params.items()},
         }
     elif isinstance(model, ForestModel):
@@ -573,43 +565,67 @@ def model_to_dict(model, train_config: dict | None = None,
     }
 
 
+def _tree_from_dict(doc: dict) -> dict:
+    """One tree's node arrays, checked so that a prediction can walk them:
+    equal lengths, feature -1 (a leaf) or a feature index, children -1 on a
+    leaf and otherwise after the node and within the tree, (nodes, 5) values."""
+    tree = {
+        "feature": np.array(doc["feature"], dtype=int),
+        "threshold": np.array(doc["threshold"]),
+        "left": np.array(doc["left"], dtype=int),
+        "right": np.array(doc["right"], dtype=int),
+        "value": np.array(doc["value"]),
+    }
+    nodes = len(tree["feature"])
+    if nodes == 0 or any(tree[k].shape != (nodes,)
+                         for k in ("feature", "threshold", "left", "right")):
+        raise ValueError("forest tree node arrays are empty or differ in length")
+    if tree["value"].shape != (nodes, OUTPUT_DIM):
+        raise ValueError(f"forest tree values have shape {tree['value'].shape}, "
+                         f"expected {(nodes, OUTPUT_DIM)}")
+    leaf = tree["feature"] == -1
+    if np.any(~leaf & ((tree["feature"] < 0) | (tree["feature"] >= FEATURE_DIM))):
+        raise ValueError(f"forest tree feature index outside [0, {FEATURE_DIM})")
+    ids = np.arange(nodes)
+    for key in ("left", "right"):
+        child = tree[key]
+        if np.any(np.where(leaf, child != -1, (child <= ids) | (child >= nodes))):
+            raise ValueError(f"forest tree {key} child out of range")
+    return tree
+
+
 def model_from_dict(doc: dict):
+    """The model of an artifact dict. A missing key or malformed parameters
+    raise ValueError."""
     if doc.get("schema_version") != MODEL_SCHEMA_VERSION:
         raise ValueError(f"unsupported model schema_version {doc.get('schema_version')}")
-    kind = doc["kind"]
-    norm = _norm_from_dict(doc["normalization"])
-    params = doc["params"]
-    if kind == "linear":
-        model = LinearModel(np.array(params["weights"]), np.array(params["bias"]), norm)
-        if model.weights.shape != (OUTPUT_DIM, FEATURE_DIM):
-            raise ValueError(f"linear weights have shape {model.weights.shape}")
-    elif kind == "mlp":
-        hidden = params["hidden_dim"]
-        weights = {k: np.array(params[k]) for k in ("W1", "b1", "W2", "b2", "W3", "b3")}
-        expected = {
-            "W1": (FEATURE_DIM, hidden), "b1": (hidden,),
-            "W2": (hidden, hidden), "b2": (hidden,),
-            "W3": (hidden, OUTPUT_DIM), "b3": (OUTPUT_DIM,),
-        }
-        for k, shape in expected.items():
-            if weights[k].shape != shape:
-                raise ValueError(f"mlp parameter {k} has shape {weights[k].shape}, "
-                                 f"expected {shape}")
-        model = MlpModel(weights, hidden, norm)
-    elif kind == "forest":
-        trees = [
-            {
-                "feature": np.array(t["feature"], dtype=int),
-                "threshold": np.array(t["threshold"]),
-                "left": np.array(t["left"], dtype=int),
-                "right": np.array(t["right"], dtype=int),
-                "value": np.array(t["value"]),
+    try:
+        kind = doc["kind"]
+        norm = _norm_from_dict(doc["normalization"])
+        params = doc["params"]
+        if kind == "linear":
+            model = LinearModel(np.array(params["weights"]), np.array(params["bias"]), norm)
+            if model.weights.shape != (OUTPUT_DIM, FEATURE_DIM):
+                raise ValueError(f"linear weights have shape {model.weights.shape}")
+        elif kind == "mlp":
+            hidden = params["hidden_dim"]
+            weights = {k: np.array(params[k]) for k in ("W1", "b1", "W2", "b2", "W3", "b3")}
+            expected = {
+                "W1": (FEATURE_DIM, hidden), "b1": (hidden,),
+                "W2": (hidden, hidden), "b2": (hidden,),
+                "W3": (hidden, OUTPUT_DIM), "b3": (OUTPUT_DIM,),
             }
-            for t in params["trees"]
-        ]
-        model = ForestModel(trees, norm)
-    else:
-        raise ValueError(f"unknown model kind {kind!r}")
+            for k, shape in expected.items():
+                if weights[k].shape != shape:
+                    raise ValueError(f"mlp parameter {k} has shape {weights[k].shape}, "
+                                     f"expected {shape}")
+            model = MlpModel(weights, norm)
+        elif kind == "forest":
+            model = ForestModel([_tree_from_dict(t) for t in params["trees"]], norm)
+        else:
+            raise ValueError(f"unknown model kind {kind!r}")
+    except KeyError as exc:
+        raise ValueError(f"model artifact lacks key {exc.args[0]!r}") from None
     return model
 
 

@@ -5,7 +5,7 @@ from scipy.io import wavfile
 from eqrep.audio import (AudioBuffer, NoteSpec, max_alias_free_partials,
                          note_corpus, pitch_to_hz, pitch_to_midi, read_wav,
                          synthesize_note, write_wav, DEFAULT_PITCHES)
-from eqrep.features import StftConfig, fft_bin_freqs, spectral_centroid, stft_magnitudes
+from eqrep.features import extract_features
 
 SR = 44100
 
@@ -77,7 +77,7 @@ class TestAudioBuffer:
 
 class TestSynthesizeNote:
     def test_pure_sine_peak(self):
-        buf = synthesize_note(NoteSpec("X", 1000.0, 0.5, 1, 0.0), SR)
+        buf = synthesize_note(NoteSpec("X", 1000.0, 0.5, 1), SR)
         assert abs(np.max(np.abs(buf.samples)) - 0.9) < 1e-6
 
     def test_deterministic(self):
@@ -88,11 +88,14 @@ class TestSynthesizeNote:
 
     def test_single_partial_centroid(self):
         # DFT oracle: the centroid of a pure 1 kHz sine sits within one bin
-        buf = synthesize_note(NoteSpec("X", 1000.0, 0.5, 1, 0.0), SR)
-        config = StftConfig(2048, 512)
-        mags = stft_magnitudes(buf, config)
-        cent = spectral_centroid(mags, fft_bin_freqs(2048, SR)).mean()
+        buf = synthesize_note(NoteSpec("X", 1000.0, 0.5, 1), SR)
+        cent = extract_features(buf).centroid_hz
         assert abs(cent - 1000.0) < SR / 2048
+
+    @pytest.mark.parametrize("duration", [0.0, -1.0, float("nan"), float("inf")])
+    def test_bad_duration_rejected(self, duration):
+        with pytest.raises(ValueError, match="duration_s"):
+            NoteSpec("X", 1000.0, duration)
 
     def test_aliasing_rejected(self):
         with pytest.raises(ValueError, match="Nyquist"):

@@ -38,6 +38,16 @@ class TestSynth:
     def test_bad_pitch_is_runtime_error(self, tmp_path):
         assert run("synth", "--pitches", "Z9", "--out", tmp_path) == 2
 
+    @pytest.mark.parametrize("duration", ["inf", "nan", "0", "-1", "long"])
+    def test_bad_duration_is_usage_error(self, tmp_path, capsys, duration):
+        with pytest.raises(SystemExit) as exc:
+            run("synth", "--duration", duration, "--out", tmp_path)
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert "argument --duration" in err.splitlines()[-1]
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestResponse:
     def test_flat_setting(self, tmp_path, capsys):
@@ -157,6 +167,53 @@ class TestPipeline:
         assert run("predict", "--model", workspace / "linear.json", "missing.wav") == 2
 
 
+def _one_error_line(capsys):
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("eqrep: "), err
+    return err[0]
+
+
+@pytest.fixture(scope="module")
+def forest_artifact(workspace):
+    path = workspace / "forest.json"
+    assert run("train", "--manifest", workspace / "manifest.json", "--model", "forest",
+               "--trees", "2", "--outfile", path) == 0
+    return path
+
+
+class TestMalformedArtifacts:
+    """A malformed model or manifest ends with exit 2 and one stderr line."""
+
+    def test_predict_model_without_kind(self, workspace, tmp_path, capsys):
+        model = tmp_path / "m.json"
+        model.write_text(json.dumps({"schema_version": 1}))
+        assert run("predict", "--model", model, workspace / "corpus" / "C2.wav") == 2
+        assert _one_error_line(capsys) == "eqrep: model artifact lacks key 'kind'"
+
+    def test_train_manifest_without_samples(self, tmp_path, capsys):
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps({"schema_version": 1}))
+        assert run("train", "--manifest", manifest, "--model", "linear",
+                   "--outfile", tmp_path / "model.json") == 2
+        assert _one_error_line(capsys) == "eqrep: manifest lacks key 'samples'"
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("left", 999, "left child out of range"),
+        ("right", 999, "right child out of range"),
+        ("feature", 40, "feature index outside [0, 17)"),
+    ])
+    def test_predict_forest_with_bad_node(self, workspace, forest_artifact, tmp_path, capsys,
+                                          field, value, message):
+        doc = json.loads(forest_artifact.read_text())
+        assert doc["params"]["trees"][0]["feature"][0] >= 0  # the root splits
+        doc["params"]["trees"][0][field][0] = value
+        model = tmp_path / "forest.json"
+        model.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run("predict", "--model", model, workspace / "corpus" / "C2.wav") == 2
+        assert _one_error_line(capsys) == f"eqrep: forest tree {message}"
+
+
 class TestDatasetStep:
     def test_fractional_step_reaches_plus_12(self, workspace, tmp_path):
         assert run("dataset", "--corpus", workspace / "corpus", "--mode", "single",
@@ -175,6 +232,23 @@ class TestDatasetStep:
         err = capsys.readouterr().err
         assert "argument --step" in err.splitlines()[-1]
         assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["synth", "--seed", "1"],
+    ["synth", "--frame-size", "1024"],
+    ["synth", "--hop-size", "256"],
+    ["extract", "--sample-rate", "22050", "a.wav"],
+    ["extract", "--seed", "1", "a.wav"],
+])
+def test_option_the_command_does_not_read_is_usage_error(argv, capsys):
+    """Parsed only: each subcommand accepts only the options it reads."""
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1].startswith(f"eqrep: error: unrecognized arguments: {argv[1]}")
+    assert "Traceback" not in err
 
 
 def _jobs_argv(command, jobs):

@@ -209,6 +209,17 @@ class TestManifestPersistence:
         with pytest.raises(ValueError, match="schema_version"):
             ds.load_manifest(path)
 
+    def test_missing_key_is_named(self, tiny_corpus):
+        doc = ds.manifest_to_dict(ds.build_dataset(tiny_corpus, ds.single_band_settings([0.0]),
+                                                   stft=STFT))
+        stft = doc.pop("stft")
+        with pytest.raises(ValueError, match="manifest lacks key 'stft'"):
+            ds.manifest_from_dict(doc)
+        doc["stft"] = stft
+        del doc["samples"][2]["features"]
+        with pytest.raises(ValueError, match="manifest lacks key 'features'"):
+            ds.manifest_from_dict(doc)
+
     def test_csv_export(self, tiny_corpus, tmp_path):
         settings = ds.single_band_settings([0.0])
         manifest = ds.build_dataset(tiny_corpus, settings, stft=STFT)

@@ -2,10 +2,13 @@
 
 import re
 import runpy
+import shlex
 from pathlib import Path
 
 import numpy as np
 import pytest
+
+from eqrep.cli import build_parser
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -14,6 +17,14 @@ def _quick_start():
     readme = (ROOT / "README.md").read_text()
     section = readme.split("## Quick start", 1)[1]
     return re.search(r"```python\n(.*?)```", section, re.S).group(1)
+
+
+def _cli_block_commands():
+    """Each `eqrep ...` line of the README's CLI block as an argv, comments cut."""
+    readme = (ROOT / "README.md").read_text()
+    block = re.search(r"```sh\n(.*?)```", readme.split("## CLI", 1)[1], re.S).group(1)
+    return [shlex.split(line, comments=True)[1:]
+            for line in block.splitlines() if line.startswith("eqrep ")]
 
 
 def _exit_code(run):
@@ -39,3 +50,32 @@ def test_demo_runs(script, capsys):
     path = str(ROOT / "demos" / script)
     assert _exit_code(lambda: runpy.run_path(path, run_name="__main__")) == 0
     assert capsys.readouterr().out.strip()
+
+
+@pytest.mark.parametrize("argv", _cli_block_commands(), ids=lambda argv: argv[0])
+def test_cli_block_parses(argv):
+    # parsed only, never run: an option the parser no longer takes fails here
+    assert build_parser().parse_args(argv).command == argv[0]
+
+
+def test_cli_block_covers_every_subcommand():
+    usage = build_parser().format_usage()  # "usage: eqrep [-h] {synth,...} ..."
+    commands = re.search(r"\{(.*?)\}", usage).group(1).split(",")
+    assert {argv[0] for argv in _cli_block_commands()} == set(commands)
+
+
+def _option_table():
+    """{command: options} from the README's table of per-command options."""
+    readme = (ROOT / "README.md").read_text()
+    rows = re.findall(r"^\| `(\w+)` \| (.*) \|$", readme.split("## CLI", 1)[1], re.M)
+    return {command: set(re.findall(r"--[a-z-]+", cells)) for command, cells in rows}
+
+
+def test_option_table_matches_the_parser(capsys):
+    table = _option_table()
+    assert set(table) == {argv[0] for argv in _cli_block_commands()}
+    for command, documented in table.items():
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([command, "--help"])
+        accepted = set(re.findall(r"--[a-z-]+", capsys.readouterr().out)) - {"--help"}
+        assert documented == accepted, command

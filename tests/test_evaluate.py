@@ -3,6 +3,7 @@ import pytest
 
 from eqrep import dataset as ds
 from eqrep import evaluate as ev
+from eqrep.eq import BAND_NAMES
 from eqrep.features import FEATURE_DIM, StftConfig
 from eqrep.models import TrainConfig
 
@@ -48,6 +49,22 @@ class TestMse:
             ev.mse(np.zeros((0, 5)), np.zeros((0, 5)))
 
 
+def _scatter_import(path):
+    """Parse a scatter CSV back to (sample_ids, predictions, targets)."""
+    ids, preds, trues = [], {}, {}
+    with open(path) as fh:
+        next(fh)
+        for line in fh:
+            sid, name, true_db, pred_db = line.rstrip("\n").split(",")
+            if sid not in preds:
+                ids.append(sid)
+                preds[sid], trues[sid] = [0.0] * 5, [0.0] * 5
+            band = BAND_NAMES.index(name)
+            preds[sid][band] = float(pred_db)
+            trues[sid][band] = float(true_db)
+    return ids, np.array([preds[i] for i in ids]), np.array([trues[i] for i in ids])
+
+
 class TestScatterExport:
     def test_row_count_and_round_trip(self, tmp_path):
         rng = np.random.default_rng(2)
@@ -60,7 +77,7 @@ class TestScatterExport:
         lines = path.read_text().strip().split("\n")
         assert len(lines) == 1 + n * 5
 
-        back_ids, back_preds, back_targets = ev.scatter_import(path)
+        back_ids, back_preds, back_targets = _scatter_import(path)
         assert back_ids == ids
         np.testing.assert_array_equal(back_preds, preds)
         np.testing.assert_array_equal(back_targets, targets)

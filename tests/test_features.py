@@ -5,11 +5,10 @@ import oracles
 from eqrep.audio import AudioBuffer, NoteSpec, synthesize_note
 from eqrep.eq import apply_eq
 from eqrep.features import (BLOCK_FRAMES, FEATURE_DIM, LOG_FLOOR, StftConfig,
-                            analysis_constants, extract_features, fft_bin_freqs,
-                            frame_signal, hann_window, hz_to_mel, mel_bands,
-                            mel_filterbank, mel_log_energies, mel_to_hz,
-                            spectral_bandwidth, spectral_centroid, spectral_rolloff,
-                            stft_magnitudes)
+                            _magnitudes, analysis_constants, extract_features,
+                            fft_bin_freqs, frame_signal, hann_window, hz_to_mel,
+                            mel_bands, mel_filterbank, mel_log_energies, mel_to_hz,
+                            spectral_bandwidth, spectral_centroid, spectral_rolloff)
 
 SR = 44100
 
@@ -24,10 +23,16 @@ class TestStftConfig:
             StftConfig(2048, 4096)
 
 
+def _spectra(buf, config):
+    """The magnitude spectra extract_features computes, for every frame."""
+    window, _, _ = analysis_constants(buf.sample_rate, config.frame_size)
+    return _magnitudes(frame_signal(buf.samples, config), window)
+
+
 class TestStft:
     def test_dc_buffer_window_gain(self):
         buf = AudioBuffer(np.ones(2048), SR)
-        mags = stft_magnitudes(buf, StftConfig(2048, 512))
+        mags = _spectra(buf, StftConfig(2048, 512))
         assert mags.shape == (1, 1025)
         assert mags[0, 0] == pytest.approx(hann_window(2048).sum(), rel=1e-12)
         assert mags[0, 0] == pytest.approx(1024.0, rel=1e-9)
@@ -37,74 +42,73 @@ class TestStft:
         f = 32 * SR / 2048
         t = np.arange(2048) / SR
         buf = AudioBuffer(np.sin(2 * np.pi * f * t), SR)
-        mags = stft_magnitudes(buf, StftConfig(2048, 512))[0]
+        mags = _spectra(buf, StftConfig(2048, 512))[0]
         lobe = mags[31:34] ** 2
         assert lobe.sum() / (mags ** 2).sum() > 0.99
 
     def test_single_frame_count(self):
-        buf = AudioBuffer(np.ones(2048), SR)
-        assert stft_magnitudes(buf, StftConfig(2048, 512)).shape[0] == 1
-        buf = AudioBuffer(np.ones(2048 + 512), SR)
-        assert stft_magnitudes(buf, StftConfig(2048, 512)).shape[0] == 2
+        assert frame_signal(np.ones(2048), StftConfig(2048, 512)).shape == (1, 2048)
+        assert frame_signal(np.ones(2048 + 512), StftConfig(2048, 512)).shape == (2, 2048)
 
     def test_too_short_buffer(self):
         with pytest.raises(ValueError):
-            stft_magnitudes(AudioBuffer(np.ones(100), SR), StftConfig(2048, 512))
+            frame_signal(np.ones(100), StftConfig(2048, 512))
+        with pytest.raises(ValueError):
+            extract_features(AudioBuffer(np.ones(100), SR))
 
 
 class TestFrameStats:
+    """The stage functions take a (frames, bins) block, as extract_features
+    passes them, and return one value per frame."""
+
     def test_centroid_point_mass(self):
-        mags = np.zeros(11)
-        mags[5] = 2.0
+        mags = np.zeros((1, 11))
+        mags[0, 5] = 2.0
         freqs = np.arange(11) * 200.0  # bin 5 -> 1000 Hz
-        assert spectral_centroid(mags, freqs) == 1000.0
+        assert spectral_centroid(mags, freqs).tolist() == [1000.0]
 
     def test_centroid_symmetry(self):
         freqs = np.array([500.0, 1500.0])
-        assert spectral_centroid(np.array([1.0, 1.0]), freqs) == 1000.0
+        assert spectral_centroid(np.array([[1.0, 1.0]]), freqs).tolist() == [1000.0]
 
     def test_centroid_weighted(self):
         freqs = np.array([100.0, 300.0])
-        assert spectral_centroid(np.array([1.0, 3.0]), freqs) == pytest.approx(250.0)
+        cent = spectral_centroid(np.array([[1.0, 3.0], [3.0, 1.0]]), freqs)
+        np.testing.assert_allclose(cent, [250.0, 150.0], rtol=1e-12)
 
     def test_centroid_zero_frame(self):
-        assert spectral_centroid(np.zeros(4), np.arange(4.0)) == 0.0
+        mags = np.zeros((2, 4))
+        mags[1, 1] = 1.0
+        assert spectral_centroid(mags, np.arange(4.0)).tolist() == [0.0, 1.0]
 
     def test_bandwidth_point_mass(self):
-        mags = np.zeros(4)
-        mags[2] = 1.0
-        assert spectral_bandwidth(mags, np.arange(4.0) * 100, 200.0) == 0.0
+        mags = np.zeros((1, 4))
+        mags[0, 2] = 1.0
+        bw = spectral_bandwidth(mags, np.arange(4.0) * 100, np.array([200.0]))
+        assert bw.tolist() == [0.0]
 
     def test_bandwidth_symmetric_pair(self):
         freqs = np.array([500.0, 1500.0])
-        assert spectral_bandwidth(np.array([1.0, 1.0]), freqs, 1000.0) == 500.0
+        bw = spectral_bandwidth(np.array([[1.0, 1.0]]), freqs, np.array([1000.0]))
+        assert bw.tolist() == [500.0]
 
     def test_bandwidth_weighted(self):
         freqs = np.array([100.0, 300.0])
-        bw = spectral_bandwidth(np.array([1.0, 3.0]), freqs, 250.0)
-        assert bw == pytest.approx(np.sqrt(7500.0))
+        bw = spectral_bandwidth(np.array([[1.0, 3.0]]), freqs, np.array([250.0]))
+        np.testing.assert_allclose(bw, [np.sqrt(7500.0)], rtol=1e-12)
 
     def test_rolloff_single_bin(self):
-        mags = np.zeros(8)
-        mags[4] = 3.0
+        mags = np.zeros((1, 8))
+        mags[0, 4] = 3.0
         freqs = np.arange(8) * 500.0
-        for fraction in (0.1, 0.85, 1.0):
-            assert spectral_rolloff(mags, freqs, fraction) == 2000.0
+        assert spectral_rolloff(mags, freqs).tolist() == [2000.0]
 
     def test_rolloff_equal_bins(self):
-        mags = np.ones(10)
+        mags = np.ones((2, 10))
+        mags[1] = 0.0
         freqs = np.arange(10.0)
-        # cumulative energy reaches 85% at the 9th bin (index 8)
-        assert spectral_rolloff(mags, freqs, 0.85) == 8.0
-
-    def test_rolloff_fraction_one(self):
-        mags = np.array([1.0, 2.0, 1.0, 0.0, 0.0])
-        freqs = np.arange(5.0) * 100
-        assert spectral_rolloff(mags, freqs, 1.0) == 200.0
-
-    def test_rolloff_bad_fraction(self):
-        with pytest.raises(ValueError):
-            spectral_rolloff(np.ones(4), np.arange(4.0), 0.0)
+        # cumulative energy reaches 85% at the 9th bin (index 8); a silent frame reads 0
+        assert spectral_rolloff(mags, freqs).tolist() == [8.0, 0.0]
 
 
 class TestMelFilterbank:

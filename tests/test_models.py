@@ -214,7 +214,9 @@ class TestForest:
         rng = np.random.default_rng(8)
         x = rng.standard_normal((10, 17))
         y = rng.standard_normal((10, 5))
-        model = train_forest(x, y, tree_count=1, seed=0, max_unsplit=1, bootstrap=False)
+        # one tree on every row, split down to single rows
+        norm = fit_normalization(x)
+        model = ForestModel([_grow_one(norm.apply(x), y, 0, max_unsplit=1)], norm)
         mse = ((predict(model, x) - y) ** 2).mean()
         assert mse == 0.0
 
@@ -373,7 +375,10 @@ class TestForestPredictOracle:
 
     def test_single_node_trees(self):
         x, y = _random_instance(30, seed=36)
-        model = train_forest(x, y, tree_count=3, seed=0, max_unsplit=30)
+        # three bootstrap trees whose 30-row roots may not split
+        norm = fit_normalization(x)
+        roots = [np.random.default_rng(t).integers(0, 30, size=30) for t in range(3)]
+        model = ForestModel(_grow_trees(norm.apply(x), y, roots, [0, 1, 2], 30), norm)
         assert all(len(t["feature"]) == 1 for t in model.trees)
         np.testing.assert_array_equal(predict(model, x), oracles.forest_predict(model, x))
 
@@ -433,7 +438,7 @@ class TestPredict:
     def test_zero_mlp_returns_zeros(self):
         norm = Normalization(np.zeros(17), np.ones(17))
         params = {k: np.zeros_like(v) for k, v in init_mlp_params(17, 4, 5, 0).items()}
-        model = MlpModel(params, 4, norm)
+        model = MlpModel(params, norm)
         np.testing.assert_array_equal(predict(model, np.ones(17)), np.zeros(5))
 
     def test_trained_model_hits_realizable_targets(self):
@@ -477,6 +482,33 @@ class TestSerialization:
     def test_unknown_schema_version(self):
         with pytest.raises(ValueError, match="schema_version"):
             model_from_dict({"schema_version": 99})
+
+    def test_missing_key_is_named(self):
+        doc = model_to_dict(train_linear(*_random_instance(40, seed=21)))
+        del doc["params"]["bias"]
+        with pytest.raises(ValueError, match="lacks key 'bias'"):
+            model_from_dict(doc)
+        with pytest.raises(ValueError, match="lacks key 'kind'"):
+            model_from_dict({"schema_version": 1})
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda t, leaf: t.update(threshold=t["threshold"][:-1]), "differ in length"),
+        (lambda t, leaf: t.update({k: [] for k in t}), "empty"),
+        (lambda t, leaf: t["feature"].__setitem__(0, 17), "feature index"),
+        (lambda t, leaf: t["feature"].__setitem__(leaf, -2), "feature index"),
+        (lambda t, leaf: t["left"].__setitem__(0, 0), "left child"),      # a cycle
+        (lambda t, leaf: t["right"].__setitem__(0, len(t["right"])), "right child"),
+        (lambda t, leaf: t["left"].__setitem__(leaf, leaf + 1), "left child"),
+        (lambda t, leaf: t.update(value=[v[:4] for v in t["value"]]), "values have shape"),
+    ])
+    def test_malformed_forest_tree_rejected(self, edit, message):
+        x, y = _random_instance(60, seed=22)
+        doc = model_to_dict(train_forest(x, y, tree_count=2, seed=0))
+        tree = doc["params"]["trees"][1]
+        assert tree["feature"][0] >= 0
+        edit(tree, tree["feature"].index(-1))
+        with pytest.raises(ValueError, match=message):
+            model_from_dict(doc)
 
     def test_unknown_kind(self):
         doc = model_to_dict(train_linear(*_random_instance(40, seed=21)))
