@@ -17,6 +17,7 @@ from . import evaluate as ev
 from .audio import DEFAULT_SAMPLE_RATE, note_corpus, pitch_to_hz, read_wav, write_wav
 from .eq import BAND_NAMES, eq_response, log_frequency_grid, standard_bands
 from .features import FEATURE_NAMES, StftConfig, extract_features
+from .jsondoc import JsonValue
 from .models import (TrainConfig, load_model, predict, save_model,
                      train_forest, train_linear, train_mlp)
 
@@ -145,9 +146,10 @@ def cmd_train(args):
 
 def cmd_predict(args):
     model, train_config, _ = load_model(args.model)
-    sample_rate = train_config.get("sample_rate", DEFAULT_SAMPLE_RATE)
-    stft = StftConfig(train_config.get("frame_size", 2048),
-                      train_config.get("hop_size", 512))
+    # the feature contract `train` records; an artifact without it is refused
+    contract = JsonValue(train_config, "model artifact", "train_config")
+    sample_rate = contract["sample_rate"].int()
+    stft = StftConfig(contract["frame_size"].int(), contract["hop_size"].int())
     print("path," + ",".join(BAND_NAMES))
     for path in args.wavs:
         buf = read_wav(path)
@@ -160,70 +162,40 @@ def cmd_predict(args):
     return 0
 
 
+def _save_result(result, out, stem):
+    """`{stem}_report.json` and `{stem}_scatter.csv` of one result in `out`."""
+    ev.save_report(result.report, out / f"{stem}_report.json")
+    ev.scatter_export(result.sample_ids, result.predictions, result.targets,
+                      out / f"{stem}_scatter.csv")
+
+
 def cmd_eval(args):
     out = _out_dir(args)
     model, _, _ = load_model(args.model)
-    manifest = ds.load_manifest(args.manifest)
-    preds = predict(model, manifest.feature_matrix())
-    report = ev.make_report("eval", type(model).__name__.replace("Model", "").lower(),
-                            preds, manifest.target_matrix(), args.seed)
-    ev.save_report(report, out / "eval_report.json")
-    ev.scatter_export([s.sample_id for s in manifest.samples], preds,
-                      manifest.target_matrix(), out / "eval_scatter.csv")
+    result = ev.evaluate_model(model, ds.load_manifest(args.manifest), args.seed)
+    _save_result(result, out, "eval")
+    report = result.report
     print(f"overall MSE {report.overall_mse:.6g} ({report.n_samples} samples)")
     return 0
 
 
 def cmd_reproduce(args):
     out = _out_dir(args)
-    if args.pitches:
-        # the reference note's partial policy; note_corpus caps it per note
-        corpus = note_corpus(args.pitches.split(","), args.sample_rate,
-                             partial_count=ev.REPRODUCTION_PARTIALS)
-    else:
-        corpus = ev.reproduction_corpus(args.sample_rate)
-    stft = _stft_from_args(args)
-    sweep = ds.build_dataset(corpus, ds.single_band_settings(ds.FINE_GRID),
-                             stft=stft, seed=args.seed, jobs=args.jobs)
-    results = [
-        ev.experiment_single_band_fine(sweep, args.seed),
-        ev.experiment_single_band_coarse(sweep, args.seed),
-        ev.experiment_interpolation(sweep, args.seed),
-    ]
-    multi = ds.build_dataset(corpus, ds.multi_band_settings(ds.COARSE_GRID), stft=stft,
-                             limit=args.limit, seed=args.seed, jobs=args.jobs)
-    results += ev.experiment_multi_band(multi, args.seed, jobs=args.jobs)
-    summary = []
+    pitches = args.pitches.split(",") if args.pitches else None
+    results = ev.run_reproduction(ev.reproduction_corpus(args.sample_rate, pitches),
+                                  _stft_from_args(args), args.limit, args.seed, args.jobs)
     for res in results:
         rep = res.report
-        stem = f"{rep.experiment_id}_{rep.model_kind}"
-        ev.save_report(rep, out / f"{stem}_report.json")
-        ev.scatter_export(res.sample_ids, res.predictions, res.targets,
-                          out / f"{stem}_scatter.csv")
-        summary.append(ev.report_to_dict(rep))
+        _save_result(res, out, f"{rep.experiment_id}_{rep.model_kind}")
         print(f"{rep.experiment_id:>20s}  {rep.model_kind:>6s}  "
               f"MSE {rep.overall_mse:.4f} dB^2  ({rep.n_samples} held out)")
     with open(out / "summary.json", "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
+        json.dump([ev.report_to_dict(r.report) for r in results], fh, indent=2,
+                  sort_keys=True)
         fh.write("\n")
-
-    by_key = {(r.report.experiment_id, r.report.model_kind): r.report.overall_mse
-              for r in results}
-    checks = [
-        ("fine sweep MSE <= 0.5",
-         by_key[("single_band_fine", "linear")] <= 0.5),
-        ("coarse sweep MSE >= fine sweep MSE",
-         by_key[("single_band_coarse", "linear")] >= by_key[("single_band_fine", "linear")]),
-        ("interpolation MSE <= coarse sweep MSE",
-         by_key[("interpolation", "linear")] <= by_key[("single_band_coarse", "linear")]),
-        ("MLP MSE < linear MSE",
-         by_key[("multi_band", "mlp")] < by_key[("multi_band", "linear")]),
-        ("MLP MSE <= 1.0",
-         by_key[("multi_band", "mlp")] <= 1.0),
-    ]
-    failed = [name for name, ok in checks if not ok]
-    for name, ok in checks:
-        print(f"[{'PASS' if ok else 'FAIL'}] {name}")
+    failed = ev.failed_checks(results)
+    for name, _ in ev.CHECKS:
+        print(f"[{'FAIL' if name in failed else 'PASS'}] {name}")
     if failed:
         raise RuntimeError("reproduction checks failed: " + "; ".join(failed))
     return 0

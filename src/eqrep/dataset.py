@@ -11,7 +11,8 @@ import numpy as np
 
 from .audio import write_wav
 from .eq import BAND_NAMES, EqBandSpec, apply_eq, standard_bands
-from .features import FEATURE_NAMES, StftConfig, extract_features
+from .features import FEATURE_DIM, FEATURE_NAMES, StftConfig, extract_features
+from .jsondoc import JsonValue
 from .pool import fork_map
 
 MANIFEST_SCHEMA_VERSION = 1
@@ -202,30 +203,30 @@ def manifest_to_dict(manifest: DatasetManifest) -> dict:
 
 
 def manifest_from_dict(doc: dict) -> DatasetManifest:
-    """The manifest of a JSON dict; a missing key raises ValueError."""
-    if doc.get("schema_version") != MANIFEST_SCHEMA_VERSION:
-        raise ValueError(f"unsupported manifest schema_version {doc.get('schema_version')}")
-    try:
-        samples = [
-            DatasetSample(
-                sample_id=s["sample_id"],
-                base_label=s["base_label"],
-                gains_db=np.array(s["gains_db"], dtype=np.float64),
-                features=np.array(s["features"], dtype=np.float64),
-            )
-            for s in doc["samples"]
-        ]
-        return DatasetManifest(
-            sample_rate=doc["sample_rate"],
-            stft=StftConfig(doc["stft"]["frame_size"], doc["stft"]["hop_size"]),
-            bands=[
-                EqBandSpec(b["center_hz"], b["filter_kind"], b["q"]) for b in doc["bands"]
-            ],
-            samples=samples,
-            split_seed=doc["split_seed"],
+    """The manifest of a JSON dict. A missing key or a value of the wrong
+    JSON type or shape raises ValueError naming its path."""
+    doc = JsonValue(doc, "manifest")
+    version = doc["schema_version"].int()
+    if version != MANIFEST_SCHEMA_VERSION:
+        raise ValueError(f"unsupported manifest schema_version {version}")
+    samples = [
+        DatasetSample(
+            sample_id=s["sample_id"].str(),
+            base_label=s["base_label"].str(),
+            gains_db=s["gains_db"].array((5,)),
+            features=s["features"].array((FEATURE_DIM,)),
         )
-    except KeyError as exc:
-        raise ValueError(f"manifest lacks key {exc.args[0]!r}") from None
+        for s in doc["samples"].elements()
+    ]
+    stft = doc["stft"]
+    return DatasetManifest(
+        sample_rate=doc["sample_rate"].int(),
+        stft=StftConfig(stft["frame_size"].int(), stft["hop_size"].int()),
+        bands=[EqBandSpec(b["center_hz"].number(), b["filter_kind"].str(), b["q"].number())
+               for b in doc["bands"].elements()],
+        samples=samples,
+        split_seed=doc["split_seed"].int(),
+    )
 
 
 def save_manifest(manifest: DatasetManifest, path) -> None:

@@ -1,6 +1,8 @@
-"""Evaluation harness: MSE reports, true-vs-predicted scatter export, and the
-four named experiments, each a function of the manifest it runs on: the fine
-sweep, coarse sweep and interpolation all take one 1 dB single-band sweep.
+"""Evaluation harness: MSE reports, true-vs-predicted scatter export, the
+four named experiments, each a function of the manifest it runs on (the fine
+sweep, coarse sweep and interpolation all take one 1 dB single-band sweep),
+and the reproduction: the run of all four on one corpus and the checks that
+judge it.
 """
 
 import hashlib
@@ -12,6 +14,7 @@ import numpy as np
 from . import dataset as ds
 from .audio import DEFAULT_SAMPLE_RATE, note_corpus
 from .eq import BAND_NAMES
+from .features import StftConfig
 from .models import (TrainConfig, predict, train_forest, train_linear, train_mlp)
 from .pool import fork_map
 
@@ -24,9 +27,11 @@ MULTI_BAND_MIN_SAMPLES = 500
 _LINEAR = (("linear", train_linear),)
 
 
-def reproduction_corpus(sample_rate: int = DEFAULT_SAMPLE_RATE):
-    return note_corpus([REPRODUCTION_PITCH], sample_rate,
-                       partial_count=REPRODUCTION_PARTIALS)
+def reproduction_corpus(sample_rate: int = DEFAULT_SAMPLE_RATE, pitches=None):
+    """The reproduction's notes: the reference note, or the `pitches` labels
+    synthesized like it (`note_corpus` caps the partials per note)."""
+    return note_corpus([REPRODUCTION_PITCH] if pitches is None else pitches,
+                       sample_rate, partial_count=REPRODUCTION_PARTIALS)
 
 
 @dataclass(frozen=True)
@@ -169,3 +174,58 @@ def experiment_multi_band(manifest, seed: int = 42,
     )
     split = ds.split(manifest, 0.8, seed)
     return _fit_and_report(manifest, split, "multi_band", trainers, seed, config, jobs)
+
+
+def evaluate_model(model, manifest, seed: int = 42) -> ExperimentResult:
+    """One trained model scored on every row of a manifest (`eqrep eval`)."""
+    targets = manifest.target_matrix()
+    preds = predict(model, manifest.feature_matrix())
+    kind = type(model).__name__.replace("Model", "").lower()
+    return ExperimentResult(make_report("eval", kind, preds, targets, seed),
+                            [s.sample_id for s in manifest.samples], preds, targets)
+
+
+# ---------------------------------------------------------- reproduction
+
+
+def run_reproduction(corpus, stft: StftConfig, limit: int, seed: int,
+                     jobs: int = 1) -> list:
+    """The four experiments on `corpus`: the fine sweep, coarse sweep and
+    interpolation share one 1 dB single-band sweep, and the model comparison
+    runs on `limit` samples of the 4 dB multi-band grid. Each dataset is
+    built once. Returns the six results: the three sweeps' linear fits,
+    then linear, forest and MLP on the multi-band set."""
+    sweep = ds.build_dataset(corpus, ds.single_band_settings(ds.FINE_GRID),
+                             stft=stft, seed=seed, jobs=jobs)
+    results = [
+        experiment_single_band_fine(sweep, seed),
+        experiment_single_band_coarse(sweep, seed),
+        experiment_interpolation(sweep, seed),
+    ]
+    multi = ds.build_dataset(corpus, ds.multi_band_settings(ds.COARSE_GRID), stft=stft,
+                             limit=limit, seed=seed, jobs=jobs)
+    return results + experiment_multi_band(multi, seed, jobs=jobs)
+
+
+# The reproduction's pass/fail criteria, in report order: a name and a
+# predicate over {(experiment_id, model_kind): overall MSE}. They are
+# calibrated for the reference note.
+CHECKS = (
+    ("fine sweep MSE <= 0.5",
+     lambda m: m["single_band_fine", "linear"] <= 0.5),
+    ("coarse sweep MSE >= fine sweep MSE",
+     lambda m: m["single_band_coarse", "linear"] >= m["single_band_fine", "linear"]),
+    ("interpolation MSE <= coarse sweep MSE",
+     lambda m: m["interpolation", "linear"] <= m["single_band_coarse", "linear"]),
+    ("MLP MSE < linear MSE",
+     lambda m: m["multi_band", "mlp"] < m["multi_band", "linear"]),
+    ("MLP MSE <= 1.0",
+     lambda m: m["multi_band", "mlp"] <= 1.0),
+)
+
+
+def failed_checks(results) -> list:
+    """The names of the CHECKS that `results` fail, in table order."""
+    by_key = {(r.report.experiment_id, r.report.model_kind): r.report.overall_mse
+              for r in results}
+    return [name for name, ok in CHECKS if not ok(by_key)]

@@ -9,6 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .features import FEATURE_DIM
+from .jsondoc import JsonValue
 from .rng import SplitMix64, splitmix64
 
 MODEL_SCHEMA_VERSION = 1
@@ -524,8 +525,8 @@ def _norm_to_dict(norm: Normalization) -> dict:
     return {"mean": list(norm.mean), "std": list(norm.std)}
 
 
-def _norm_from_dict(doc: dict) -> Normalization:
-    return Normalization(np.array(doc["mean"]), np.array(doc["std"]))
+def _norm_from_doc(doc: JsonValue) -> Normalization:
+    return Normalization(doc["mean"].array((FEATURE_DIM,)), doc["std"].array((FEATURE_DIM,)))
 
 
 def model_to_dict(model, train_config: dict | None = None,
@@ -565,21 +566,20 @@ def model_to_dict(model, train_config: dict | None = None,
     }
 
 
-def _tree_from_dict(doc: dict) -> dict:
+def _tree_from_doc(doc: JsonValue) -> dict:
     """One tree's node arrays, checked so that a prediction can walk them:
     equal lengths, feature -1 (a leaf) or a feature index, children -1 on a
     leaf and otherwise after the node and within the tree, (nodes, 5) values."""
     tree = {
-        "feature": np.array(doc["feature"], dtype=int),
-        "threshold": np.array(doc["threshold"]),
-        "left": np.array(doc["left"], dtype=int),
-        "right": np.array(doc["right"], dtype=int),
-        "value": np.array(doc["value"]),
+        "feature": doc["feature"].array((None,), int),
+        "threshold": doc["threshold"].array((None,)),
+        "left": doc["left"].array((None,), int),
+        "right": doc["right"].array((None,), int),
     }
     nodes = len(tree["feature"])
-    if nodes == 0 or any(tree[k].shape != (nodes,)
-                         for k in ("feature", "threshold", "left", "right")):
+    if nodes == 0 or any(a.shape != (nodes,) for a in tree.values()):
         raise ValueError("forest tree node arrays are empty or differ in length")
+    tree["value"] = doc["value"].array((None, None))
     if tree["value"].shape != (nodes, OUTPUT_DIM):
         raise ValueError(f"forest tree values have shape {tree['value'].shape}, "
                          f"expected {(nodes, OUTPUT_DIM)}")
@@ -595,38 +595,27 @@ def _tree_from_dict(doc: dict) -> dict:
 
 
 def model_from_dict(doc: dict):
-    """The model of an artifact dict. A missing key or malformed parameters
-    raise ValueError."""
-    if doc.get("schema_version") != MODEL_SCHEMA_VERSION:
-        raise ValueError(f"unsupported model schema_version {doc.get('schema_version')}")
-    try:
-        kind = doc["kind"]
-        norm = _norm_from_dict(doc["normalization"])
-        params = doc["params"]
-        if kind == "linear":
-            model = LinearModel(np.array(params["weights"]), np.array(params["bias"]), norm)
-            if model.weights.shape != (OUTPUT_DIM, FEATURE_DIM):
-                raise ValueError(f"linear weights have shape {model.weights.shape}")
-        elif kind == "mlp":
-            hidden = params["hidden_dim"]
-            weights = {k: np.array(params[k]) for k in ("W1", "b1", "W2", "b2", "W3", "b3")}
-            expected = {
-                "W1": (FEATURE_DIM, hidden), "b1": (hidden,),
-                "W2": (hidden, hidden), "b2": (hidden,),
-                "W3": (hidden, OUTPUT_DIM), "b3": (OUTPUT_DIM,),
-            }
-            for k, shape in expected.items():
-                if weights[k].shape != shape:
-                    raise ValueError(f"mlp parameter {k} has shape {weights[k].shape}, "
-                                     f"expected {shape}")
-            model = MlpModel(weights, norm)
-        elif kind == "forest":
-            model = ForestModel([_tree_from_dict(t) for t in params["trees"]], norm)
-        else:
-            raise ValueError(f"unknown model kind {kind!r}")
-    except KeyError as exc:
-        raise ValueError(f"model artifact lacks key {exc.args[0]!r}") from None
-    return model
+    """The model of an artifact dict. A missing key, a value of the wrong
+    JSON type or shape, or malformed forest trees raise ValueError."""
+    doc = JsonValue(doc, "model artifact")
+    version = doc["schema_version"].int()
+    if version != MODEL_SCHEMA_VERSION:
+        raise ValueError(f"unsupported model schema_version {version}")
+    kind = doc["kind"].str()
+    norm = _norm_from_doc(doc["normalization"])
+    params = doc["params"]
+    if kind == "linear":
+        return LinearModel(params["weights"].array((OUTPUT_DIM, FEATURE_DIM)),
+                           params["bias"].array((OUTPUT_DIM,)), norm)
+    if kind == "mlp":
+        hidden = params["hidden_dim"].int()
+        shapes = {"W1": (FEATURE_DIM, hidden), "b1": (hidden,),
+                  "W2": (hidden, hidden), "b2": (hidden,),
+                  "W3": (hidden, OUTPUT_DIM), "b3": (OUTPUT_DIM,)}
+        return MlpModel({k: params[k].array(shape) for k, shape in shapes.items()}, norm)
+    if kind == "forest":
+        return ForestModel([_tree_from_doc(t) for t in params["trees"].elements()], norm)
+    raise ValueError(f"unknown model kind {kind!r}")
 
 
 def save_model(model, path, train_config: dict | None = None,
@@ -637,6 +626,9 @@ def save_model(model, path, train_config: dict | None = None,
 
 
 def load_model(path):
+    """(model, train_config, metrics) of an artifact file."""
     with open(path) as fh:
         doc = json.load(fh)
-    return model_from_dict(doc), doc.get("train_config", {}), doc.get("metrics", {})
+    model = model_from_dict(doc)
+    doc = JsonValue(doc, "model artifact")
+    return model, doc.get("train_config", {}).obj(), doc.get("metrics", {}).obj()

@@ -13,6 +13,7 @@ from eqrep import dataset as ds
 from eqrep import evaluate as ev
 from eqrep.cli import build_parser, main
 from eqrep.features import FEATURE_NAMES, StftConfig
+from eqrep.models import load_model, save_model
 
 
 def run(*argv):
@@ -174,6 +175,14 @@ def _one_error_line(capsys):
 
 
 @pytest.fixture(scope="module")
+def linear_artifact(workspace):
+    path = workspace / "linear_artifact.json"
+    assert run("train", "--manifest", workspace / "manifest.json", "--model", "linear",
+               "--outfile", path) == 0
+    return path
+
+
+@pytest.fixture(scope="module")
 def forest_artifact(workspace):
     path = workspace / "forest.json"
     assert run("train", "--manifest", workspace / "manifest.json", "--model", "forest",
@@ -212,6 +221,84 @@ class TestMalformedArtifacts:
         capsys.readouterr()
         assert run("predict", "--model", model, workspace / "corpus" / "C2.wav") == 2
         assert _one_error_line(capsys) == f"eqrep: forest tree {message}"
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: [], "model artifact: expected an object, got an array"),
+        (lambda doc: "x", "model artifact: expected an object, got a string"),
+        (lambda doc: dict(doc, normalization=[]),
+         "model artifact normalization: expected an object, got an array"),
+        (lambda doc: dict(doc, params=[]),
+         "model artifact params: expected an object, got an array"),
+        (lambda doc: dict(doc, normalization=dict(doc["normalization"], mean="a")),
+         "model artifact normalization.mean: expected a (17,) array of numbers, got a string"),
+        (lambda doc: dict(doc, normalization=dict(doc["normalization"], std=[1.0] * 16)),
+         "model artifact normalization.std: expected a (17,) array of numbers, got shape (16,)"),
+        (lambda doc: dict(doc, train_config=[]),
+         "model artifact train_config: expected an object, got an array"),
+        (lambda doc: dict(doc, schema_version=True),
+         "model artifact schema_version: expected an integer, got a boolean"),
+    ], ids=["list", "string", "normalization-list", "params-list", "mean-string",
+            "std-short", "train-config-list", "version-boolean"])
+    def test_predict_model_of_wrong_json_type(self, workspace, linear_artifact, tmp_path,
+                                              capsys, edit, message):
+        model = tmp_path / "m.json"
+        model.write_text(json.dumps(edit(json.loads(linear_artifact.read_text()))))
+        capsys.readouterr()
+        assert run("predict", "--model", model, workspace / "corpus" / "C2.wav") == 2
+        assert _one_error_line(capsys) == f"eqrep: {message}"
+
+    def test_predict_forest_tree_as_a_list(self, workspace, forest_artifact, tmp_path, capsys):
+        doc = json.loads(forest_artifact.read_text())
+        doc["params"]["trees"][1] = []
+        model = tmp_path / "forest.json"
+        model.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run("predict", "--model", model, workspace / "corpus" / "C2.wav") == 2
+        assert _one_error_line(capsys) == \
+            "eqrep: model artifact params.trees[1]: expected an object, got an array"
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: [], "manifest: expected an object, got an array"),
+        (lambda doc: "x", "manifest: expected an object, got a string"),
+        (lambda doc: dict(doc, stft=[]), "manifest stft: expected an object, got an array"),
+        (lambda doc: dict(doc, bands=[1]),
+         "manifest bands[0]: expected an object, got an integer"),
+        (lambda doc: dict(doc, stft=dict(doc["stft"], frame_size="x")),
+         "manifest stft.frame_size: expected an integer, got a string"),
+        (lambda doc: dict(doc, samples=[[]] + doc["samples"][1:]),
+         "manifest samples[0]: expected an object, got an array"),
+        (lambda doc: dict(doc, samples=[dict(doc["samples"][0], gains_db=[0.0] * 4)]),
+         "manifest samples[0].gains_db: expected a (5,) array of numbers, got shape (4,)"),
+        (lambda doc: dict(doc, samples=[dict(doc["samples"][0], features=[[0.0] * 17])]),
+         "manifest samples[0].features: expected a (17,) array of numbers, got an array"),
+    ], ids=["list", "string", "stft-list", "band-number", "frame-size-string",
+            "sample-list", "gains-short", "features-nested"])
+    def test_train_manifest_of_wrong_json_type(self, workspace, tmp_path, capsys,
+                                               edit, message):
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps(edit(json.loads(
+            (workspace / "manifest.json").read_text()))))
+        assert run("train", "--manifest", manifest, "--model", "linear",
+                   "--outfile", tmp_path / "model.json") == 2
+        assert _one_error_line(capsys) == f"eqrep: {message}"
+        assert not (tmp_path / "model.json").exists()
+
+    @pytest.mark.parametrize("key", ["sample_rate", "frame_size", "hop_size"])
+    def test_predict_needs_the_feature_contract(self, workspace, linear_artifact, tmp_path,
+                                                capsys, key):
+        """A model saved without the contract `train` records is refused, not
+        read at an assumed sample rate and STFT."""
+        model = tmp_path / "m.json"
+        if key == "sample_rate":  # an artifact saved with no train_config at all
+            save_model(load_model(linear_artifact)[0], model)
+        else:
+            doc = json.loads(linear_artifact.read_text())
+            del doc["train_config"][key]
+            model.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run("predict", "--model", model, workspace / "corpus" / "C2.wav") == 2
+        assert _one_error_line(capsys) == \
+            f"eqrep: model artifact lacks key {key!r} in train_config"
 
 
 class TestDatasetStep:

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from eqrep.cli import build_parser
+from eqrep.evaluate import CHECKS
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -79,3 +80,10 @@ def test_option_table_matches_the_parser(capsys):
             build_parser().parse_args([command, "--help"])
         accepted = set(re.findall(r"--[a-z-]+", capsys.readouterr().out)) - {"--help"}
         assert documented == accepted, command
+
+
+def test_readme_lists_the_built_in_checks():
+    """The README's list of `reproduce`'s checks is `evaluate.CHECKS`, in order."""
+    readme = (ROOT / "README.md").read_text()
+    listed = re.search(r"`evaluate\.CHECKS`, in this order:\n\n((?:- .*\n)+)", readme).group(1)
+    assert re.findall(r"^- `(.*)`$", listed, re.M) == [name for name, _ in CHECKS]

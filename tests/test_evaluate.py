@@ -170,3 +170,82 @@ def test_multi_band_jobs_give_identical_results():
         assert a.sample_ids == b.sample_ids
         np.testing.assert_array_equal(a.predictions, b.predictions)
         np.testing.assert_array_equal(a.targets, b.targets)
+
+
+# The reproduction's checks, in the order `eqrep reproduce` prints them.
+CHECK_NAMES = [
+    "fine sweep MSE <= 0.5",
+    "coarse sweep MSE >= fine sweep MSE",
+    "interpolation MSE <= coarse sweep MSE",
+    "MLP MSE < linear MSE",
+    "MLP MSE <= 1.0",
+]
+# Overall MSEs that pass every check.
+PASSING = {("single_band_fine", "linear"): 0.1, ("single_band_coarse", "linear"): 0.2,
+           ("interpolation", "linear"): 0.15, ("multi_band", "linear"): 0.02,
+           ("multi_band", "forest"): 3.0, ("multi_band", "mlp"): 0.01}
+
+
+def _results(**changed):
+    """Hand-built results with the PASSING MSEs, or those in `changed`
+    (keyword `fine`, `coarse`, `interpolation`, `linear` or `mlp`)."""
+    names = {"fine": ("single_band_fine", "linear"),
+             "coarse": ("single_band_coarse", "linear"),
+             "interpolation": ("interpolation", "linear"),
+             "linear": ("multi_band", "linear"), "mlp": ("multi_band", "mlp")}
+    mses = {**PASSING, **{names[k]: v for k, v in changed.items()}}
+    return [ev.ExperimentResult(ev.EvalReport(exp, kind, mse, np.full(5, mse), 1, 42),
+                                ["s0"], np.zeros((1, 5)), np.zeros((1, 5)))
+            for (exp, kind), mse in mses.items()]
+
+
+class TestChecks:
+    """The five checks judged on hand-built results, without a run."""
+
+    def test_names_and_order(self):
+        assert [name for name, _ in ev.CHECKS] == CHECK_NAMES
+
+    def test_passing_results_pass_every_check(self):
+        assert ev.failed_checks(_results()) == []
+
+    @pytest.mark.parametrize("changed, failed", [
+        ({"fine": 0.6, "coarse": 0.7, "interpolation": 0.65}, CHECK_NAMES[0]),
+        ({"coarse": 0.05, "interpolation": 0.04}, CHECK_NAMES[1]),
+        ({"interpolation": 0.3}, CHECK_NAMES[2]),
+        ({"linear": 0.01, "mlp": 0.02}, CHECK_NAMES[3]),
+        ({"linear": 2.0, "mlp": 1.5}, CHECK_NAMES[4]),
+    ], ids=["fine", "coarse", "interpolation", "mlp-vs-linear", "mlp-bound"])
+    def test_each_check_fails_alone(self, changed, failed):
+        assert ev.failed_checks(_results(**changed)) == [failed]
+
+    def test_bounds_are_inclusive_where_named(self):
+        assert ev.failed_checks(_results(fine=0.5, coarse=0.5, interpolation=0.5,
+                                         linear=2.0, mlp=1.0)) == []
+        assert ev.failed_checks(_results(linear=0.01, mlp=0.01)) == [CHECK_NAMES[3]]
+
+    def test_nan_fails_its_checks(self):
+        assert ev.failed_checks(_results(mlp=float("nan"))) == CHECK_NAMES[3:]
+
+
+def test_run_reproduction_builds_each_dataset_once(monkeypatch):
+    """The sweep feeds the three sweep experiments and the multi-band set the
+    model comparison; the results come back in print order."""
+    built = []
+
+    def build_dataset(corpus, settings, stft=None, limit=None, seed=None, jobs=None):
+        built.append((len(settings), limit, stft, seed, jobs))
+        return f"set{len(built)}"
+
+    monkeypatch.setattr(ds, "build_dataset", build_dataset)
+    for name in ("single_band_fine", "single_band_coarse", "interpolation"):
+        monkeypatch.setattr(ev, f"experiment_{name}",
+                            lambda sweep, seed, name=name: (name, sweep, seed))
+    monkeypatch.setattr(ev, "experiment_multi_band", lambda multi, seed, jobs: [
+        (kind, multi, seed, jobs) for kind in ("linear", "forest", "mlp")])
+    stft = StftConfig(1024, 256)
+    results = ev.run_reproduction([("C2", None)], stft, limit=700, seed=5, jobs=2)
+    assert built == [(125, None, stft, 5, 2), (16807, 700, stft, 5, 2)]
+    assert results == [("single_band_fine", "set1", 5), ("single_band_coarse", "set1", 5),
+                       ("interpolation", "set1", 5), ("linear", "set2", 5, 2),
+                       ("forest", "set2", 5, 2), ("mlp", "set2", 5, 2)]
+
