@@ -6,7 +6,6 @@ environment variable overrides the default output directory.
 """
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -14,10 +13,10 @@ from pathlib import Path
 
 from . import dataset as ds
 from . import evaluate as ev
+from . import jsondoc
 from .audio import DEFAULT_SAMPLE_RATE, note_corpus, pitch_to_hz, read_wav, write_wav
 from .eq import BAND_NAMES, eq_response, log_frequency_grid, standard_bands
 from .features import FEATURE_NAMES, StftConfig, extract_features
-from .jsondoc import JsonValue
 from .models import (TrainConfig, load_model, predict, save_model,
                      train_forest, train_linear, train_mlp)
 
@@ -66,9 +65,7 @@ def cmd_synth(args):
     for label, buf in corpus:
         write_wav(buf, out / f"{label}.wav")
         index[label] = {"file": f"{label}.wav", "fundamental_hz": pitch_to_hz(label)}
-    with open(out / "corpus_index.json", "w") as fh:
-        json.dump(index, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    jsondoc.write(index, out / "corpus_index.json")
     print(f"wrote {len(corpus)} notes to {out}")
     return 0
 
@@ -144,12 +141,17 @@ def cmd_train(args):
     return 0
 
 
+def _feature_contract(train_config: dict):
+    """(sample rate, StftConfig) of the feature contract `train` records in
+    an artifact; an artifact without it is refused."""
+    contract = jsondoc.JsonValue(train_config, "model artifact", "train_config")
+    return contract["sample_rate"].int(), StftConfig(contract["frame_size"].int(),
+                                                     contract["hop_size"].int())
+
+
 def cmd_predict(args):
     model, train_config, _ = load_model(args.model)
-    # the feature contract `train` records; an artifact without it is refused
-    contract = JsonValue(train_config, "model artifact", "train_config")
-    sample_rate = contract["sample_rate"].int()
-    stft = StftConfig(contract["frame_size"].int(), contract["hop_size"].int())
+    sample_rate, stft = _feature_contract(train_config)
     print("path," + ",".join(BAND_NAMES))
     for path in args.wavs:
         buf = read_wav(path)
@@ -171,8 +173,13 @@ def _save_result(result, out, stem):
 
 def cmd_eval(args):
     out = _out_dir(args)
-    model, _, _ = load_model(args.model)
-    result = ev.evaluate_model(model, ds.load_manifest(args.manifest), args.seed)
+    model, train_config, _ = load_model(args.model)
+    contract = _feature_contract(train_config)
+    manifest = ds.load_manifest(args.manifest)
+    if (manifest.sample_rate, manifest.stft) != contract:
+        raise RuntimeError(f"{args.manifest}: features of {manifest.sample_rate} Hz, "
+                           f"{manifest.stft} != model's {contract[0]} Hz, {contract[1]}")
+    result = ev.evaluate_model(model, manifest, args.seed)
     _save_result(result, out, "eval")
     report = result.report
     print(f"overall MSE {report.overall_mse:.6g} ({report.n_samples} samples)")
@@ -189,10 +196,7 @@ def cmd_reproduce(args):
         _save_result(res, out, f"{rep.experiment_id}_{rep.model_kind}")
         print(f"{rep.experiment_id:>20s}  {rep.model_kind:>6s}  "
               f"MSE {rep.overall_mse:.4f} dB^2  ({rep.n_samples} held out)")
-    with open(out / "summary.json", "w") as fh:
-        json.dump([ev.report_to_dict(r.report) for r in results], fh, indent=2,
-                  sort_keys=True)
-        fh.write("\n")
+    jsondoc.write([ev.report_to_dict(r.report) for r in results], out / "summary.json")
     failed = ev.failed_checks(results)
     for name, _ in ev.CHECKS:
         print(f"[{'FAIL' if name in failed else 'PASS'}] {name}")

@@ -9,10 +9,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import jsondoc
 from .audio import write_wav
 from .eq import BAND_NAMES, EqBandSpec, apply_eq, standard_bands
 from .features import FEATURE_DIM, FEATURE_NAMES, StftConfig, extract_features
-from .jsondoc import JsonValue
 from .pool import fork_map
 
 MANIFEST_SCHEMA_VERSION = 1
@@ -63,12 +63,22 @@ def multi_band_settings(grid) -> np.ndarray:
     return np.array(list(itertools.product(grid, repeat=5)))
 
 
-@dataclass(frozen=True)
-class DatasetSample:
-    sample_id: str
-    base_label: str
-    gains_db: np.ndarray      # the applied EqSetting, 5 dB values
-    features: np.ndarray      # flattened 17-dim FeatureVector
+# One manifest row. Ids and labels are str objects: a fixed-width field drops a trailing NUL.
+SAMPLE_DTYPE = np.dtype([("sample_id", object), ("base_label", object),
+                         ("gains_db", np.float64, (5,)),
+                         ("features", np.float64, (FEATURE_DIM,))])
+
+
+def sample_table(ids, labels, gains, features) -> np.recarray:
+    """The read-only record array of n manifest rows: str ids and labels, the
+    applied EqSetting gains (n, 5) and the flattened FeatureVectors (n, 17)."""
+    table = np.recarray(len(ids), SAMPLE_DTYPE)
+    table.sample_id = ids
+    table.base_label = labels
+    table.gains_db = np.reshape(gains, (len(ids), 5))
+    table.features = np.reshape(features, (len(ids), FEATURE_DIM))
+    table.flags.writeable = False
+    return table
 
 
 @dataclass(frozen=True)
@@ -76,14 +86,14 @@ class DatasetManifest:
     sample_rate: int
     stft: StftConfig
     bands: list
-    samples: list
+    samples: np.recarray  # a `sample_table`; the matrices are its read-only column views
     split_seed: int
 
     def feature_matrix(self) -> np.ndarray:
-        return np.array([s.features for s in self.samples])
+        return self.samples.features
 
     def target_matrix(self) -> np.ndarray:
-        return np.array([s.gains_db for s in self.samples])
+        return self.samples.gains_db
 
 
 def build_dataset(corpus, settings, stft: StftConfig = StftConfig(),
@@ -117,19 +127,17 @@ def build_dataset(corpus, settings, stft: StftConfig = StftConfig(),
         rng = np.random.default_rng(seed)
         pair_indices = np.sort(rng.choice(total, size=limit, replace=False))
 
-    located = [divmod(int(pair), len(settings)) for pair in pair_indices]
-    ids = [f"{labels[note]}-{setting:05d}" for note, setting in located]
+    note, setting = np.divmod(pair_indices, len(settings))
+    ids = [f"{labels[n]}-{s:05d}" for n, s in zip(note.tolist(), setting.tolist())]
 
     def features_of(k):
-        note, setting = located[k]
-        processed = apply_eq(corpus[note][1], settings[setting], bands)
+        processed = apply_eq(corpus[note[k]][1], settings[setting[k]], bands)
         if keep_audio_dir is not None:
             write_wav(processed, f"{keep_audio_dir}/{ids[k]}.wav")
         return extract_features(processed, stft).to_array()
 
-    with fork_map(features_of, range(len(located)), jobs) as rows:
-        samples = [DatasetSample(ids[k], labels[note], settings[setting].copy(), row)
-                   for k, ((note, setting), row) in enumerate(zip(located, rows))]
+    with fork_map(features_of, range(len(ids)), jobs) as rows:
+        samples = sample_table(ids, [labels[n] for n in note], settings[setting], list(rows))
 
     sample_rate = corpus[0][1].sample_rate
     return DatasetManifest(sample_rate, stft, bands, samples, seed)
@@ -175,12 +183,14 @@ def sweep_subset(sweep: DatasetManifest, grid) -> DatasetManifest:
     rows = np.flatnonzero(on_grid(sweep, grid))
     if not np.array_equal(sweep.target_matrix()[rows], np.resize(settings, (len(rows), 5))):
         raise ValueError("sweep must hold every grid setting once per note, in order")
-    samples = [replace(s, sample_id=f"{s.base_label}-{k % len(settings):05d}")
-               for k, s in enumerate(sweep.samples[i] for i in rows)]
-    return replace(sweep, samples=samples)
+    taken = sweep.samples[rows]
+    ids = [f"{label}-{k % len(settings):05d}" for k, label in enumerate(taken.base_label)]
+    return replace(sweep, samples=sample_table(ids, taken.base_label, taken.gains_db,
+                                               taken.features))
 
 
 def manifest_to_dict(manifest: DatasetManifest) -> dict:
+    samples = manifest.samples
     return {
         "schema_version": MANIFEST_SCHEMA_VERSION,
         "sample_rate": manifest.sample_rate,
@@ -191,13 +201,10 @@ def manifest_to_dict(manifest: DatasetManifest) -> dict:
         ],
         "split_seed": manifest.split_seed,
         "samples": [
-            {
-                "sample_id": s.sample_id,
-                "base_label": s.base_label,
-                "gains_db": list(s.gains_db),
-                "features": list(s.features),
-            }
-            for s in manifest.samples
+            {"sample_id": sid, "base_label": label, "gains_db": gains, "features": feats}
+            for sid, label, gains, feats in zip(samples.sample_id, samples.base_label,
+                                                samples.gains_db.tolist(),
+                                                samples.features.tolist())
         ],
     }
 
@@ -205,19 +212,15 @@ def manifest_to_dict(manifest: DatasetManifest) -> dict:
 def manifest_from_dict(doc: dict) -> DatasetManifest:
     """The manifest of a JSON dict. A missing key or a value of the wrong
     JSON type or shape raises ValueError naming its path."""
-    doc = JsonValue(doc, "manifest")
+    doc = jsondoc.JsonValue(doc, "manifest")
     version = doc["schema_version"].int()
     if version != MANIFEST_SCHEMA_VERSION:
         raise ValueError(f"unsupported manifest schema_version {version}")
-    samples = [
-        DatasetSample(
-            sample_id=s["sample_id"].str(),
-            base_label=s["base_label"].str(),
-            gains_db=s["gains_db"].array((5,)),
-            features=s["features"].array((FEATURE_DIM,)),
-        )
-        for s in doc["samples"].elements()
-    ]
+    rows = doc["samples"].elements()
+    samples = sample_table([s["sample_id"].str() for s in rows],
+                           [s["base_label"].str() for s in rows],
+                           [s["gains_db"].array((5,)) for s in rows],
+                           [s["features"].array((FEATURE_DIM,)) for s in rows])
     stft = doc["stft"]
     return DatasetManifest(
         sample_rate=doc["sample_rate"].int(),
@@ -230,9 +233,7 @@ def manifest_from_dict(doc: dict) -> DatasetManifest:
 
 
 def save_manifest(manifest: DatasetManifest, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(manifest_to_dict(manifest), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    jsondoc.write(manifest_to_dict(manifest), path)
 
 
 def load_manifest(path) -> DatasetManifest:
@@ -246,8 +247,7 @@ def export_csv(manifest: DatasetManifest, path) -> None:
     header = ["sample_id", "base_label"] + gain_cols + FEATURE_NAMES
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for s in manifest.samples:
-            row = [s.sample_id, s.base_label]
-            row += [repr(float(g)) for g in s.gains_db]
-            row += [repr(float(v)) for v in s.features]
-            fh.write(",".join(row) + "\n")
+        samples = manifest.samples
+        for sid, label, gains, feats in zip(samples.sample_id, samples.base_label,
+                                            samples.gains_db.tolist(), samples.features.tolist()):
+            fh.write(",".join([sid, label, *map(repr, gains), *map(repr, feats)]) + "\n")

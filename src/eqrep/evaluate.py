@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dataset as ds
+from . import jsondoc
 from .audio import DEFAULT_SAMPLE_RATE, note_corpus
 from .eq import BAND_NAMES
 from .features import StftConfig
@@ -91,9 +92,7 @@ def report_to_dict(report: EvalReport) -> dict:
 
 
 def save_report(report: EvalReport, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(report_to_dict(report), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    jsondoc.write(report_to_dict(report), path)
 
 
 def scatter_export(sample_ids, predictions, targets, path) -> None:
@@ -117,7 +116,7 @@ def _fit_and_report(manifest, split, experiment_id, trainers, seed, config,
     their test-row predictions, while the last fits in this process."""
     train_idx, test_idx = split
     x, y = manifest.feature_matrix(), manifest.target_matrix()
-    ids = [manifest.samples[i].sample_id for i in test_idx]
+    ids = manifest.samples.sample_id[test_idx].tolist()
 
     def fit_predict(k):
         train = trainers[k][1]
@@ -182,7 +181,7 @@ def evaluate_model(model, manifest, seed: int = 42) -> ExperimentResult:
     preds = predict(model, manifest.feature_matrix())
     kind = type(model).__name__.replace("Model", "").lower()
     return ExperimentResult(make_report("eval", kind, preds, targets, seed),
-                            [s.sample_id for s in manifest.samples], preds, targets)
+                            manifest.samples.sample_id.tolist(), preds, targets)
 
 
 # ---------------------------------------------------------- reproduction

@@ -1,5 +1,5 @@
-"""Type-checked reading of the JSON documents eqrep loads: model artifacts
-and dataset manifests.
+"""The JSON files eqrep writes, all in `write`'s layout, and type-checked
+reading of those it loads: model artifacts and dataset manifests.
 
 A `JsonValue` is one value of a parsed document together with the key path
 that leads to it (`params.trees[3].value`). Each accessor checks the value's
@@ -9,13 +9,22 @@ one message instead of an AttributeError or TypeError inside a loader.
 JSON's `true` and `false` are not numbers here.
 """
 
+import json
+
 import numpy as np
 
-# The dicts that `model_to_dict` and `manifest_to_dict` build hold numpy
-# float64 values where a parsed file holds Python floats; both are numbers.
+# The dicts that `model_to_dict` builds hold numpy float64 values where a
+# parsed file holds Python floats; both are numbers.
 _NUMBERS = {int, float, np.float64}
 _TYPE_NAMES = {dict: "an object", list: "an array", str: "a string", int: "an integer",
                float: "a number", bool: "a boolean", type(None): "null"}
+
+
+def write(doc, path) -> None:
+    """`doc` as a JSON file: keys sorted, an indent of 2, a final newline."""
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 class JsonValue:

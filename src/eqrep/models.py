@@ -8,6 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import jsondoc
 from .features import FEATURE_DIM
 from .jsondoc import JsonValue
 from .rng import SplitMix64, splitmix64
@@ -525,8 +526,22 @@ def _norm_to_dict(norm: Normalization) -> dict:
     return {"mean": list(norm.mean), "std": list(norm.std)}
 
 
+def _finite(doc: JsonValue, shape: tuple) -> np.ndarray:
+    """A float array of a model: a NaN or infinity in it would reach the
+    predictions, so it is refused."""
+    arr = doc.array(shape)
+    bad = arr[~np.isfinite(arr)]
+    if bad.size:
+        raise ValueError(f"{doc.what} {doc.path}: expected finite numbers, got {float(bad[0])}")
+    return arr
+
+
 def _norm_from_doc(doc: JsonValue) -> Normalization:
-    return Normalization(doc["mean"].array((FEATURE_DIM,)), doc["std"].array((FEATURE_DIM,)))
+    norm = Normalization(_finite(doc["mean"], (FEATURE_DIM,)), _finite(doc["std"], (FEATURE_DIM,)))
+    if np.any(norm.std <= 0):
+        raise ValueError(f"{doc.what} {doc.path}.std: expected positive numbers, "
+                         f"got {float(norm.std[norm.std <= 0][0])}")
+    return norm
 
 
 def model_to_dict(model, train_config: dict | None = None,
@@ -572,14 +587,14 @@ def _tree_from_doc(doc: JsonValue) -> dict:
     leaf and otherwise after the node and within the tree, (nodes, 5) values."""
     tree = {
         "feature": doc["feature"].array((None,), int),
-        "threshold": doc["threshold"].array((None,)),
+        "threshold": _finite(doc["threshold"], (None,)),
         "left": doc["left"].array((None,), int),
         "right": doc["right"].array((None,), int),
     }
     nodes = len(tree["feature"])
     if nodes == 0 or any(a.shape != (nodes,) for a in tree.values()):
         raise ValueError("forest tree node arrays are empty or differ in length")
-    tree["value"] = doc["value"].array((None, None))
+    tree["value"] = _finite(doc["value"], (None, None))
     if tree["value"].shape != (nodes, OUTPUT_DIM):
         raise ValueError(f"forest tree values have shape {tree['value'].shape}, "
                          f"expected {(nodes, OUTPUT_DIM)}")
@@ -595,8 +610,9 @@ def _tree_from_doc(doc: JsonValue) -> dict:
 
 
 def model_from_dict(doc: dict):
-    """The model of an artifact dict. A missing key, a value of the wrong
-    JSON type or shape, or malformed forest trees raise ValueError."""
+    """(model, train_config, metrics) of an artifact dict. A missing key, a
+    value of the wrong JSON type or shape, a NaN or infinite number, a
+    nonpositive normalization std, or malformed forest trees raise ValueError."""
     doc = JsonValue(doc, "model artifact")
     version = doc["schema_version"].int()
     if version != MODEL_SCHEMA_VERSION:
@@ -605,30 +621,27 @@ def model_from_dict(doc: dict):
     norm = _norm_from_doc(doc["normalization"])
     params = doc["params"]
     if kind == "linear":
-        return LinearModel(params["weights"].array((OUTPUT_DIM, FEATURE_DIM)),
-                           params["bias"].array((OUTPUT_DIM,)), norm)
-    if kind == "mlp":
+        model = LinearModel(_finite(params["weights"], (OUTPUT_DIM, FEATURE_DIM)),
+                            _finite(params["bias"], (OUTPUT_DIM,)), norm)
+    elif kind == "mlp":
         hidden = params["hidden_dim"].int()
         shapes = {"W1": (FEATURE_DIM, hidden), "b1": (hidden,),
                   "W2": (hidden, hidden), "b2": (hidden,),
                   "W3": (hidden, OUTPUT_DIM), "b3": (OUTPUT_DIM,)}
-        return MlpModel({k: params[k].array(shape) for k, shape in shapes.items()}, norm)
-    if kind == "forest":
-        return ForestModel([_tree_from_doc(t) for t in params["trees"].elements()], norm)
-    raise ValueError(f"unknown model kind {kind!r}")
+        model = MlpModel({k: _finite(params[k], shape) for k, shape in shapes.items()}, norm)
+    elif kind == "forest":
+        model = ForestModel([_tree_from_doc(t) for t in params["trees"].elements()], norm)
+    else:
+        raise ValueError(f"unknown model kind {kind!r}")
+    return model, doc.get("train_config", {}).obj(), doc.get("metrics", {}).obj()
 
 
 def save_model(model, path, train_config: dict | None = None,
                metrics: dict | None = None) -> None:
-    with open(path, "w") as fh:
-        json.dump(model_to_dict(model, train_config, metrics), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    jsondoc.write(model_to_dict(model, train_config, metrics), path)
 
 
 def load_model(path):
     """(model, train_config, metrics) of an artifact file."""
     with open(path) as fh:
-        doc = json.load(fh)
-    model = model_from_dict(doc)
-    doc = JsonValue(doc, "model artifact")
-    return model, doc.get("train_config", {}).obj(), doc.get("metrics", {}).obj()
+        return model_from_dict(json.load(fh))

@@ -237,8 +237,15 @@ class TestMalformedArtifacts:
          "model artifact train_config: expected an object, got an array"),
         (lambda doc: dict(doc, schema_version=True),
          "model artifact schema_version: expected an integer, got a boolean"),
+        # numbers that would print inf or nan gains with exit 0
+        (lambda doc: dict(doc, normalization=dict(doc["normalization"],
+                                                  std=[0.0] + doc["normalization"]["std"][1:])),
+         "model artifact normalization.std: expected positive numbers, got 0.0"),
+        (lambda doc: dict(doc, params=dict(doc["params"],
+                                           bias=[float("nan")] + doc["params"]["bias"][1:])),
+         "model artifact params.bias: expected finite numbers, got nan"),
     ], ids=["list", "string", "normalization-list", "params-list", "mean-string",
-            "std-short", "train-config-list", "version-boolean"])
+            "std-short", "train-config-list", "version-boolean", "std-zero", "bias-nan"])
     def test_predict_model_of_wrong_json_type(self, workspace, linear_artifact, tmp_path,
                                               capsys, edit, message):
         model = tmp_path / "m.json"
@@ -299,6 +306,34 @@ class TestMalformedArtifacts:
         assert run("predict", "--model", model, workspace / "corpus" / "C2.wav") == 2
         assert _one_error_line(capsys) == \
             f"eqrep: model artifact lacks key {key!r} in train_config"
+
+    def test_eval_needs_the_feature_contract(self, workspace, linear_artifact, tmp_path,
+                                             capsys):
+        model = tmp_path / "m.json"
+        save_model(load_model(linear_artifact)[0], model)  # no train_config
+        capsys.readouterr()
+        assert run("eval", "--model", model, "--manifest", workspace / "manifest.json",
+                   "--out", tmp_path) == 2
+        assert _one_error_line(capsys) == \
+            "eqrep: model artifact lacks key 'sample_rate' in train_config"
+        assert not (tmp_path / "eval_report.json").exists()
+
+    @pytest.mark.parametrize("key, value", [("sample_rate", 22050), ("hop_size", 256)])
+    def test_eval_refuses_a_manifest_of_other_features(self, workspace, linear_artifact,
+                                                       tmp_path, capsys, key, value):
+        doc = json.loads((workspace / "manifest.json").read_text())
+        (doc["stft"] if key == "hop_size" else doc)[key] = value
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run("eval", "--model", linear_artifact, "--manifest", manifest,
+                   "--out", tmp_path) == 2
+        stft = StftConfig(2048, value if key == "hop_size" else 512)
+        rate = value if key == "sample_rate" else 44100
+        assert _one_error_line(capsys) == (
+            f"eqrep: {manifest}: features of {rate} Hz, {stft} != model's 44100 Hz, "
+            f"{StftConfig(2048, 512)}")
+        assert not (tmp_path / "eval_report.json").exists()
 
 
 class TestDatasetStep:

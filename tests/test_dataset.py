@@ -114,10 +114,8 @@ class TestBuildDataset:
 
 class TestSplit:
     def _manifest(self, n):
-        samples = [
-            ds.DatasetSample(f"s{i}", "x", np.zeros(5), np.zeros(FEATURE_DIM))
-            for i in range(n)
-        ]
+        samples = ds.sample_table([f"s{i}" for i in range(n)], ["x"] * n,
+                                  np.zeros((n, 5)), np.zeros((n, FEATURE_DIM)))
         return ds.DatasetManifest(SR, STFT, [], samples, 0)
 
     def test_sizes(self):
@@ -142,10 +140,9 @@ class TestSplit:
 class TestInterpolationSplit:
     def _sweep_manifest(self):
         settings = ds.single_band_settings(ds.FINE_GRID)
-        samples = [
-            ds.DatasetSample(f"s{i}", "x", settings[i], np.zeros(FEATURE_DIM))
-            for i in range(len(settings))
-        ]
+        n = len(settings)
+        samples = ds.sample_table([f"s{i}" for i in range(n)], ["x"] * n, settings,
+                                  np.zeros((n, FEATURE_DIM)))
         return ds.DatasetManifest(SR, STFT, [], samples, 0)
 
     def test_35_train_90_validation(self):
@@ -185,6 +182,65 @@ class TestSweepSubset:
         sweep = ds.build_dataset(tiny_corpus, settings, stft=STFT, limit=60, seed=1)
         with pytest.raises(ValueError, match="every grid setting"):
             ds.sweep_subset(sweep, ds.COARSE_GRID)
+
+
+class TestSampleTable:
+    """The rows and columns of `samples` that the CLI and the benchmark read,
+    on a built, a loaded and a `sweep_subset` manifest."""
+
+    @pytest.fixture(scope="class")
+    def manifests(self, tiny_corpus, tmp_path_factory):
+        built = ds.build_dataset(tiny_corpus, ds.single_band_settings(ds.FINE_GRID), stft=STFT)
+        path = tmp_path_factory.mktemp("table") / "m.json"
+        ds.save_manifest(built, path)
+        return {"built": built, "loaded": ds.load_manifest(path),
+                "subset": ds.sweep_subset(built, ds.COARSE_GRID)}
+
+    @pytest.mark.parametrize("kind", ["built", "loaded", "subset"])
+    def test_rows_and_columns(self, manifests, kind):
+        manifest = manifests[kind]
+        grid = ds.COARSE_GRID if kind == "subset" else ds.FINE_GRID
+        settings = ds.single_band_settings(grid)
+        n = len(settings)
+        assert len(manifest.samples) == n
+        assert manifest.feature_matrix().shape == (n, FEATURE_DIM)
+        built = manifests["built"]
+        source = np.flatnonzero(ds.on_grid(built, grid))  # every row for the fine grid
+        for i in (0, 7, n - 1):
+            row = manifest.samples[i]
+            assert type(row.sample_id) is str and row.sample_id == f"C3-{i:05d}"
+            # the label is a str, usable as a dict key
+            assert type(row.base_label) is str and {"C3": i}[row.base_label] == i
+            np.testing.assert_array_equal(row.gains_db, settings[i])
+            np.testing.assert_array_equal(row.features, manifest.feature_matrix()[i])
+            np.testing.assert_array_equal(row.features, built.samples[source[i]].features)
+
+    def test_matrices_are_read_only_views(self, manifests):
+        manifest = manifests["built"]
+        for column in (manifest.feature_matrix(), manifest.target_matrix(),
+                       manifest.samples.sample_id, manifest.samples[0].features):
+            assert not column.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 0
+        assert np.shares_memory(manifest.feature_matrix(), manifest.samples)
+
+    def test_empty_manifest_loads_and_saves(self, manifests, tmp_path):
+        doc = dict(ds.manifest_to_dict(manifests["built"]), samples=[])
+        empty = ds.manifest_from_dict(json.loads(json.dumps(doc)))
+        assert len(empty.samples) == 0
+        assert empty.feature_matrix().shape == (0, FEATURE_DIM)
+        assert empty.target_matrix().shape == (0, 5)
+        ds.save_manifest(empty, tmp_path / "empty.json")
+        assert json.loads((tmp_path / "empty.json").read_text()) == doc
+
+    def test_id_with_trailing_nul_round_trips(self, manifests, tmp_path):
+        doc = ds.manifest_to_dict(manifests["built"])
+        doc["samples"][0]["sample_id"] = "C3-00000\x00"
+        path = tmp_path / "m.json"
+        ds.save_manifest(ds.manifest_from_dict(doc), path)
+        back = ds.load_manifest(path)
+        assert back.samples[0].sample_id == "C3-00000\x00"
+        assert ds.manifest_to_dict(back) == doc
 
 
 class TestManifestPersistence:

@@ -146,8 +146,8 @@ class TestExperimentShapes:
         np.testing.assert_array_equal(a.predictions, b.predictions)
 
     def test_multi_band_limit_guard(self):
-        samples = [ds.DatasetSample(f"s{i}", "x", np.zeros(5), np.zeros(FEATURE_DIM))
-                   for i in range(100)]
+        samples = ds.sample_table([f"s{i}" for i in range(100)], ["x"] * 100,
+                                  np.zeros((100, 5)), np.zeros((100, FEATURE_DIM)))
         manifest = ds.DatasetManifest(44100, StftConfig(), [], samples, 0)
         with pytest.raises(ValueError):
             ev.experiment_multi_band(manifest, seed=0)
@@ -159,7 +159,7 @@ def test_multi_band_jobs_give_identical_results():
     gains = rng.choice(ds.COARSE_GRID, size=(600, 5))
     mixing = rng.standard_normal((5, FEATURE_DIM))
     feats = gains @ mixing + 0.1 * rng.standard_normal((600, FEATURE_DIM))
-    samples = [ds.DatasetSample(f"s{i}", "x", g, f) for i, (g, f) in enumerate(zip(gains, feats))]
+    samples = ds.sample_table([f"s{i}" for i in range(600)], ["x"] * 600, gains, feats)
     manifest = ds.DatasetManifest(44100, StftConfig(), [], samples, 0)
     cfg = TrainConfig(epochs=5, seed=1)
     serial = ev.experiment_multi_band(manifest, 1, cfg, tree_count=3, jobs=1)

@@ -81,7 +81,7 @@ def _valid_documents():
     contract = {"sample_rate": 44100, "frame_size": 2048, "hop_size": 512}
     models = [train_linear(x, y), train_mlp(x, y, TrainConfig(epochs=2, hidden_dim=3)),
               train_forest(x[:12], y[:12], tree_count=2, seed=0)]
-    samples = [ds.DatasetSample(f"C2-{i:05d}", "C2", y[i], x[i]) for i in range(3)]
+    samples = ds.sample_table([f"C2-{i:05d}" for i in range(3)], ["C2"] * 3, y[:3], x[:3])
     manifest = ds.DatasetManifest(44100, StftConfig(), ds.standard_bands(), samples, 42)
     return {
         **{kind: _parsed(model_to_dict(m, contract, {"test_mse": 0.1}))
