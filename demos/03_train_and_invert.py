@@ -18,7 +18,7 @@ settings = single_band_settings(FINE_GRID)
 print(f"corpus: {corpus[0][0]}; {len(settings)} single-band settings")
 
 manifest = build_dataset(corpus, settings)
-train_idx, test_idx = split(manifest, 0.8, seed=42)
+train_idx, test_idx = split(manifest, seed=42)
 model = train_linear(manifest.feature_matrix()[train_idx],
                      manifest.target_matrix()[train_idx])
 

@@ -122,12 +122,12 @@ def synthesize_note(spec: NoteSpec, sample_rate: int = DEFAULT_SAMPLE_RATE) -> A
     n = int(round(spec.duration_s * sample_rate))
     t = np.arange(n) / sample_rate
     out = np.zeros(n)
-    envelope = np.exp(-DECAY_RATE * t)
+    partial = np.empty(n)  # each partial in turn, then the envelope
     for k in range(1, spec.partial_count + 1):
-        out += (1.0 / k) * np.sin(2.0 * np.pi * k * spec.fundamental_hz * t)
-    out *= envelope
-    peak = np.max(np.abs(out))
-    out *= 0.9 / peak
+        np.sin(np.multiply(2.0 * np.pi * k * spec.fundamental_hz, t, out=partial), out=partial)
+        out += np.multiply(partial, 1.0 / k, out=partial)
+    out *= np.exp(np.multiply(-DECAY_RATE, t, out=partial), out=partial)
+    out *= 0.9 / np.max(np.abs(out))
     return AudioBuffer(out, sample_rate)
 
 

@@ -15,7 +15,7 @@ from . import dataset as ds
 from . import evaluate as ev
 from . import jsondoc
 from .audio import DEFAULT_SAMPLE_RATE, note_corpus, pitch_to_hz, read_wav, write_wav
-from .eq import BAND_NAMES, eq_response, log_frequency_grid, standard_bands
+from .eq import BAND_NAMES, eq_response, log_frequency_grid
 from .features import FEATURE_NAMES, StftConfig, extract_features
 from .models import (TrainConfig, load_model, predict, save_model,
                      train_forest, train_linear, train_mlp)
@@ -111,7 +111,7 @@ def cmd_extract(args):
 
 def cmd_train(args):
     manifest = ds.load_manifest(args.manifest)
-    train_idx, test_idx = ds.split(manifest, 0.8, args.seed)
+    train_idx, test_idx = ds.split(manifest, args.seed)
     x = manifest.feature_matrix()
     y = manifest.target_matrix()
     cfg = TrainConfig(learning_rate=args.learning_rate, epochs=args.epochs,
@@ -211,7 +211,7 @@ def cmd_response(args):
     except ValueError:
         raise RuntimeError(f"bad gain syntax: {args.gains!r}") from None
     freqs = log_frequency_grid(args.start, args.stop, args.points)
-    response = eq_response(gains, standard_bands(), freqs, args.sample_rate)
+    response = eq_response(gains, freqs, args.sample_rate)
     lines = ["frequency_hz,gain_db"]
     lines += [f"{float(f)!r},{float(g)!r}" for f, g in zip(freqs, response)]
     text = "\n".join(lines) + "\n"

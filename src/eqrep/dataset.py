@@ -3,21 +3,22 @@ Cartesian combinations, EQ application + feature extraction, and a JSON
 manifest with optional CSV export.
 """
 
-import itertools
 import json
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from . import jsondoc
 from .audio import write_wav
-from .eq import BAND_NAMES, EqBandSpec, apply_eq, standard_bands
+from .eq import BAND_NAMES, BANDS, apply_eq
 from .features import FEATURE_DIM, FEATURE_NAMES, StftConfig, extract_features
 from .pool import fork_map
 
 MANIFEST_SCHEMA_VERSION = 1
 
 GRID_LIMIT_DB = 12.0
+
+TRAIN_FRACTION = 0.8  # the paper's 80/20 held-out split
 
 
 def gain_grid(step_db: float) -> np.ndarray:
@@ -60,7 +61,7 @@ def single_band_settings(grid) -> np.ndarray:
 def multi_band_settings(grid) -> np.ndarray:
     """Full Cartesian product grid^5, lexicographic (band 0 slowest)."""
     grid = validate_grid(grid)
-    return np.array(list(itertools.product(grid, repeat=5)))
+    return grid[np.indices((grid.size,) * 5).reshape(5, -1).T]
 
 
 # One manifest row. Ids and labels are str objects: a fixed-width field drops a trailing NUL.
@@ -85,7 +86,6 @@ def sample_table(ids, labels, gains, features) -> np.recarray:
 class DatasetManifest:
     sample_rate: int
     stft: StftConfig
-    bands: list
     samples: np.recarray  # a `sample_table`; the matrices are its read-only column views
     split_seed: int
 
@@ -99,7 +99,7 @@ class DatasetManifest:
 def build_dataset(corpus, settings, stft: StftConfig = StftConfig(),
                   limit=None, seed: int = 42, jobs: int = 1,
                   keep_audio_dir=None) -> DatasetManifest:
-    """EQ every (note, setting) pair with the standard bands, extract features,
+    """EQ every (note, setting) pair with the five bands, extract features,
     assemble a manifest. Sample ids are `{label}-{setting index:05d}`, so the
     corpus labels must be distinct.
 
@@ -107,7 +107,6 @@ def build_dataset(corpus, settings, stft: StftConfig = StftConfig(),
     manifest keeps settings order either way, so output is deterministic.
     With `jobs` > 1 the pairs are processed on that many fork-started worker
     processes (`pool.fork_map`); the manifest is the same for any `jobs`."""
-    bands = standard_bands()
     corpus = list(corpus)
     settings = np.asarray(settings, dtype=np.float64)
     if not corpus:
@@ -131,7 +130,7 @@ def build_dataset(corpus, settings, stft: StftConfig = StftConfig(),
     ids = [f"{labels[n]}-{s:05d}" for n, s in zip(note.tolist(), setting.tolist())]
 
     def features_of(k):
-        processed = apply_eq(corpus[note[k]][1], settings[setting[k]], bands)
+        processed = apply_eq(corpus[note[k]][1], settings[setting[k]])
         if keep_audio_dir is not None:
             write_wav(processed, f"{keep_audio_dir}/{ids[k]}.wav")
         return extract_features(processed, stft).to_array()
@@ -140,16 +139,14 @@ def build_dataset(corpus, settings, stft: StftConfig = StftConfig(),
         samples = sample_table(ids, [labels[n] for n in note], settings[setting], list(rows))
 
     sample_rate = corpus[0][1].sample_rate
-    return DatasetManifest(sample_rate, stft, bands, samples, seed)
+    return DatasetManifest(sample_rate, stft, samples, seed)
 
 
-def split(manifest: DatasetManifest, train_fraction: float, seed: int):
-    """Seeded shuffle; first floor(n * fraction) train, remainder test."""
-    if not 0 < train_fraction < 1:
-        raise ValueError("train_fraction must be in (0, 1)")
+def split(manifest: DatasetManifest, seed: int):
+    """Seeded shuffle; first floor(n * TRAIN_FRACTION) train, remainder test."""
     n = len(manifest.samples)
     order = np.random.default_rng(seed).permutation(n)
-    cut = int(n * train_fraction)
+    cut = int(n * TRAIN_FRACTION)
     train, test = order[:cut], order[cut:]
     if len(train) == 0 or len(test) == 0:
         raise ValueError("split produced an empty side")
@@ -189,16 +186,26 @@ def sweep_subset(sweep: DatasetManifest, grid) -> DatasetManifest:
                                                taken.features))
 
 
+def _check_bands(bands: jsondoc.JsonValue) -> None:
+    """Type-check a manifest's band list, then refuse one other than BANDS:
+    features made with other bands cannot be labelled with BAND_NAMES."""
+    rows = bands.elements()
+    got = [{"center_hz": b["center_hz"].number(), "filter_kind": b["filter_kind"].str(),
+            "q": b["q"].number()} for b in rows]
+    if len(got) != len(BANDS):
+        raise ValueError(f"{bands.what} {bands.path}: expected {len(BANDS)} bands, got {len(got)}")
+    for row, band, spec in zip(rows, got, BANDS):
+        if band != asdict(spec):
+            raise ValueError(f"{row.what} {row.path}: expected {asdict(spec)}, got {band}")
+
+
 def manifest_to_dict(manifest: DatasetManifest) -> dict:
     samples = manifest.samples
     return {
         "schema_version": MANIFEST_SCHEMA_VERSION,
         "sample_rate": manifest.sample_rate,
         "stft": {"frame_size": manifest.stft.frame_size, "hop_size": manifest.stft.hop_size},
-        "bands": [
-            {"center_hz": b.center_hz, "filter_kind": b.filter_kind, "q": b.q}
-            for b in manifest.bands
-        ],
+        "bands": [asdict(spec) for spec in BANDS],
         "split_seed": manifest.split_seed,
         "samples": [
             {"sample_id": sid, "base_label": label, "gains_db": gains, "features": feats}
@@ -210,8 +217,8 @@ def manifest_to_dict(manifest: DatasetManifest) -> dict:
 
 
 def manifest_from_dict(doc: dict) -> DatasetManifest:
-    """The manifest of a JSON dict. A missing key or a value of the wrong
-    JSON type or shape raises ValueError naming its path."""
+    """The manifest of a JSON dict. A missing key, a value of the wrong JSON
+    type or shape, or bands other than BANDS raise ValueError naming the path."""
     doc = jsondoc.JsonValue(doc, "manifest")
     version = doc["schema_version"].int()
     if version != MANIFEST_SCHEMA_VERSION:
@@ -221,15 +228,11 @@ def manifest_from_dict(doc: dict) -> DatasetManifest:
                            [s["base_label"].str() for s in rows],
                            [s["gains_db"].array((5,)) for s in rows],
                            [s["features"].array((FEATURE_DIM,)) for s in rows])
+    _check_bands(doc["bands"])
     stft = doc["stft"]
-    return DatasetManifest(
-        sample_rate=doc["sample_rate"].int(),
-        stft=StftConfig(stft["frame_size"].int(), stft["hop_size"].int()),
-        bands=[EqBandSpec(b["center_hz"].number(), b["filter_kind"].str(), b["q"].number())
-               for b in doc["bands"].elements()],
-        samples=samples,
-        split_seed=doc["split_seed"].int(),
-    )
+    return DatasetManifest(doc["sample_rate"].int(),
+                           StftConfig(stft["frame_size"].int(), stft["hop_size"].int()),
+                           samples, doc["split_seed"].int())
 
 
 def save_manifest(manifest: DatasetManifest, path) -> None:

@@ -37,15 +37,14 @@ class EqBandSpec:
             raise ValueError(f"unknown filter kind {self.filter_kind!r}")
 
 
-def standard_bands():
-    """The five piano EQ bands: 80 low-shelf, 240/2500/4000 bell, 10k high-shelf."""
-    return [
-        EqBandSpec(80.0, LOW_SHELF, 0.707),
-        EqBandSpec(240.0, BELL, 1.0),
-        EqBandSpec(2500.0, BELL, 1.0),
-        EqBandSpec(4000.0, BELL, 1.0),
-        EqBandSpec(10000.0, HIGH_SHELF, 0.707),
-    ]
+# The five piano EQ bands, in BAND_NAMES order.
+BANDS = (
+    EqBandSpec(80.0, LOW_SHELF, 0.707),
+    EqBandSpec(240.0, BELL, 1.0),
+    EqBandSpec(2500.0, BELL, 1.0),
+    EqBandSpec(4000.0, BELL, 1.0),
+    EqBandSpec(10000.0, HIGH_SHELF, 0.707),
+)
 
 
 def validate_setting(gains_db) -> np.ndarray:
@@ -98,26 +97,23 @@ def design_biquad(spec: EqBandSpec, gain_db: float, sample_rate: int) -> np.ndar
     return np.array([b0 / a0, b1 / a0, b2 / a0, 1.0, a1 / a0, a2 / a0])
 
 
-def eq_sos(gains_db, bands, sample_rate: int) -> np.ndarray:
-    """The cascade as a (bands, 6) SOS matrix, one row per band in band order."""
+def eq_sos(gains_db, sample_rate: int) -> np.ndarray:
+    """The cascade as a (5, 6) SOS matrix, one row per band of BANDS."""
     gains = validate_setting(gains_db)
-    if len(bands) != len(gains):
-        raise ValueError("band count and gain count differ")
     return np.array([design_biquad(spec, float(gain), sample_rate)
-                     for spec, gain in zip(bands, gains)])
+                     for spec, gain in zip(BANDS, gains)])
 
 
-def apply_eq(buffer: AudioBuffer, gains_db, bands=None) -> AudioBuffer:
+def apply_eq(buffer: AudioBuffer, gains_db) -> AudioBuffer:
     """Serial cascade of the five band filters in band order, run as one
     SOS filter in a single pass with zero initial state."""
-    bands = standard_bands() if bands is None else bands
-    sos = eq_sos(gains_db, bands, buffer.sample_rate)
+    sos = eq_sos(gains_db, buffer.sample_rate)
     return AudioBuffer(sosfilt(sos, buffer.samples), buffer.sample_rate)
 
 
-def eq_response(gains_db, bands, freqs_hz, sample_rate: int) -> np.ndarray:
+def eq_response(gains_db, freqs_hz, sample_rate: int) -> np.ndarray:
     """Combined cascade magnitude response 20*log10|H(e^jw)| in dB."""
-    sos = eq_sos(gains_db, bands, sample_rate)
+    sos = eq_sos(gains_db, sample_rate)
     freqs = np.asarray(freqs_hz, dtype=np.float64)
     if np.any(freqs >= sample_rate / 2) or np.any(freqs < 0):
         raise ValueError("frequencies must lie in [0, Nyquist)")

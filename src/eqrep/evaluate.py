@@ -132,8 +132,8 @@ def _fit_and_report(manifest, split, experiment_id, trainers, seed, config,
 
 
 def _sweep_experiment(sweep, grid, experiment_id, seed) -> ExperimentResult:
-    config = {"grid": list(np.asarray(grid, dtype=float)), "train_fraction": 0.8}
-    split = ds.split(sweep, 0.8, seed)
+    config = {"grid": list(np.asarray(grid, dtype=float)), "train_fraction": ds.TRAIN_FRACTION}
+    split = ds.split(sweep, seed)
     return _fit_and_report(sweep, split, experiment_id, _LINEAR, seed, config)[0]
 
 
@@ -171,7 +171,7 @@ def experiment_multi_band(manifest, seed: int = 42,
         ("forest", lambda x, y: train_forest(x, y, tree_count=tree_count, seed=seed)),
         ("mlp", lambda x, y: train_mlp(x, y, cfg)),
     )
-    split = ds.split(manifest, 0.8, seed)
+    split = ds.split(manifest, seed)
     return _fit_and_report(manifest, split, "multi_band", trainers, seed, config, jobs)
 
 

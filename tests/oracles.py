@@ -1,6 +1,7 @@
-"""Independent brute-force oracles for the EQ, feature and model code.
+"""Independent brute-force oracles for the synthesis, EQ, feature and model code.
 
-Everything here deliberately avoids the fast paths under test: the EQ is a
+Everything here deliberately avoids the fast paths under test: a note is
+summed one freshly allocated partial at a time, the EQ is a
 sample-by-sample difference-equation loop and its response is H(z) evaluated
 term by term, the DFT is the O(n^2) definition, the DCT is the direct cosine
 sum, the per-frame stats are plain Python loops over the definitions, and
@@ -18,8 +19,22 @@ import math
 
 import numpy as np
 
+from eqrep.audio import DECAY_RATE
 from eqrep.models import (SPLIT_CANDIDATES, fit_normalization, init_mlp_params,
                           mlp_forward, mlp_loss_and_grads)
+
+
+def note_samples(spec, sample_rate):
+    """The samples `synthesize_note` renders, one new array per partial:
+    sum_k (1/k) sin(2*pi*k*f0*t), times exp(-DECAY_RATE*t), scaled to a 0.9 peak."""
+    t = np.arange(int(round(spec.duration_s * sample_rate))) / sample_rate
+    out = np.zeros(len(t))
+    envelope = np.exp(-DECAY_RATE * t)
+    for k in range(1, spec.partial_count + 1):
+        out += (1.0 / k) * np.sin(2.0 * np.pi * k * spec.fundamental_hz * t)
+    out *= envelope
+    out *= 0.9 / np.max(np.abs(out))
+    return out
 
 
 def biquad_cascade(samples, sections):

@@ -17,8 +17,7 @@ from eqrep.audio import AudioBuffer, read_wav, write_wav
 from eqrep.cli import main as cli_main
 from eqrep.dataset import (COARSE_GRID, FINE_GRID, build_dataset, load_manifest,
                            multi_band_settings, save_manifest, single_band_settings)
-from eqrep.eq import (BELL, EqBandSpec, apply_eq, design_biquad, eq_response,
-                      standard_bands)
+from eqrep.eq import BELL, EqBandSpec, apply_eq, design_biquad, eq_response
 from eqrep.features import StftConfig, extract_features
 from eqrep.models import (TrainConfig, load_model, predict, save_model,
                           train_forest, train_linear, train_mlp)
@@ -67,7 +66,7 @@ def test_criterion_1_filter_correctness():
     ir = apply_eq(AudioBuffer(np.eye(1, n)[0], SR), gains)
     mags = 20 * np.log10(np.abs(np.fft.rfft(ir.samples)))
     freqs = np.fft.rfftfreq(n, 1 / SR)
-    analytic = eq_response(gains, standard_bands(), freqs[1:-1], SR)
+    analytic = eq_response(gains, freqs[1:-1], SR)
     assert np.max(np.abs(mags[1:-1] - analytic)) <= 0.01
 
     elapsed = time.time() - start

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.io import wavfile
 
+import oracles
 from eqrep.audio import (AudioBuffer, NoteSpec, max_alias_free_partials,
                          note_corpus, pitch_to_hz, pitch_to_midi, read_wav,
                          synthesize_note, write_wav, DEFAULT_PITCHES)
@@ -105,6 +106,16 @@ class TestSynthesizeNote:
         for partials in (1, 5, 20):
             buf = synthesize_note(NoteSpec("X", 220.0, 0.2, partials), SR)
             assert abs(np.max(np.abs(buf.samples)) - 0.9) < 1e-6
+
+    @pytest.mark.parametrize("spec, sample_rate", [
+        (NoteSpec("C2", pitch_to_hz("C2"), 0.5, 300), SR),
+        (NoteSpec("G4", pitch_to_hz("G4"), 0.37, 20), 22050),
+        (NoteSpec("G7", pitch_to_hz("G7"), 0.2, 3), SR),
+    ], ids=["C2-300", "G4-22k", "G7-3"])
+    def test_matches_per_partial_oracle(self, spec, sample_rate):
+        # the same arithmetic in the same order, so the bytes agree
+        np.testing.assert_array_equal(synthesize_note(spec, sample_rate).samples,
+                                      oracles.note_samples(spec, sample_rate))
 
 
 class TestPitchParsing:

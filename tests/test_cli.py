@@ -190,6 +190,17 @@ def forest_artifact(workspace):
     return path
 
 
+def _other_bands(doc):
+    """A copy of manifest `doc` whose band 2 has q 2.0, not the 1.0 of eq.BANDS."""
+    bands = [dict(band) for band in doc["bands"]]
+    bands[2]["q"] = 2.0
+    return dict(doc, bands=bands)
+
+
+OTHER_BANDS_ERROR = ("manifest bands[2]: expected {'center_hz': 2500.0, 'filter_kind': 'bell', "
+                     "'q': 1.0}, got {'center_hz': 2500.0, 'filter_kind': 'bell', 'q': 2.0}")
+
+
 class TestMalformedArtifacts:
     """A malformed model or manifest ends with exit 2 and one stderr line."""
 
@@ -278,8 +289,9 @@ class TestMalformedArtifacts:
          "manifest samples[0].gains_db: expected a (5,) array of numbers, got shape (4,)"),
         (lambda doc: dict(doc, samples=[dict(doc["samples"][0], features=[[0.0] * 17])]),
          "manifest samples[0].features: expected a (17,) array of numbers, got an array"),
+        (_other_bands, OTHER_BANDS_ERROR),
     ], ids=["list", "string", "stft-list", "band-number", "frame-size-string",
-            "sample-list", "gains-short", "features-nested"])
+            "sample-list", "gains-short", "features-nested", "band-q"])
     def test_train_manifest_of_wrong_json_type(self, workspace, tmp_path, capsys,
                                                edit, message):
         manifest = tmp_path / "m.json"
@@ -333,6 +345,17 @@ class TestMalformedArtifacts:
         assert _one_error_line(capsys) == (
             f"eqrep: {manifest}: features of {rate} Hz, {stft} != model's 44100 Hz, "
             f"{StftConfig(2048, 512)}")
+        assert not (tmp_path / "eval_report.json").exists()
+
+    def test_eval_refuses_a_manifest_of_other_bands(self, workspace, linear_artifact,
+                                                    tmp_path, capsys):
+        doc = json.loads((workspace / "manifest.json").read_text())
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps(_other_bands(doc)))
+        capsys.readouterr()
+        assert run("eval", "--model", linear_artifact, "--manifest", manifest,
+                   "--out", tmp_path) == 2
+        assert _one_error_line(capsys) == f"eqrep: {OTHER_BANDS_ERROR}"
         assert not (tmp_path / "eval_report.json").exists()
 
 

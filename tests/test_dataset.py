@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -48,6 +49,11 @@ class TestSettingEnumeration:
         settings = ds.multi_band_settings(ds.COARSE_GRID)
         np.testing.assert_array_equal(settings[0], [-12, -12, -12, -12, -12])
         np.testing.assert_array_equal(settings[1], [-12, -12, -12, -12, -8])
+
+    @pytest.mark.parametrize("grid", [ds.COARSE_GRID, ds.gain_grid(3.0)])
+    def test_multi_band_is_the_product_order(self, grid):
+        expected = np.array(list(itertools.product(grid, repeat=5)))
+        np.testing.assert_array_equal(ds.multi_band_settings(grid), expected)
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):
@@ -116,25 +122,26 @@ class TestSplit:
     def _manifest(self, n):
         samples = ds.sample_table([f"s{i}" for i in range(n)], ["x"] * n,
                                   np.zeros((n, 5)), np.zeros((n, FEATURE_DIM)))
-        return ds.DatasetManifest(SR, STFT, [], samples, 0)
+        return ds.DatasetManifest(SR, STFT, samples, 0)
 
     def test_sizes(self):
-        train, test = ds.split(self._manifest(10), 0.8, 1)
+        train, test = ds.split(self._manifest(10), 1)
         assert len(train) == 8 and len(test) == 2
 
     def test_disjoint_covering(self):
-        train, test = ds.split(self._manifest(23), 0.7, 3)
+        train, test = ds.split(self._manifest(23), 3)
+        assert len(train) == 18 and len(test) == 5
         combined = np.sort(np.concatenate([train, test]))
         np.testing.assert_array_equal(combined, np.arange(23))
 
     def test_deterministic(self):
-        a = ds.split(self._manifest(50), 0.8, 9)
-        b = ds.split(self._manifest(50), 0.8, 9)
+        a = ds.split(self._manifest(50), 9)
+        b = ds.split(self._manifest(50), 9)
         np.testing.assert_array_equal(a[0], b[0])
 
-    def test_bad_fraction(self):
-        with pytest.raises(ValueError):
-            ds.split(self._manifest(10), 1.0, 0)
+    def test_empty_side(self):
+        with pytest.raises(ValueError, match="empty side"):
+            ds.split(self._manifest(1), 0)
 
 
 class TestInterpolationSplit:
@@ -143,7 +150,7 @@ class TestInterpolationSplit:
         n = len(settings)
         samples = ds.sample_table([f"s{i}" for i in range(n)], ["x"] * n, settings,
                                   np.zeros((n, FEATURE_DIM)))
-        return ds.DatasetManifest(SR, STFT, [], samples, 0)
+        return ds.DatasetManifest(SR, STFT, samples, 0)
 
     def test_35_train_90_validation(self):
         train, val = ds.interpolation_split(self._sweep_manifest(), ds.COARSE_GRID)
@@ -253,11 +260,21 @@ class TestManifestPersistence:
         np.testing.assert_array_equal(back.feature_matrix(), manifest.feature_matrix())
         np.testing.assert_array_equal(back.target_matrix(), manifest.target_matrix())
         assert back.stft == manifest.stft
-        assert back.bands == manifest.bands
         # re-saving the loaded manifest reproduces the file byte for byte
         path2 = tmp_path / "m2.json"
         ds.save_manifest(back, path2)
         assert path.read_bytes() == path2.read_bytes()
+
+    def test_other_bands_refused(self, tiny_corpus):
+        doc = ds.manifest_to_dict(ds.build_dataset(tiny_corpus, ds.single_band_settings([0.0]),
+                                                   stft=STFT))
+        ds.manifest_from_dict(doc)
+        doc["bands"][2]["q"] = 2.0
+        with pytest.raises(ValueError, match=r"^manifest bands\[2\]: expected .*'q': 1\.0.*"
+                                             r"got .*'q': 2\.0"):
+            ds.manifest_from_dict(doc)
+        with pytest.raises(ValueError, match="^manifest bands: expected 5 bands, got 4$"):
+            ds.manifest_from_dict(dict(doc, bands=doc["bands"][:4]))
 
     def test_schema_version_check(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.signal import sosfilt
 
 import oracles
 from eqrep.audio import AudioBuffer
-from eqrep.eq import (BELL, HIGH_SHELF, LOW_SHELF, EqBandSpec, apply_eq,
-                      design_biquad, eq_response, eq_sos, log_frequency_grid,
-                      standard_bands)
+from eqrep.eq import (BANDS, BELL, HIGH_SHELF, LOW_SHELF, EqBandSpec, apply_eq,
+                      design_biquad, eq_response, eq_sos, log_frequency_grid)
 from eqrep.features import extract_features
 
 SR = 44100
@@ -14,16 +14,15 @@ SR = 44100
 
 class TestStandardBands:
     def test_frequencies_and_kinds(self):
-        bands = standard_bands()
-        assert [(b.center_hz, b.filter_kind) for b in bands] == [
-            (80.0, LOW_SHELF), (240.0, BELL), (2500.0, BELL),
-            (4000.0, BELL), (10000.0, HIGH_SHELF),
+        assert [(b.center_hz, b.filter_kind, b.q) for b in BANDS] == [
+            (80.0, LOW_SHELF, 0.707), (240.0, BELL, 1.0), (2500.0, BELL, 1.0),
+            (4000.0, BELL, 1.0), (10000.0, HIGH_SHELF, 0.707),
         ]
 
 
 class TestDesignBiquad:
     def test_zero_gain_collapses(self):
-        for spec in standard_bands():
+        for spec in BANDS:
             b0, b1, b2, a0, a1, a2 = design_biquad(spec, 0.0, SR)
             assert a0 == 1.0
             assert b0 == pytest.approx(1.0, abs=1e-12)
@@ -103,21 +102,16 @@ class TestApplyBiquad:
 
 class TestEqSos:
     def test_rows_in_band_order(self):
-        bands = standard_bands()
         gains = [3.0, -6.0, 9.0, -12.0, 4.5]
-        sos = eq_sos(gains, bands, SR)
+        sos = eq_sos(gains, SR)
         assert sos.shape == (5, 6) and sos.dtype == np.float64
-        for row, spec, gain in zip(sos, bands, gains):
+        for row, spec, gain in zip(sos, BANDS, gains):
             np.testing.assert_array_equal(row, design_biquad(spec, gain, SR))
 
     def test_zero_setting_rows_cancel_exactly(self):
         # at 0 dB the numerator and denominator come out of the same arithmetic
-        sos = eq_sos([0, 0, 0, 0, 0], standard_bands(), SR)
+        sos = eq_sos([0, 0, 0, 0, 0], SR)
         np.testing.assert_array_equal(sos[:, :3], sos[:, 3:])
-
-    def test_band_count_mismatch(self):
-        with pytest.raises(ValueError, match="band count"):
-            eq_sos([0, 0, 0, 0, 0], standard_bands()[:4], SR)
 
 
 class TestApplyEq:
@@ -127,13 +121,12 @@ class TestApplyEq:
 
     def test_cascade_order_commutes(self, noise_buffer):
         gains = np.array([-6.0, 3.0, 9.0, -2.0, 5.0])
-        bands = standard_bands()
         impulse = AudioBuffer(np.eye(1, 1 << 16)[0], SR)
         order = [3, 0, 4, 1, 2]
-        a = apply_eq(impulse, gains, bands)
-        b = apply_eq(impulse, gains[order], [bands[i] for i in order])
+        a = apply_eq(impulse, gains)
+        b = sosfilt(eq_sos(gains, SR)[order], impulse.samples)
         mag_a = np.abs(np.fft.rfft(a.samples))
-        mag_b = np.abs(np.fft.rfft(b.samples))
+        mag_b = np.abs(np.fft.rfft(b))
         np.testing.assert_allclose(mag_a, mag_b, rtol=1e-9, atol=1e-12)
 
     def test_distinct_settings_give_distinct_features(self, c2_note):
@@ -159,57 +152,54 @@ class TestApplyEq:
             samples = np.eye(1, n)[0]
         gains = [6.0, -9.0, 12.0, -3.0, 8.0]
         fast = apply_eq(AudioBuffer(samples, SR), gains).samples
-        slow = oracles.biquad_cascade(samples, eq_sos(gains, standard_bands(), SR))
+        slow = oracles.biquad_cascade(samples, eq_sos(gains, SR))
         assert np.max(np.abs(fast - slow)) <= 1e-9
 
 
 class TestEqResponse:
     def test_zero_setting_flat(self):
         freqs = log_frequency_grid()
-        resp = eq_response([0, 0, 0, 0, 0], standard_bands(), freqs, SR)
+        resp = eq_response([0, 0, 0, 0, 0], freqs, SR)
         np.testing.assert_allclose(resp, 0.0, atol=1e-12)
 
     def test_single_band_center(self):
-        resp = eq_response([0, 0, 12, 0, 0], standard_bands(), [2500.0], SR)
+        resp = eq_response([0, 0, 12, 0, 0], [2500.0], SR)
         assert resp[0] == pytest.approx(12.0, abs=1e-6)
 
     def test_superposition(self):
         freqs = log_frequency_grid(20, 20000, 40)
-        bands = standard_bands()
         gains = [3.0, -6.0, 9.0, -12.0, 4.5]
-        combined = eq_response(gains, bands, freqs, SR)
+        combined = eq_response(gains, freqs, SR)
         total = np.zeros_like(freqs)
         for i, g in enumerate(gains):
             setting = [0.0] * 5
             setting[i] = g
-            total += eq_response(setting, bands, freqs, SR)
+            total += eq_response(setting, freqs, SR)
         np.testing.assert_allclose(combined, total, atol=1e-12)
 
     def test_frequency_out_of_range(self):
         with pytest.raises(ValueError):
-            eq_response([0, 0, 0, 0, 0], standard_bands(), [SR / 2], SR)
+            eq_response([0, 0, 0, 0, 0], [SR / 2], SR)
 
     def test_matches_summed_section_oracle(self):
         # sosfreqz of the cascade against the sum of the written-out H(z) of
         # each section, over random +/-24 dB settings
         freqs = log_frequency_grid(20, 20000, 500)
-        bands = standard_bands()
         rng = np.random.default_rng(12)
         for _ in range(20):
             gains = rng.uniform(-24, 24, 5)
             slow = sum(oracles.biquad_response_db(row, freqs, SR)
-                       for row in eq_sos(gains, bands, SR))
-            np.testing.assert_allclose(eq_response(gains, bands, freqs, SR), slow,
+                       for row in eq_sos(gains, SR))
+            np.testing.assert_allclose(eq_response(gains, freqs, SR), slow,
                                        rtol=0, atol=1e-9)
 
     def test_keeps_the_frequency_shape(self):
-        bands = standard_bands()
         grid = log_frequency_grid(20, 20000, 12).reshape(3, 4)
-        resp = eq_response([0, 0, 12, 0, 0], bands, grid, SR)
+        resp = eq_response([0, 0, 12, 0, 0], grid, SR)
         assert resp.shape == (3, 4)
         np.testing.assert_array_equal(resp.ravel(),
-                                      eq_response([0, 0, 12, 0, 0], bands, grid.ravel(), SR))
-        assert eq_response([0, 0, 12, 0, 0], bands, 2500.0, SR).shape == ()
+                                      eq_response([0, 0, 12, 0, 0], grid.ravel(), SR))
+        assert eq_response([0, 0, 12, 0, 0], 2500.0, SR).shape == ()
 
 
 class TestImpulseResponseCrossCheck:
@@ -221,5 +211,5 @@ class TestImpulseResponseCrossCheck:
         ir = apply_eq(impulse, gains)
         mags = 20 * np.log10(np.abs(np.fft.rfft(ir.samples)))
         freqs = np.fft.rfftfreq(n, 1 / SR)
-        analytic = eq_response(gains, standard_bands(), freqs[1:-1], SR)
+        analytic = eq_response(gains, freqs[1:-1], SR)
         assert np.max(np.abs(mags[1:-1] - analytic)) <= 0.01

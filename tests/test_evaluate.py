@@ -148,7 +148,7 @@ class TestExperimentShapes:
     def test_multi_band_limit_guard(self):
         samples = ds.sample_table([f"s{i}" for i in range(100)], ["x"] * 100,
                                   np.zeros((100, 5)), np.zeros((100, FEATURE_DIM)))
-        manifest = ds.DatasetManifest(44100, StftConfig(), [], samples, 0)
+        manifest = ds.DatasetManifest(44100, StftConfig(), samples, 0)
         with pytest.raises(ValueError):
             ev.experiment_multi_band(manifest, seed=0)
 
@@ -160,7 +160,7 @@ def test_multi_band_jobs_give_identical_results():
     mixing = rng.standard_normal((5, FEATURE_DIM))
     feats = gains @ mixing + 0.1 * rng.standard_normal((600, FEATURE_DIM))
     samples = ds.sample_table([f"s{i}" for i in range(600)], ["x"] * 600, gains, feats)
-    manifest = ds.DatasetManifest(44100, StftConfig(), [], samples, 0)
+    manifest = ds.DatasetManifest(44100, StftConfig(), samples, 0)
     cfg = TrainConfig(epochs=5, seed=1)
     serial = ev.experiment_multi_band(manifest, 1, cfg, tree_count=3, jobs=1)
     pooled = ev.experiment_multi_band(manifest, 1, cfg, tree_count=3, jobs=2)
