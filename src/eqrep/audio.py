@@ -83,7 +83,8 @@ def pitch_to_hz(label: str) -> float:
 def read_wav(path) -> AudioBuffer:
     """Read a PCM16 or float32 RIFF/WAVE file as a mono AudioBuffer.
 
-    Stereo is downmixed by channel average; int16 is scaled by 1/32768.
+    Stereo is downmixed by channel average; int16 is scaled by 1/32768. A
+    float file holding a NaN or an infinity is refused.
     """
     sample_rate, data = wavfile.read(path)
     if data.size == 0:
@@ -91,6 +92,10 @@ def read_wav(path) -> AudioBuffer:
     if data.dtype == np.int16:
         samples = data.astype(np.float64) / 32768.0
     elif data.dtype == np.float32:
+        if not np.isfinite(data).all():
+            first = np.argwhere(~np.isfinite(data))[0]  # (frame,) or (frame, channel)
+            raise ValueError(f"{path}: sample {first[0]} is {data[tuple(first)]}; "
+                             "samples must be finite")
         samples = data.astype(np.float64)
     else:
         raise ValueError(
@@ -140,6 +145,14 @@ def max_alias_free_partials(fundamental_hz: float, sample_rate: int) -> int:
     return max(count, 1)
 
 
+def check_distinct_labels(labels) -> None:
+    """Refuse a corpus whose note labels repeat: a label names its note's WAV
+    file and its dataset sample ids."""
+    repeated = sorted({label for label in labels if labels.count(label) > 1})
+    if repeated:
+        raise ValueError(f"corpus repeats note label(s) {', '.join(repeated)}")
+
+
 def note_corpus(pitch_list=None, sample_rate: int = DEFAULT_SAMPLE_RATE,
                 duration_s: float = 2.0, partial_count: int = 20):
     """Synthesize one buffer per pitch label; returns [(label, AudioBuffer)].
@@ -148,6 +161,7 @@ def note_corpus(pitch_list=None, sample_rate: int = DEFAULT_SAMPLE_RATE,
     """
     if pitch_list is None:
         pitch_list = DEFAULT_PITCHES
+    check_distinct_labels(pitch_list)
     corpus = []
     for label in pitch_list:
         f0 = pitch_to_hz(label)

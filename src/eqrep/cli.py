@@ -34,19 +34,17 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _load_corpus_dir(path, sample_rate):
-    """Corpus = every .wav in the directory, labeled by file stem."""
+def _load_corpus_dir(path):
+    """Corpus = every .wav in the directory, labeled by file stem; the files
+    must share one sample rate, which the dataset then has."""
     wavs = sorted(Path(path).glob("*.wav"))
     if not wavs:
         raise RuntimeError(f"no .wav files in {path}")
-    corpus = []
-    for wav in wavs:
-        buf = read_wav(wav)
-        if buf.sample_rate != sample_rate:
-            raise RuntimeError(
-                f"{wav}: sample rate {buf.sample_rate} != configured {sample_rate}"
-            )
-        corpus.append((wav.stem, buf))
+    corpus = [(wav.stem, read_wav(wav)) for wav in wavs]
+    rate = corpus[0][1].sample_rate
+    for wav, (_, buf) in zip(wavs, corpus):
+        if buf.sample_rate != rate:
+            raise RuntimeError(f"{wav}: sample rate {buf.sample_rate} != {rate} of {wavs[0]}")
     return corpus
 
 
@@ -72,7 +70,7 @@ def cmd_synth(args):
 
 def cmd_dataset(args):
     out = _out_dir(args)
-    corpus = _load_corpus_dir(args.corpus, args.sample_rate)
+    corpus = _load_corpus_dir(args.corpus)
     if args.mode == "single":
         settings = ds.single_band_settings(ds.gain_grid(args.step))
         limit = None
@@ -274,7 +272,6 @@ def _add_stft(parser):
 
 def _add_build(parser):
     """The options of the commands that build datasets: dataset, reproduce."""
-    parser.add_argument("--sample-rate", type=int, default=DEFAULT_SAMPLE_RATE)
     parser.add_argument("--seed", type=int, default=42)
     _add_stft(parser)
     parser.add_argument("--out", default=".", help="output directory")
@@ -338,6 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reproduce", help="run all four experiments end to end")
     _add_build(p)
+    p.add_argument("--sample-rate", type=int, default=DEFAULT_SAMPLE_RATE)
     p.add_argument("--pitches", default=None,
                    help="distinct corpus notes for the runs (default: broadband C2); "
                         "the five built-in checks are calibrated for the single "
@@ -353,9 +351,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("response", help="CSV of the combined EQ magnitude curve")
     p.add_argument("--gains", required=True, help="five comma-separated dB values")
     p.add_argument("--sample-rate", type=int, default=DEFAULT_SAMPLE_RATE)
-    p.add_argument("--start", type=float, default=20.0)
-    p.add_argument("--stop", type=float, default=20000.0)
-    p.add_argument("--points", type=int, default=200)
+    p.add_argument("--start", type=_positive_float, default=20.0, help="Hz")
+    p.add_argument("--stop", type=_positive_float, default=20000.0, help="Hz")
+    p.add_argument("--points", type=_int_range(1), default=200)
     p.add_argument("--out", help="CSV output path (default stdout)")
     p.set_defaults(func=cmd_response)
 

@@ -9,7 +9,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from . import jsondoc
-from .audio import write_wav
+from .audio import check_distinct_labels, write_wav
 from .eq import BAND_NAMES, BANDS, apply_eq
 from .features import FEATURE_DIM, FEATURE_NAMES, StftConfig, extract_features
 from .pool import fork_map
@@ -112,9 +112,7 @@ def build_dataset(corpus, settings, stft: StftConfig = StftConfig(),
     if not corpus:
         raise ValueError("corpus must be nonempty")
     labels = [label for label, _ in corpus]
-    repeated = sorted({label for label in labels if labels.count(label) > 1})
-    if repeated:
-        raise ValueError(f"corpus repeats note label(s) {', '.join(repeated)}")
+    check_distinct_labels(labels)
     if settings.ndim != 2 or settings.shape[1] != 5:
         raise ValueError("settings must be an (n, 5) array of dB gains")
 

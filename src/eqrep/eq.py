@@ -115,7 +115,7 @@ def eq_response(gains_db, freqs_hz, sample_rate: int) -> np.ndarray:
     """Combined cascade magnitude response 20*log10|H(e^jw)| in dB."""
     sos = eq_sos(gains_db, sample_rate)
     freqs = np.asarray(freqs_hz, dtype=np.float64)
-    if np.any(freqs >= sample_rate / 2) or np.any(freqs < 0):
+    if not np.all((freqs >= 0) & (freqs < sample_rate / 2)):  # false for NaN too
         raise ValueError("frequencies must lie in [0, Nyquist)")
     _, h = sosfreqz(sos, worN=freqs.ravel(), fs=sample_rate)
     return 20.0 * np.log10(np.abs(h)).reshape(freqs.shape)

@@ -11,7 +11,7 @@ import numpy as np
 from . import jsondoc
 from .features import FEATURE_DIM
 from .jsondoc import JsonValue
-from .rng import SplitMix64, splitmix64
+from .rng import splitmix64
 
 MODEL_SCHEMA_VERSION = 1
 OUTPUT_DIM = 5
@@ -101,13 +101,18 @@ class MlpModel:
 
 
 def init_mlp_params(input_dim: int, hidden_dim: int, output_dim: int, seed: int) -> dict:
-    """Uniform +/- sqrt(6/fan_in) init from the SplitMix64 stream."""
-    gen = SplitMix64(seed)
-    params = {}
+    """Uniform +/- sqrt(6/fan_in) init. W1, W2 and W3 are, in turn, the first
+    outputs of the SplitMix64 stream keyed by the seed (mod 2^64), each draw
+    keeping its top 53 bits as a unit float in [0, 1)."""
     dims = [(input_dim, hidden_dim), (hidden_dim, hidden_dim), (hidden_dim, output_dim)]
-    for i, (fan_in, fan_out) in enumerate(dims, start=1):
+    sizes = [fan_in * fan_out for fan_in, fan_out in dims]
+    z = splitmix64([seed % 2 ** 64], sum(sizes))[0]
+    units = np.split((z >> np.uint64(11)).astype(np.float64) * (1.0 / (1 << 53)),
+                     np.cumsum(sizes)[:-1])
+    params = {}
+    for i, ((fan_in, fan_out), unit) in enumerate(zip(dims, units), start=1):
         bound = np.sqrt(6.0 / fan_in)
-        params[f"W{i}"] = gen.uniform(-bound, bound, (fan_in, fan_out))
+        params[f"W{i}"] = (-bound + 2 * bound * unit).reshape(fan_in, fan_out)
         params[f"b{i}"] = np.zeros(fan_out)
     return params
 

@@ -41,6 +41,18 @@ class TestReadWav:
         with pytest.raises(FileNotFoundError):
             read_wav(tmp_path / "nope.wav")
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("channels", [1, 2])
+    def test_non_finite_float_sample_is_refused(self, tmp_path, value, channels):
+        path = tmp_path / "bad.wav"
+        data = np.full((SR, channels), 0.25, dtype=np.float32)
+        data[1000, -1] = value
+        data[2000, 0] = np.nan
+        wavfile.write(path, SR, data[:, 0] if channels == 1 else data)
+        with pytest.raises(ValueError) as exc:
+            read_wav(path)
+        assert str(exc.value) == f"{path}: sample 1000 is {value}; samples must be finite"
+
 
 class TestWriteWav:
     def test_round_trip_exact(self, tmp_path):
@@ -149,6 +161,10 @@ class TestNoteCorpus:
             f0 = pitch_to_hz(label)
             partials = min(20, max_alias_free_partials(f0, SR))
             assert f0 * partials < SR / 2
+
+    def test_repeated_label_rejected(self):
+        with pytest.raises(ValueError, match=r"^corpus repeats note label\(s\) C4$"):
+            note_corpus(["C4", "G4", "C4"], duration_s=0.01)
 
     def test_bad_label_propagates(self):
         with pytest.raises(ValueError):

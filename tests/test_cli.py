@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.io import wavfile
 
 import eqrep
 from eqrep import dataset as ds
@@ -38,6 +39,13 @@ class TestSynth:
 
     def test_bad_pitch_is_runtime_error(self, tmp_path):
         assert run("synth", "--pitches", "Z9", "--out", tmp_path) == 2
+
+    def test_repeated_pitch_is_runtime_error(self, tmp_path, capsys):
+        assert run("synth", "--pitches", "C4,G4,C4", "--duration", "0.1",
+                   "--out", tmp_path) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == ["eqrep: corpus repeats note label(s) C4"]
+        assert captured.out == "" and list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("duration", ["inf", "nan", "0", "-1", "long"])
     def test_bad_duration_is_usage_error(self, tmp_path, capsys, duration):
@@ -77,6 +85,34 @@ class TestResponse:
         with pytest.raises(SystemExit) as exc:
             run("response")  # --gains is required
         assert exc.value.code == 1
+
+    @pytest.mark.parametrize("points", ["0", "-3", "1.5"])
+    def test_bad_points_is_usage_error(self, capsys, points):
+        with pytest.raises(SystemExit) as exc:
+            run("response", "--gains", "0,0,0,0,0", "--points", points)
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert "argument --points" in err.splitlines()[-1]
+        assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["synth"], "--duration"),
+    (["dataset", "--corpus", "c", "--mode", "single"], "--step"),
+    (["train", "--manifest", "m.json", "--model", "mlp", "--outfile", "f.json"],
+     "--learning-rate"),
+    (["response", "--gains", "0,0,0,0,0"], "--start"),
+    (["response", "--gains", "0,0,0,0,0"], "--stop"),
+], ids=lambda v: v[0] if isinstance(v, list) else v)
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+def test_float_option_must_be_positive_and_finite(argv, option, value, capsys):
+    """Parsed only: every float option refuses NaN, infinity, 0 and negatives."""
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv + [option, value])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert f"error: argument {option}" in err.splitlines()[-1]
+    assert "Traceback" not in err
 
 
 class TestExtract:
@@ -359,6 +395,55 @@ class TestMalformedArtifacts:
         assert not (tmp_path / "eval_report.json").exists()
 
 
+def _nan_wav(directory):
+    """A 44.1 kHz float WAV `C2.wav` in `directory` with a NaN at sample 1000."""
+    directory.mkdir(parents=True, exist_ok=True)
+    data = np.full(4096, 0.25, dtype=np.float32)
+    data[1000] = np.nan
+    wavfile.write(directory / "C2.wav", 44100, data)
+    return directory / "C2.wav"
+
+
+@pytest.mark.parametrize("command", ["extract", "predict", "dataset"])
+def test_non_finite_wav_sample_is_runtime_error(command, linear_artifact, tmp_path, capsys):
+    wav = _nan_wav(tmp_path / "corpus")
+    argv = {"extract": ["extract", wav],
+            "predict": ["predict", "--model", linear_artifact, wav],
+            "dataset": ["dataset", "--corpus", wav.parent, "--mode", "single",
+                        "--out", tmp_path / "data"]}[command]
+    capsys.readouterr()
+    assert run(*argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        f"eqrep: {wav}: sample 1000 is nan; samples must be finite"]
+    header = "path," + ",".join(ev.BAND_NAMES) + "\n"  # predict prints it first
+    assert captured.out == (header if command == "predict" else "")
+    assert not (tmp_path / "data" / "manifest.json").exists()
+
+
+class TestDatasetSampleRate:
+    def test_takes_the_corpus_rate(self, tmp_path):
+        corpus = tmp_path / "c22"
+        assert run("synth", "--pitches", "C2,G4", "--duration", "0.3",
+                   "--sample-rate", "22050", "--out", corpus) == 0
+        assert run("dataset", "--corpus", corpus, "--mode", "single", "--step", "12",
+                   "--out", tmp_path) == 0
+        doc = json.loads((tmp_path / "manifest.json").read_text())
+        assert doc["sample_rate"] == 22050 and len(doc["samples"]) == 2 * 5 * 3
+
+    def test_mixed_rates_are_runtime_error(self, tmp_path, capsys):
+        corpus = tmp_path / "mixed"
+        for pitch, rate in (("C2", "44100"), ("G4", "22050")):
+            assert run("synth", "--pitches", pitch, "--duration", "0.1",
+                       "--sample-rate", rate, "--out", corpus) == 0
+        capsys.readouterr()
+        assert run("dataset", "--corpus", corpus, "--mode", "single",
+                   "--out", tmp_path) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"eqrep: {corpus / 'G4.wav'}: sample rate 22050 != 44100 of {corpus / 'C2.wav'}"]
+        assert not (tmp_path / "manifest.json").exists()
+
+
 class TestDatasetStep:
     def test_fractional_step_reaches_plus_12(self, workspace, tmp_path):
         assert run("dataset", "--corpus", workspace / "corpus", "--mode", "single",
@@ -385,6 +470,7 @@ class TestDatasetStep:
     ["synth", "--hop-size", "256"],
     ["extract", "--sample-rate", "22050", "a.wav"],
     ["extract", "--seed", "1", "a.wav"],
+    ["dataset", "--sample-rate", "44100", "--corpus", "c", "--mode", "single"],
 ])
 def test_option_the_command_does_not_read_is_usage_error(argv, capsys):
     """Parsed only: each subcommand accepts only the options it reads."""

@@ -181,6 +181,11 @@ class TestEqResponse:
         with pytest.raises(ValueError):
             eq_response([0, 0, 0, 0, 0], [SR / 2], SR)
 
+    @pytest.mark.parametrize("freq", [np.nan, np.inf, -np.inf, -1.0])
+    def test_frequency_outside_zero_to_nyquist_is_refused(self, freq):
+        with pytest.raises(ValueError, match=r"\[0, Nyquist\)"):
+            eq_response([0, 0, 0, 0, 0], [100.0, freq], SR)
+
     def test_matches_summed_section_oracle(self):
         # sosfreqz of the cascade against the sum of the written-out H(z) of
         # each section, over random +/-24 dB settings

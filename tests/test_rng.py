@@ -5,30 +5,34 @@ import numpy as np
 import pytest
 
 import oracles
-from eqrep.models import _node_draws
-from eqrep.rng import SplitMix64, splitmix64
+from eqrep.models import _node_draws, init_mlp_params
+from eqrep.rng import splitmix64
 
-SHAPES = [(17, 64), (64,), (64, 64), (64, 5)]
+DIMS = (17, 64, 5)  # the MLP's input, hidden and output widths
+SHAPES = [(17, 64), (64, 64), (64, 5)]
 
 
 class TestSplitMix64:
     @pytest.mark.parametrize("seed", [0, 42, 2 ** 63, 2 ** 64 - 1, -5])
     def test_blocks_match_the_per_draw_loop(self, seed):
-        bound = np.sqrt(6.0 / 17)
+        """W1, W2 and W3 are the first draws of the stream keyed by the seed,
+        in turn, each scaled to its layer's bound."""
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no uint64 overflow warning either
-            gen = SplitMix64(seed)
-            fast = [gen.uniform(-bound, bound, shape) for shape in SHAPES]
-        slow = oracles.splitmix64_uniform(seed, -bound, bound, SHAPES)
-        for a, b in zip(fast, slow):
-            assert a.shape == b.shape and a.dtype == b.dtype == np.float64
-            assert a.tobytes() == b.tobytes()
+            params = init_mlp_params(*DIMS, seed)
+        for i, shape in enumerate(SHAPES):
+            bound = np.sqrt(6.0 / shape[0])
+            slow = oracles.splitmix64_uniform(seed, -bound, bound, SHAPES)[i]
+            fast = params[f"W{i + 1}"]
+            assert fast.shape == slow.shape and fast.dtype == slow.dtype == np.float64
+            assert fast.tobytes() == slow.tobytes()
 
     def test_published_first_output(self):
         # the first SplitMix64 output for seed 0 is 0xE220A8397B1DCDAF
-        expect = (0xE220A8397B1DCDAF >> 11) / 2.0 ** 53
-        assert SplitMix64(0).uniform(0.0, 1.0, 1)[0] == expect
-        assert oracles.splitmix64_uniform(0, 0.0, 1.0, [1])[0][0] == expect
+        unit = (0xE220A8397B1DCDAF >> 11) / 2.0 ** 53
+        bound = np.sqrt(6.0)
+        assert init_mlp_params(1, 1, 1, 0)["W1"][0, 0] == -bound + 2 * bound * unit
+        assert oracles.splitmix64_uniform(0, 0.0, 1.0, [1])[0][0] == unit
         assert splitmix64([0], 1)[0, 0] == 0xE220A8397B1DCDAF
 
 
