@@ -6,6 +6,8 @@ environment variable overrides the default output directory.
 """
 
 import argparse
+import csv
+import io
 import math
 import os
 import sys
@@ -17,7 +19,7 @@ from . import jsondoc
 from .audio import DEFAULT_SAMPLE_RATE, note_corpus, pitch_to_hz, read_wav, write_wav
 from .eq import BAND_NAMES, eq_response, log_frequency_grid
 from .features import FEATURE_NAMES, StftConfig, extract_features
-from .models import (TrainConfig, load_model, predict, save_model,
+from .models import (TREE_COUNT, TrainConfig, load_model, predict, save_model,
                      train_forest, train_linear, train_mlp)
 
 
@@ -35,17 +37,11 @@ def _out_dir(args) -> Path:
 
 
 def _load_corpus_dir(path):
-    """Corpus = every .wav in the directory, labeled by file stem; the files
-    must share one sample rate, which the dataset then has."""
+    """Corpus = every .wav in the directory, labeled by file stem."""
     wavs = sorted(Path(path).glob("*.wav"))
     if not wavs:
         raise RuntimeError(f"no .wav files in {path}")
-    corpus = [(wav.stem, read_wav(wav)) for wav in wavs]
-    rate = corpus[0][1].sample_rate
-    for wav, (_, buf) in zip(wavs, corpus):
-        if buf.sample_rate != rate:
-            raise RuntimeError(f"{wav}: sample rate {buf.sample_rate} != {rate} of {wavs[0]}")
-    return corpus
+    return [(wav.stem, read_wav(wav)) for wav in wavs]
 
 
 def _stft_from_args(args) -> StftConfig:
@@ -95,11 +91,12 @@ def cmd_dataset(args):
 
 def cmd_extract(args):
     stft = _stft_from_args(args)
-    lines = ["path," + ",".join(FEATURE_NAMES)]
+    table = io.StringIO()
+    writer = csv.writer(table, lineterminator="\n")
+    writer.writerow(["path", *FEATURE_NAMES])
     for path in args.wavs:
-        features = extract_features(read_wav(path), stft).to_array()
-        lines.append(f"{path}," + ",".join(repr(float(v)) for v in features))
-    text = "\n".join(lines) + "\n"
+        writer.writerow([path, *extract_features(read_wav(path), stft).to_array().tolist()])
+    text = table.getvalue()
     if args.out:
         Path(args.out).write_text(text)
     else:
@@ -114,7 +111,7 @@ def cmd_train(args):
     y = manifest.target_matrix()
     cfg = TrainConfig(learning_rate=args.learning_rate, epochs=args.epochs,
                       batch_size=args.batch_size, hidden_dim=args.hidden_dim,
-                      seed=args.seed, optimizer=args.optimizer)
+                      seed=args.seed)
     if args.model == "linear":
         model = train_linear(x[train_idx], y[train_idx])
     elif args.model == "forest":
@@ -127,8 +124,8 @@ def cmd_train(args):
     train_config = {
         "model": args.model, "seed": args.seed, "hidden_dim": args.hidden_dim,
         "epochs": args.epochs, "batch_size": args.batch_size,
-        "learning_rate": args.learning_rate, "optimizer": args.optimizer,
-        "trees": args.trees, "sample_rate": manifest.sample_rate,
+        "learning_rate": args.learning_rate, "trees": args.trees,
+        "sample_rate": manifest.sample_rate,
         "frame_size": manifest.stft.frame_size, "hop_size": manifest.stft.hop_size,
     }
     metrics = {"train_mse": train_mse, "test_mse": test_mse,
@@ -150,7 +147,8 @@ def _feature_contract(train_config: dict):
 def cmd_predict(args):
     model, train_config, _ = load_model(args.model)
     sample_rate, stft = _feature_contract(train_config)
-    print("path," + ",".join(BAND_NAMES))
+    writer = csv.writer(sys.stdout, lineterminator="\n")
+    writer.writerow(["path", *BAND_NAMES])
     for path in args.wavs:
         buf = read_wav(path)
         if buf.sample_rate != sample_rate:
@@ -158,7 +156,7 @@ def cmd_predict(args):
                 f"{path}: sample rate {buf.sample_rate} != model's {sample_rate}"
             )
         gains = predict(model, extract_features(buf, stft).to_array())
-        print(f"{path}," + ",".join(f"{g:.3f}" for g in gains))
+        writer.writerow([path, *(f"{g:.3f}" for g in gains)])
     return 0
 
 
@@ -282,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="synthesize the base note corpus as WAV files")
-    p.add_argument("--sample-rate", type=int, default=DEFAULT_SAMPLE_RATE)
+    p.add_argument("--sample-rate", type=_int_range(1), default=DEFAULT_SAMPLE_RATE)
     p.add_argument("--out", default=".", help="output directory")
     p.add_argument("--pitches", help="comma-separated pitch labels (default C/G 0..7)")
     p.add_argument("--duration", type=_positive_float, default=2.0, help="seconds")
@@ -313,12 +311,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", choices=["linear", "forest", "mlp"], required=True)
     p.add_argument("--outfile", required=True, help="model artifact path")
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--hidden-dim", type=_int_range(1), default=64)
-    p.add_argument("--epochs", type=_int_range(1), default=500)
-    p.add_argument("--batch-size", type=_int_range(1), default=64)
-    p.add_argument("--learning-rate", type=_positive_float, default=1e-3)
-    p.add_argument("--optimizer", choices=["adam", "sgd_momentum"], default="adam")
-    p.add_argument("--trees", type=_int_range(1), default=50)
+    p.add_argument("--hidden-dim", type=_int_range(1), default=TrainConfig.hidden_dim)
+    p.add_argument("--epochs", type=_int_range(1), default=TrainConfig.epochs)
+    p.add_argument("--batch-size", type=_int_range(1), default=TrainConfig.batch_size)
+    p.add_argument("--learning-rate", type=_positive_float, default=TrainConfig.learning_rate)
+    p.add_argument("--trees", type=_int_range(1), default=TREE_COUNT)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("predict", help="predict the 5 EQ gains for WAV files")
@@ -335,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reproduce", help="run all four experiments end to end")
     _add_build(p)
-    p.add_argument("--sample-rate", type=int, default=DEFAULT_SAMPLE_RATE)
+    p.add_argument("--sample-rate", type=_int_range(1), default=DEFAULT_SAMPLE_RATE)
     p.add_argument("--pitches", default=None,
                    help="distinct corpus notes for the runs (default: broadband C2); "
                         "the five built-in checks are calibrated for the single "
@@ -350,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("response", help="CSV of the combined EQ magnitude curve")
     p.add_argument("--gains", required=True, help="five comma-separated dB values")
-    p.add_argument("--sample-rate", type=int, default=DEFAULT_SAMPLE_RATE)
+    p.add_argument("--sample-rate", type=_int_range(1), default=DEFAULT_SAMPLE_RATE)
     p.add_argument("--start", type=_positive_float, default=20.0, help="Hz")
     p.add_argument("--stop", type=_positive_float, default=20000.0, help="Hz")
     p.add_argument("--points", type=_int_range(1), default=200)

@@ -3,6 +3,7 @@ Cartesian combinations, EQ application + feature extraction, and a JSON
 manifest with optional CSV export.
 """
 
+import csv
 import json
 from dataclasses import asdict, dataclass, replace
 
@@ -101,7 +102,8 @@ def build_dataset(corpus, settings, stft: StftConfig = StftConfig(),
                   keep_audio_dir=None) -> DatasetManifest:
     """EQ every (note, setting) pair with the five bands, extract features,
     assemble a manifest. Sample ids are `{label}-{setting index:05d}`, so the
-    corpus labels must be distinct.
+    corpus labels must be distinct; the notes must share one sample rate,
+    which the manifest records.
 
     With `limit`, a uniform random subset of pairs is drawn with `seed`; the
     manifest keeps settings order either way, so output is deterministic.
@@ -113,6 +115,11 @@ def build_dataset(corpus, settings, stft: StftConfig = StftConfig(),
         raise ValueError("corpus must be nonempty")
     labels = [label for label, _ in corpus]
     check_distinct_labels(labels)
+    sample_rate = corpus[0][1].sample_rate
+    for label, buf in corpus:
+        if buf.sample_rate != sample_rate:
+            raise ValueError(f"note {label}: sample rate {buf.sample_rate} != "
+                             f"{sample_rate} of note {labels[0]}")
     if settings.ndim != 2 or settings.shape[1] != 5:
         raise ValueError("settings must be an (n, 5) array of dB gains")
 
@@ -135,8 +142,6 @@ def build_dataset(corpus, settings, stft: StftConfig = StftConfig(),
 
     with fork_map(features_of, range(len(ids)), jobs) as rows:
         samples = sample_table(ids, [labels[n] for n in note], settings[setting], list(rows))
-
-    sample_rate = corpus[0][1].sample_rate
     return DatasetManifest(sample_rate, stft, samples, seed)
 
 
@@ -246,9 +251,10 @@ def export_csv(manifest: DatasetManifest, path) -> None:
     """Flat per-sample view: id, label, five gains, then the 17 features."""
     gain_cols = [name.lower() for name in BAND_NAMES]
     header = ["sample_id", "base_label"] + gain_cols + FEATURE_NAMES
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        samples = manifest.samples
-        for sid, label, gains, feats in zip(samples.sample_id, samples.base_label,
-                                            samples.gains_db.tolist(), samples.features.tolist()):
-            fh.write(",".join([sid, label, *map(repr, gains), *map(repr, feats)]) + "\n")
+    samples = manifest.samples
+    rows = zip(samples.sample_id, samples.base_label,
+               samples.gains_db.tolist(), samples.features.tolist())
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([sid, label, *gains, *feats] for sid, label, gains, feats in rows)

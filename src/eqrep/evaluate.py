@@ -5,6 +5,7 @@ and the reproduction: the run of all four on one corpus and the checks that
 judge it.
 """
 
+import csv
 import hashlib
 import json
 from dataclasses import dataclass
@@ -16,7 +17,7 @@ from . import jsondoc
 from .audio import DEFAULT_SAMPLE_RATE, note_corpus
 from .eq import BAND_NAMES
 from .features import StftConfig
-from .models import (TrainConfig, predict, train_forest, train_linear, train_mlp)
+from .models import TREE_COUNT, TrainConfig, predict, train_forest, train_linear, train_mlp
 from .pool import fork_map
 
 # Default note for the reproduction runs: low fundamental with enough partials
@@ -101,11 +102,11 @@ def scatter_export(sample_ids, predictions, targets, path) -> None:
     targets = np.asarray(targets, dtype=np.float64)
     if not (len(sample_ids) == len(predictions) == len(targets)):
         raise ValueError("length mismatch")
-    with open(path, "w") as fh:
-        fh.write("sample_id,band_name,true_db,predicted_db\n")
-        for sid, pred, true in zip(sample_ids, predictions, targets):
-            for band, name in enumerate(BAND_NAMES):
-                fh.write(f"{sid},{name},{float(true[band])!r},{float(pred[band])!r}\n")
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["sample_id", "band_name", "true_db", "predicted_db"])
+        for sid, pred, true in zip(sample_ids, predictions.tolist(), targets.tolist()):
+            writer.writerows([sid, name, t, p] for name, t, p in zip(BAND_NAMES, true, pred))
 
 
 def _fit_and_report(manifest, split, experiment_id, trainers, seed, config,
@@ -155,20 +156,19 @@ def experiment_interpolation(sweep, seed: int = 42) -> ExperimentResult:
     return _fit_and_report(sweep, split, "interpolation", _LINEAR, seed, config)[0]
 
 
-def experiment_multi_band(manifest, seed: int = 42,
-                          train_config: TrainConfig | None = None, tree_count: int = 50,
-                          jobs: int = 1):
-    """Multi-band 4 dB grid comparison: linear vs forest vs MLP on one shared
-    80/20 split. Returns results in that order. With `jobs` > 1 the linear
-    fit and the forest run on worker processes, so the forest trains beside
-    the MLP; the results are the same for any `jobs`."""
+def experiment_multi_band(manifest, seed: int = 42, jobs: int = 1):
+    """Multi-band 4 dB grid comparison: linear vs forest (TREE_COUNT trees) vs
+    MLP (`TrainConfig(seed=seed)`) on one shared 80/20 split. Returns results
+    in that order. With `jobs` > 1 the linear fit and the forest run on worker
+    processes, so the forest trains beside the MLP; the results are the same
+    for any `jobs`."""
     if len(manifest.samples) < MULTI_BAND_MIN_SAMPLES:
         raise ValueError(f"multi-band experiment needs >= {MULTI_BAND_MIN_SAMPLES} samples")
-    cfg = train_config or TrainConfig(seed=seed)
+    cfg = TrainConfig(seed=seed)
     config = {"limit": len(manifest.samples), "hidden_dim": cfg.hidden_dim,
-              "epochs": cfg.epochs, "tree_count": tree_count}
+              "epochs": cfg.epochs, "tree_count": TREE_COUNT}
     trainers = _LINEAR + (
-        ("forest", lambda x, y: train_forest(x, y, tree_count=tree_count, seed=seed)),
+        ("forest", lambda x, y: train_forest(x, y, seed=seed)),
         ("mlp", lambda x, y: train_mlp(x, y, cfg)),
     )
     split = ds.split(manifest, seed)

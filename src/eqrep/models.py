@@ -16,6 +16,7 @@ from .rng import splitmix64
 MODEL_SCHEMA_VERSION = 1
 OUTPUT_DIM = 5
 RIDGE_DAMPING = 1e-8
+TREE_COUNT = 50
 
 
 @dataclass(frozen=True)
@@ -54,7 +55,6 @@ class TrainConfig:
     batch_size: int = 64
     hidden_dim: int = 64
     seed: int = 42
-    optimizer: str = "adam"  # adam | sgd_momentum
     validation_fraction: float = 0.1
 
     def __post_init__(self):
@@ -62,8 +62,6 @@ class TrainConfig:
             raise ValueError("learning_rate, epochs, batch_size, hidden_dim must be positive")
         if not 0 <= self.validation_fraction <= 0.5:
             raise ValueError("validation_fraction must be in [0, 0.5]")
-        if self.optimizer not in ("adam", "sgd_momentum"):
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
 
 
 # ---------------------------------------------------------------- linear
@@ -172,8 +170,8 @@ def train_mlp(features: np.ndarray, targets: np.ndarray,
 
     One flat vector holds every parameter and another every gradient;
     params[k] and grads[k] are reshaped views into them. Each step has
-    `mlp_loss_and_grads` write its gradients into the views, and the
-    optimizer then updates every parameter in place, in one elementwise
+    `mlp_loss_and_grads` write its gradients into the views, and Adam
+    then updates every parameter in place, in one elementwise
     pass of the per-parameter update's operations, in its order. Each epoch
     gathers its shuffled training rows once, and its batches are slices of
     that copy. Past set-up, the forward activations are a step's only sizeable
@@ -223,29 +221,23 @@ def train_mlp(features: np.ndarray, targets: np.ndarray,
             if not np.isfinite(loss):
                 raise RuntimeError(f"training diverged: non-finite loss at step {step}")
             step += 1
-            if config.optimizer == "adam":
-                # state = 0.9 * state + 0.1 * grad
-                state *= 0.9
-                state += np.multiply(grad, 0.1, out=scratch)
-                # state2 = 0.999 * state2 + 0.001 * grad ** 2
-                state2 *= 0.999
-                np.square(grad, out=scratch)
-                scratch *= 0.001
-                state2 += scratch
-                # theta -= learning_rate * m_hat / (sqrt(v_hat) + 1e-8); the
-                # gradient is spent, so its vector holds v_hat
-                m_hat = np.divide(state, 1 - 0.9 ** step, out=scratch)
-                v_hat = np.divide(state2, 1 - 0.999 ** step, out=grad)
-                np.sqrt(v_hat, out=v_hat)
-                v_hat += 1e-8
-                m_hat *= config.learning_rate
-                m_hat /= v_hat
-                theta -= m_hat
-            else:
-                # state = 0.9 * state - learning_rate * grad; theta += state
-                state *= 0.9
-                state -= np.multiply(grad, config.learning_rate, out=scratch)
-                theta += state
+            # state = 0.9 * state + 0.1 * grad
+            state *= 0.9
+            state += np.multiply(grad, 0.1, out=scratch)
+            # state2 = 0.999 * state2 + 0.001 * grad ** 2
+            state2 *= 0.999
+            np.square(grad, out=scratch)
+            scratch *= 0.001
+            state2 += scratch
+            # theta -= learning_rate * m_hat / (sqrt(v_hat) + 1e-8); the
+            # gradient is spent, so its vector holds v_hat
+            m_hat = np.divide(state, 1 - 0.9 ** step, out=scratch)
+            v_hat = np.divide(state2, 1 - 0.999 ** step, out=grad)
+            np.sqrt(v_hat, out=v_hat)
+            v_hat += 1e-8
+            m_hat *= config.learning_rate
+            m_hat /= v_hat
+            theta -= m_hat
         mse = val_mse(params)
         if mse < best_mse:
             best_mse = mse
@@ -483,7 +475,7 @@ def _forest_predict(forest: ForestModel, x: np.ndarray) -> np.ndarray:
 
 
 def train_forest(features: np.ndarray, targets: np.ndarray,
-                 tree_count: int = 50, seed: int = 42) -> ForestModel:
+                 tree_count: int = TREE_COUNT, seed: int = 42) -> ForestModel:
     """Bagged CART trees grown together by `_grow_trees`. Tree t draws its
     bootstrap rows from `np.random.default_rng(seed + t)` and its split
     candidates from root key seed + t, so it is the single tree that

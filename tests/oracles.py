@@ -294,7 +294,7 @@ def forest_predict(forest, features):
 
 
 def train_mlp_params(features, targets, config):
-    """`models.train_mlp` with the optimizer state kept per parameter array
+    """`models.train_mlp` with the Adam state kept per parameter array
     and updated one array at a time; returns the best parameter dict."""
     features = np.asarray(features, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
@@ -329,15 +329,11 @@ def train_mlp_params(features, targets, config):
             _, grads = mlp_loss_and_grads(params, x_train[idx], y_train[idx])
             step += 1
             for k in params:
-                if config.optimizer == "adam":
-                    state[k] = 0.9 * state[k] + 0.1 * grads[k]
-                    state2[k] = 0.999 * state2[k] + 0.001 * grads[k] ** 2
-                    m_hat = state[k] / (1 - 0.9 ** step)
-                    v_hat = state2[k] / (1 - 0.999 ** step)
-                    params[k] = params[k] - config.learning_rate * m_hat / (np.sqrt(v_hat) + 1e-8)
-                else:
-                    state[k] = 0.9 * state[k] - config.learning_rate * grads[k]
-                    params[k] = params[k] + state[k]
+                state[k] = 0.9 * state[k] + 0.1 * grads[k]
+                state2[k] = 0.999 * state2[k] + 0.001 * grads[k] ** 2
+                m_hat = state[k] / (1 - 0.9 ** step)
+                v_hat = state2[k] / (1 - 0.999 ** step)
+                params[k] = params[k] - config.learning_rate * m_hat / (np.sqrt(v_hat) + 1e-8)
         mse = val_mse(params)
         if mse < best_mse:
             best_mse = mse

@@ -1,4 +1,6 @@
+import csv
 import faulthandler
+import io
 import json
 import os
 import subprocess
@@ -128,6 +130,41 @@ class TestExtract:
 
     def test_missing_file(self, tmp_path):
         assert run("extract", tmp_path / "nope.wav") == 2
+
+
+def _csv_rows(text):
+    return list(csv.reader(io.StringIO(text)))
+
+
+def test_csv_fields_holding_delimiter_and_quote_round_trip(tmp_path, capsys):
+    """Every CSV the commands write quotes a path or id holding `,` or `"`."""
+    corpus = tmp_path / "corpus"
+    assert run("synth", "--pitches", "C2,G4", "--duration", "0.3", "--out", corpus) == 0
+    for old, new in (("C2", "C,2"), ("G4", 'say "G4"')):
+        (corpus / f"{old}.wav").rename(corpus / f"{new}.wav")
+    assert run("dataset", "--corpus", corpus, "--mode", "single", "--step", "12",
+               "--csv", "--out", tmp_path) == 0
+    ids = [s["sample_id"] for s in json.loads((tmp_path / "manifest.json").read_text())["samples"]]
+    rows = _csv_rows((tmp_path / "manifest.csv").read_text())
+    assert {len(row) for row in rows} == {2 + 5 + len(FEATURE_NAMES)}
+    assert [row[0] for row in rows[1:]] == ids and ids[0].startswith("C,2-")
+
+    model = tmp_path / "linear.json"
+    assert run("train", "--manifest", tmp_path / "manifest.json", "--model", "linear",
+               "--outfile", model) == 0
+    assert run("eval", "--model", model, "--manifest", tmp_path / "manifest.json",
+               "--out", tmp_path) == 0
+    scatter = _csv_rows((tmp_path / "eval_scatter.csv").read_text())
+    assert {len(row) for row in scatter} == {4}
+    assert [row[0] for row in scatter[1::5]] == ids
+
+    wavs = sorted(str(p) for p in corpus.glob("*.wav"))
+    capsys.readouterr()
+    for command in (["extract"], ["predict", "--model", model]):
+        assert run(*command, *wavs) == 0
+        out = _csv_rows(capsys.readouterr().out)
+        assert len({len(row) for row in out}) == 1
+        assert [row[0] for row in out[1:]] == wavs
 
 
 @pytest.fixture(scope="module")
@@ -440,7 +477,7 @@ class TestDatasetSampleRate:
         assert run("dataset", "--corpus", corpus, "--mode", "single",
                    "--out", tmp_path) == 2
         assert capsys.readouterr().err.splitlines() == [
-            f"eqrep: {corpus / 'G4.wav'}: sample rate 22050 != 44100 of {corpus / 'C2.wav'}"]
+            "eqrep: note G4: sample rate 22050 != 44100 of note C2"]
         assert not (tmp_path / "manifest.json").exists()
 
 
@@ -471,6 +508,7 @@ class TestDatasetStep:
     ["extract", "--sample-rate", "22050", "a.wav"],
     ["extract", "--seed", "1", "a.wav"],
     ["dataset", "--sample-rate", "44100", "--corpus", "c", "--mode", "single"],
+    ["train", "--optimizer", "adam", "--manifest", "m", "--model", "mlp", "--outfile", "o"],
 ])
 def test_option_the_command_does_not_read_is_usage_error(argv, capsys):
     """Parsed only: each subcommand accepts only the options it reads."""
@@ -563,6 +601,29 @@ class TestLimitBound:
     ])
     def test_range_ends_are_accepted(self, command, limit):
         assert build_parser().parse_args(_limit_argv(command, limit)).limit == limit
+
+
+def _sample_rate_argv(command, rate):
+    extra = ["--gains", "0,0,0,0,0"] if command == "response" else []
+    return [command, "--sample-rate", str(rate)] + extra
+
+
+class TestSampleRateBound:
+    """Parsed only: no note is synthesized and no EQ is designed."""
+
+    @pytest.mark.parametrize("command", ["synth", "reproduce", "response"])
+    @pytest.mark.parametrize("rate", ["0", "-22050", "22050.5", "fast"])
+    def test_bad_value_is_usage_error(self, command, rate, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(_sample_rate_argv(command, rate))
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert "argument --sample-rate" in err.splitlines()[-1]
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["synth", "reproduce", "response"])
+    def test_positive_value_is_accepted(self, command):
+        assert build_parser().parse_args(_sample_rate_argv(command, 1)).sample_rate == 1
 
 
 def test_reproduce_builds_with_the_stft_options(monkeypatch, tmp_path, capsys):

@@ -77,6 +77,16 @@ class TestBuildDataset:
         with pytest.raises(ValueError, match="repeats note label"):
             ds.build_dataset(corpus, ds.single_band_settings([0.0]), stft=STFT)
 
+    def test_mixed_sample_rates_rejected_before_eq(self, tiny_corpus, monkeypatch):
+        def apply_eq(*args, **kwargs):
+            raise AssertionError("EQ work started")
+
+        monkeypatch.setattr(ds, "apply_eq", apply_eq)
+        other = ("G4", synthesize_note(NoteSpec("G4", 391.99543598174927, 0.2, 20), 22050))
+        with pytest.raises(ValueError) as exc:
+            ds.build_dataset(tiny_corpus + [other], ds.single_band_settings([0.0]), stft=STFT)
+        assert str(exc.value) == "note G4: sample rate 22050 != 44100 of note C3"
+
     def test_limit_zero_rejected(self, tiny_corpus):
         settings = ds.single_band_settings([0.0])
         with pytest.raises(ValueError):

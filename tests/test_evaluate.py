@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,6 @@ from eqrep import dataset as ds
 from eqrep import evaluate as ev
 from eqrep.eq import BAND_NAMES
 from eqrep.features import FEATURE_DIM, StftConfig
-from eqrep.models import TrainConfig
 
 
 class TestMse:
@@ -52,10 +53,10 @@ class TestMse:
 def _scatter_import(path):
     """Parse a scatter CSV back to (sample_ids, predictions, targets)."""
     ids, preds, trues = [], {}, {}
-    with open(path) as fh:
-        next(fh)
-        for line in fh:
-            sid, name, true_db, pred_db = line.rstrip("\n").split(",")
+    with open(path, newline="") as fh:
+        rows = csv.reader(fh)
+        next(rows)
+        for sid, name, true_db, pred_db in rows:
             if sid not in preds:
                 ids.append(sid)
                 preds[sid], trues[sid] = [0.0] * 5, [0.0] * 5
@@ -69,13 +70,14 @@ class TestScatterExport:
     def test_row_count_and_round_trip(self, tmp_path):
         rng = np.random.default_rng(2)
         n = 25
-        ids = [f"s{i}" for i in range(n)]
+        # the last ids hold the CSV delimiter and quote character
+        ids = [f"s{i}" for i in range(n - 3)] + ["C,4-00001", 'say "a"', '"b,c",']
         preds = rng.standard_normal((n, 5))
         targets = rng.standard_normal((n, 5))
         path = tmp_path / "scatter.csv"
         ev.scatter_export(ids, preds, targets, path)
-        lines = path.read_text().strip().split("\n")
-        assert len(lines) == 1 + n * 5
+        with open(path, newline="") as fh:
+            assert len(list(csv.reader(fh))) == 1 + n * 5
 
         back_ids, back_preds, back_targets = _scatter_import(path)
         assert back_ids == ids
@@ -161,9 +163,8 @@ def test_multi_band_jobs_give_identical_results():
     feats = gains @ mixing + 0.1 * rng.standard_normal((600, FEATURE_DIM))
     samples = ds.sample_table([f"s{i}" for i in range(600)], ["x"] * 600, gains, feats)
     manifest = ds.DatasetManifest(44100, StftConfig(), samples, 0)
-    cfg = TrainConfig(epochs=5, seed=1)
-    serial = ev.experiment_multi_band(manifest, 1, cfg, tree_count=3, jobs=1)
-    pooled = ev.experiment_multi_band(manifest, 1, cfg, tree_count=3, jobs=2)
+    serial = ev.experiment_multi_band(manifest, 1, jobs=1)
+    pooled = ev.experiment_multi_band(manifest, 1, jobs=2)
     assert [r.report.model_kind for r in pooled] == ["linear", "forest", "mlp"]
     for a, b in zip(serial, pooled):
         assert ev.report_to_dict(a.report) == ev.report_to_dict(b.report)
