@@ -29,6 +29,13 @@ class _Parser(argparse.ArgumentParser):
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         sys.exit(1)
 
+    def parse_args(self, args=None, namespace=None):
+        args = super().parse_args(args, namespace)
+        if "hop_size" in vars(args) and args.hop_size > args.frame_size:
+            self.error(f"argument --hop-size: must not exceed --frame-size "
+                       f"({args.frame_size}), got {args.hop_size}")
+        return args
+
 
 def _out_dir(args) -> Path:
     out = Path(os.environ.get("EQREP_OUT", args.out))
@@ -245,6 +252,17 @@ def _int_range(low, high=None, note=""):
     return parse
 
 
+def _power_of_two(text):
+    """An argparse type: an integer power of two >= 2 (an STFT frame size)."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 2 or value & (value - 1):
+        raise argparse.ArgumentTypeError(f"must be a power of two >= 2, got {text!r}")
+    return value
+
+
 def _positive_float(text):
     """An argparse type: a positive finite float."""
     try:
@@ -264,8 +282,10 @@ JOBS_HELP = "worker processes (1..CPU count; default: the usable cores)"
 
 
 def _add_stft(parser):
-    parser.add_argument("--frame-size", type=int, default=2048)
-    parser.add_argument("--hop-size", type=int, default=512)
+    parser.add_argument("--frame-size", type=_power_of_two, default=StftConfig.frame_size,
+                        help="STFT frame in samples (a power of two >= 2)")
+    parser.add_argument("--hop-size", type=_int_range(1), default=StftConfig.hop_size,
+                        help="samples between frames (1..--frame-size)")
 
 
 def _add_build(parser):

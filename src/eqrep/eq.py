@@ -1,15 +1,26 @@
 """Parametric EQ: biquad design (low-shelf, bell, high-shelf) as
 second-order-sections (SOS) rows, the cascade as one SOS matrix, its
-application with `sosfilt` and its magnitude response with `sosfreqz`.
+application with scipy's compiled SOS kernel and its magnitude response.
 
 Coefficients follow the standard audio-EQ cookbook parameterization with
 A = 10^(gain_db/40), w0 = 2*pi*f0/fs, alpha = sin(w0)/(2*q).
+
+The module does not import `scipy.signal`, whose package init loads
+`scipy.stats`, `scipy.interpolate`, `scipy.sparse` and `numpy.f2py` and would
+double the import time and memory of every `eqrep` process. It loads only
+the extension file of `_sosfilt`, the Cython kernel that
+`scipy.signal.sosfilt` runs after it validates and copies its arguments, and
+computes the response in numpy with the arithmetic of `freqz_sos`. Both give
+the bytes of `sosfilt` and `sosfreqz`, checked on scipy 1.17.1.
 """
 
+import importlib.machinery
+import importlib.util
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
-from scipy.signal import sosfilt, sosfreqz
+import scipy
 
 from .audio import AudioBuffer
 
@@ -20,6 +31,28 @@ BELL = "bell"
 HIGH_SHELF = "high_shelf"
 
 GAIN_LIMIT_DB = 24.0  # safety envelope; datasets use [-12, +12]
+
+
+def load_sosfilt(directory):
+    """`_sosfilt(sos, x, zi)` from its extension file in `directory`, without
+    the package init around it. It filters the C-ordered (rows, n) array `x`
+    in place, row by row, from the C-ordered (rows, sections, 2) state `zi`."""
+    directory = Path(directory)
+    name = "scipy.signal._sosfilt"
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = directory / f"_sosfilt{suffix}"
+        if path.is_file():
+            break
+    else:
+        raise ImportError(f"no compiled _sosfilt kernel in {directory}", name=name)
+    loader = importlib.machinery.ExtensionFileLoader(name, str(path))
+    module = importlib.util.module_from_spec(
+        importlib.util.spec_from_file_location(name, path, loader=loader))
+    loader.exec_module(module)
+    return module._sosfilt
+
+
+_sosfilt = load_sosfilt(Path(scipy.__file__).parent / "signal")
 
 
 @dataclass(frozen=True)
@@ -106,18 +139,28 @@ def eq_sos(gains_db, sample_rate: int) -> np.ndarray:
 
 def apply_eq(buffer: AudioBuffer, gains_db) -> AudioBuffer:
     """Serial cascade of the five band filters in band order, run as one
-    SOS filter in a single pass with zero initial state."""
+    SOS filter in a single pass with zero initial state, on a copy."""
     sos = eq_sos(gains_db, buffer.sample_rate)
-    return AudioBuffer(sosfilt(sos, buffer.samples), buffer.sample_rate)
+    x = np.array(buffer.samples.reshape(1, -1), dtype=np.float64, order="C")
+    _sosfilt(sos, x, np.zeros((1, len(sos), 2)))
+    return AudioBuffer(x[0], buffer.sample_rate)
 
 
 def eq_response(gains_db, freqs_hz, sample_rate: int) -> np.ndarray:
-    """Combined cascade magnitude response 20*log10|H(e^jw)| in dB."""
+    """Combined cascade magnitude response 20*log10|H(e^jw)| in dB: the
+    product of the sections' responses, each a ratio of Horner sums in
+    z^-1 = exp(-jw)."""
     sos = eq_sos(gains_db, sample_rate)
     freqs = np.asarray(freqs_hz, dtype=np.float64)
     if not np.all((freqs >= 0) & (freqs < sample_rate / 2)):  # false for NaN too
         raise ValueError("frequencies must lie in [0, Nyquist)")
-    _, h = sosfreqz(sos, worN=freqs.ravel(), fs=sample_rate)
+    # The arithmetic of `freqz_sos`, step for step, so the bytes agree: each
+    # section's ratio is formed before it joins the product, since
+    # (h * num) / den rounds differently from h * (num / den).
+    zm1 = np.exp(-1j * (2 * np.pi * freqs.ravel() / sample_rate))
+    h = 1.0
+    for b0, b1, b2, a0, a1, a2 in sos:
+        h *= (b0 + (b1 + (b2 + 0j) * zm1) * zm1) / (a0 + (a1 + (a2 + 0j) * zm1) * zm1)
     return 20.0 * np.log10(np.abs(h)).reshape(freqs.shape)
 
 

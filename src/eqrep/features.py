@@ -77,7 +77,8 @@ def frame_signal(samples: np.ndarray, config: StftConfig) -> np.ndarray:
     """Frame-major read-only view of the full frames at hop stride; no
     padding and no copy."""
     if len(samples) < config.frame_size:
-        raise ValueError("buffer shorter than one frame")
+        raise ValueError(f"buffer of {len(samples)} samples is shorter than one "
+                         f"frame ({config.frame_size})")
     return sliding_window_view(samples, config.frame_size)[::config.hop_size]
 
 

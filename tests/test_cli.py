@@ -131,6 +131,14 @@ class TestExtract:
     def test_missing_file(self, tmp_path):
         assert run("extract", tmp_path / "nope.wav") == 2
 
+    def test_too_short_note_names_both_sizes(self, tmp_path, capsys):
+        run("synth", "--pitches", "C4", "--duration", "0.03", "--sample-rate", "44100",
+            "--out", tmp_path)
+        capsys.readouterr()
+        assert run("extract", tmp_path / "C4.wav") == 2
+        assert capsys.readouterr().err == (
+            "eqrep: buffer of 1323 samples is shorter than one frame (2048)\n")
+
 
 def _csv_rows(text):
     return list(csv.reader(io.StringIO(text)))
@@ -518,6 +526,29 @@ def test_option_the_command_does_not_read_is_usage_error(argv, capsys):
     err = capsys.readouterr().err
     assert err.splitlines()[-1].startswith(f"eqrep: error: unrecognized arguments: {argv[1]}")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["extract", "a.wav"],
+    ["dataset", "--corpus", "c", "--mode", "single"],
+    ["reproduce"],
+], ids=lambda argv: argv[0])
+@pytest.mark.parametrize("stft, option", [
+    (["--frame-size", "1000"], "--frame-size"),
+    (["--frame-size", "0"], "--frame-size"),
+    (["--hop-size", "0"], "--hop-size"),
+    (["--frame-size", "1024", "--hop-size", "4096"], "--hop-size"),
+], ids=["frame-1000", "frame-0", "hop-0", "hop-above-frame"])
+def test_bad_stft_option_is_usage_error(argv, stft, option, tmp_path, capsys):
+    """Refused at parse time, before any note is read, made or written."""
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        run(*argv, *stft, *(["--out", out] if argv[0] != "extract" else []))
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert f"error: argument {option}: " in err.splitlines()[-1]
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def _jobs_argv(command, jobs):

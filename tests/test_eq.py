@@ -1,15 +1,30 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.signal import sosfilt
+from scipy.signal import sosfilt, sosfreqz
 
+import eqrep
 import oracles
 from eqrep.audio import AudioBuffer
 from eqrep.eq import (BANDS, BELL, HIGH_SHELF, LOW_SHELF, EqBandSpec, apply_eq,
-                      design_biquad, eq_response, eq_sos, log_frequency_grid)
+                      design_biquad, eq_response, eq_sos, load_sosfilt,
+                      log_frequency_grid)
 from eqrep.features import extract_features
 
 SR = 44100
+
+
+def run_fresh(code, *argv):
+    """stdout of `code` run in a fresh interpreter that imports eqrep from this tree."""
+    src = str(Path(eqrep.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True,
+                          text=True, timeout=120, check=True).stdout
 
 
 class TestStandardBands:
@@ -187,7 +202,7 @@ class TestEqResponse:
             eq_response([0, 0, 0, 0, 0], [100.0, freq], SR)
 
     def test_matches_summed_section_oracle(self):
-        # sosfreqz of the cascade against the sum of the written-out H(z) of
+        # the cascade's response against the sum of the written-out H(z) of
         # each section, over random +/-24 dB settings
         freqs = log_frequency_grid(20, 20000, 500)
         rng = np.random.default_rng(12)
@@ -218,3 +233,92 @@ class TestImpulseResponseCrossCheck:
         freqs = np.fft.rfftfreq(n, 1 / SR)
         analytic = eq_response(gains, freqs[1:-1], SR)
         assert np.max(np.abs(mags[1:-1] - analytic)) <= 0.01
+
+
+# The public scipy.signal functions are the reference for the compiled
+# kernel path: `apply_eq` must give the bytes of `sosfilt`, and `eq_response`
+# those of `sosfreqz`.
+GRID_SETTINGS = [[0, 0, 0, 0, 0], [12, -12, 8, -4, 4], [-12, 12, -8, 4, -4],
+                 [24, -24, 24, -24, 24]]
+RANDOM_SETTINGS = np.random.default_rng(21).uniform(-24, 24, (6, 5)).tolist()
+
+
+def scipy_response(gains, freqs, sample_rate):
+    freqs = np.asarray(freqs, dtype=np.float64)
+    _, h = sosfreqz(eq_sos(gains, sample_rate), worN=freqs.ravel(), fs=sample_rate)
+    return 20.0 * np.log10(np.abs(h)).reshape(freqs.shape)
+
+
+class TestKernelMatchesScipy:
+    @pytest.mark.parametrize("sample_rate", [22050, 44100])
+    @pytest.mark.parametrize("gains", GRID_SETTINGS + RANDOM_SETTINGS)
+    def test_filter_and_response_bytes(self, sample_rate, gains):
+        samples = 0.5 * np.random.default_rng(5).standard_normal(4096)
+        out = apply_eq(AudioBuffer(samples, sample_rate), gains).samples
+        assert out.tobytes() == sosfilt(eq_sos(gains, sample_rate), samples).tobytes()
+        freqs = np.concatenate([log_frequency_grid(20, 0.99 * sample_rate / 2, 300),
+                                np.fft.rfftfreq(2048, 1 / sample_rate)[:-1]])
+        assert (eq_response(gains, freqs, sample_rate).tobytes()
+                == scipy_response(gains, freqs, sample_rate).tobytes())
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_shortest_buffers(self, n):
+        samples = np.array([0.7, -0.2, 0.4])[:n]
+        out = apply_eq(AudioBuffer(samples, SR), [6, -3, 0, 4, -6]).samples
+        assert out.tobytes() == sosfilt(eq_sos([6, -3, 0, 4, -6], SR), samples).tobytes()
+
+    def test_strided_input(self):
+        samples = np.random.default_rng(6).standard_normal(3000)[::3]
+        assert not samples.flags.c_contiguous
+        out = apply_eq(AudioBuffer(samples, SR), [6, -3, 0, 4, -6]).samples
+        assert out.tobytes() == sosfilt(eq_sos([6, -3, 0, 4, -6], SR), samples).tobytes()
+
+    def test_input_left_unchanged(self, noise_buffer):
+        before = noise_buffer.samples.copy()
+        out = apply_eq(noise_buffer, [6, -3, 0, 4, -6])
+        assert noise_buffer.samples.tobytes() == before.tobytes()
+        assert not np.shares_memory(out.samples, noise_buffer.samples)
+
+    @pytest.mark.parametrize("freqs", [2500.0, log_frequency_grid(20, 20000, 12).reshape(3, 4)],
+                             ids=["scalar", "2-D"])
+    def test_response_keeps_scalar_and_2d_inputs(self, freqs):
+        resp = eq_response([6, -3, 0, 4, -6], freqs, SR)
+        expected = scipy_response([6, -3, 0, 4, -6], freqs, SR)
+        assert resp.shape == expected.shape == np.shape(freqs)
+        assert resp.tobytes() == expected.tobytes()
+
+
+# The kernel loaded by file and the one `scipy.signal` imports, in both
+# import orders: the output of the first import and of the second agree.
+BOTH_IMPORT_ORDERS = """
+import hashlib, sys
+import numpy as np
+if sys.argv[1] == "scipy-first":
+    import scipy.signal
+from eqrep.audio import AudioBuffer
+from eqrep.eq import apply_eq, eq_sos
+import scipy.signal
+
+samples = np.random.default_rng(8).standard_normal(5000)
+ours = apply_eq(AudioBuffer(samples, 22050), [6, -3, 0, 4, -6]).samples
+theirs = scipy.signal.sosfilt(eq_sos([6, -3, 0, 4, -6], 22050), samples)
+print(hashlib.sha256(ours.tobytes()).hexdigest(), hashlib.sha256(theirs.tobytes()).hexdigest())
+"""
+
+
+def test_kernel_agrees_in_both_import_orders():
+    digests = {order: run_fresh(BOTH_IMPORT_ORDERS, order).split()
+               for order in ("scipy-first", "eqrep-first")}
+    assert len({d for pair in digests.values() for d in pair}) == 1, digests
+
+
+def test_cli_import_leaves_out_scipy_signal():
+    code = "import sys, eqrep.cli; print('scipy.signal' in sys.modules)"
+    assert run_fresh(code).strip() == "False"
+
+
+def test_loader_refuses_a_directory_without_the_kernel(tmp_path):
+    with pytest.raises(ImportError) as exc:
+        load_sosfilt(tmp_path)
+    assert str(tmp_path) in str(exc.value) and "_sosfilt" in str(exc.value)
+    assert exc.value.__context__ is None and exc.value.__cause__ is None

@@ -51,7 +51,8 @@ class TestStft:
         assert frame_signal(np.ones(2048 + 512), StftConfig(2048, 512)).shape == (2, 2048)
 
     def test_too_short_buffer(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError,
+                           match=r"^buffer of 100 samples is shorter than one frame \(2048\)$"):
             frame_signal(np.ones(100), StftConfig(2048, 512))
         with pytest.raises(ValueError):
             extract_features(AudioBuffer(np.ones(100), SR))
