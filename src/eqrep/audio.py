@@ -1,10 +1,19 @@
-"""Audio container, WAV I/O, and additive synthesis of the base note corpus."""
+"""Audio container, WAV I/O, and additive synthesis of the base note corpus.
+
+WAV files are read and written by `scipy.io.wavfile`, loaded from its own
+file `scipy/io/wavfile.py` by `scipyfiles.load`, so that `scipy.io` and the
+`scipy.sparse` and `scipy.io.matlab` it imports are never loaded. It is the
+same code as the public module, checked on scipy 1.17.1.
+"""
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.io import wavfile
+
+from . import scipyfiles
+
+wavfile = scipyfiles.load("io.wavfile")
 
 DEFAULT_SAMPLE_RATE = 44100
 DECAY_RATE = 1.5  # 1/s, the amplitude envelope of every note

@@ -213,7 +213,8 @@ def cmd_response(args):
         gains = [float(g) for g in args.gains.split(",")]
     except ValueError:
         raise RuntimeError(f"bad gain syntax: {args.gains!r}") from None
-    freqs = log_frequency_grid(args.start, args.stop, args.points)
+    stop = args.stop if args.stop is not None else min(20000.0, 0.95 * args.sample_rate / 2)
+    freqs = log_frequency_grid(args.start, stop, args.points)
     response = eq_response(gains, freqs, args.sample_rate)
     lines = ["frequency_hz,gain_db"]
     lines += [f"{float(f)!r},{float(g)!r}" for f, g in zip(freqs, response)]
@@ -369,7 +370,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gains", required=True, help="five comma-separated dB values")
     p.add_argument("--sample-rate", type=_int_range(1), default=DEFAULT_SAMPLE_RATE)
     p.add_argument("--start", type=_positive_float, default=20.0, help="Hz")
-    p.add_argument("--stop", type=_positive_float, default=20000.0, help="Hz")
+    p.add_argument("--stop", type=_positive_float,
+                   help="Hz (default 20000, or 0.95 x Nyquist where that is lower)")
     p.add_argument("--points", type=_int_range(1), default=200)
     p.add_argument("--out", help="CSV output path (default stdout)")
     p.set_defaults(func=cmd_response)

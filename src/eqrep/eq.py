@@ -5,23 +5,19 @@ application with scipy's compiled SOS kernel and its magnitude response.
 Coefficients follow the standard audio-EQ cookbook parameterization with
 A = 10^(gain_db/40), w0 = 2*pi*f0/fs, alpha = sin(w0)/(2*q).
 
-The module does not import `scipy.signal`, whose package init loads
-`scipy.stats`, `scipy.interpolate`, `scipy.sparse` and `numpy.f2py` and would
-double the import time and memory of every `eqrep` process. It loads only
-the extension file of `_sosfilt`, the Cython kernel that
-`scipy.signal.sosfilt` runs after it validates and copies its arguments, and
-computes the response in numpy with the arithmetic of `freqz_sos`. Both give
-the bytes of `sosfilt` and `sosfreqz`, checked on scipy 1.17.1.
+The module does not import `scipy.signal`. It runs `_sosfilt`, the Cython
+kernel that `scipy.signal.sosfilt` runs after it validates and copies its
+arguments, loaded from its own file `scipy/signal/_sosfilt*.so` by
+`scipyfiles.load`, and computes the response in numpy with the arithmetic
+of `freqz_sos`. Both give the bytes of `sosfilt` and `sosfreqz`, checked on
+scipy 1.17.1.
 """
 
-import importlib.machinery
-import importlib.util
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
-import scipy
 
+from . import scipyfiles
 from .audio import AudioBuffer
 
 BAND_NAMES = ["EQ_80", "EQ_240", "EQ_2500", "EQ_4000", "EQ_10000"]
@@ -33,26 +29,9 @@ HIGH_SHELF = "high_shelf"
 GAIN_LIMIT_DB = 24.0  # safety envelope; datasets use [-12, +12]
 
 
-def load_sosfilt(directory):
-    """`_sosfilt(sos, x, zi)` from its extension file in `directory`, without
-    the package init around it. It filters the C-ordered (rows, n) array `x`
-    in place, row by row, from the C-ordered (rows, sections, 2) state `zi`."""
-    directory = Path(directory)
-    name = "scipy.signal._sosfilt"
-    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
-        path = directory / f"_sosfilt{suffix}"
-        if path.is_file():
-            break
-    else:
-        raise ImportError(f"no compiled _sosfilt kernel in {directory}", name=name)
-    loader = importlib.machinery.ExtensionFileLoader(name, str(path))
-    module = importlib.util.module_from_spec(
-        importlib.util.spec_from_file_location(name, path, loader=loader))
-    loader.exec_module(module)
-    return module._sosfilt
-
-
-_sosfilt = load_sosfilt(Path(scipy.__file__).parent / "signal")
+# `_sosfilt(sos, x, zi)` filters the C-ordered (rows, n) array `x` in place,
+# row by row, from the C-ordered (rows, sections, 2) state `zi`.
+_sosfilt = scipyfiles.load("signal._sosfilt")._sosfilt
 
 
 @dataclass(frozen=True)
@@ -152,8 +131,10 @@ def eq_response(gains_db, freqs_hz, sample_rate: int) -> np.ndarray:
     z^-1 = exp(-jw)."""
     sos = eq_sos(gains_db, sample_rate)
     freqs = np.asarray(freqs_hz, dtype=np.float64)
-    if not np.all((freqs >= 0) & (freqs < sample_rate / 2)):  # false for NaN too
-        raise ValueError("frequencies must lie in [0, Nyquist)")
+    outside = ~((freqs >= 0) & (freqs < sample_rate / 2))  # true for NaN too
+    if outside.any():
+        raise ValueError(f"frequency {float(freqs.flat[np.argmax(outside)])!r} Hz lies "
+                         f"outside [0, Nyquist) = [0, {sample_rate / 2!r}) Hz")
     # The arithmetic of `freqz_sos`, step for step, so the bytes agree: each
     # section's ratio is formed before it joins the product, since
     # (h * num) / den rounds differently from h * (num / den).

@@ -14,6 +14,12 @@ with a large input (an EQ output), and the next call faults it in again.
 call, so its bytes do not depend on the BLAS thread count. Its stage
 functions take a (frames, bins) block of magnitude spectra and return one
 value per frame.
+
+The MFCCs' DCT is pocketfft's, the one `scipy.fft.dct` runs, loaded from its
+own file `scipy/fft/_pocketfft/pypocketfft*.so` by `scipyfiles.load`, so
+that `scipy.fft` and the `scipy.special` it imports are never loaded. It
+gives the bytes of `scipy.fft.dct(x, type=2, norm="ortho")`, checked on
+scipy 1.17.1.
 """
 
 import functools
@@ -21,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.fft import dct
 
+from . import scipyfiles
 from .audio import AudioBuffer
 
 N_MFCC = 13
@@ -39,6 +45,8 @@ FEATURE_NAMES = (
     + ["rms"]
 )
 FEATURE_DIM = len(FEATURE_NAMES)  # 17
+
+_dct = scipyfiles.load("fft._pocketfft.pypocketfft").dct
 
 
 @dataclass(frozen=True)
@@ -179,6 +187,13 @@ def analysis_constants(sample_rate: int, frame_size: int):
     return window, bin_freqs, bands
 
 
+def orthonormal_dct(x: np.ndarray) -> np.ndarray:
+    """DCT-II of a float64 vector with orthonormal scaling: pocketfft's
+    `dct(a, type, axes, inorm, out, nthreads)` called as
+    `scipy.fft.dct(x, type=2, norm="ortho")` calls it, inorm 1 being "ortho"."""
+    return _dct(x, 2, (-1,), 1, None, 1)
+
+
 def extract_features(buffer: AudioBuffer, config: StftConfig = StftConfig()) -> FeatureVector:
     """Assemble the 17-dim feature vector of file-level means.
 
@@ -207,6 +222,6 @@ def extract_features(buffer: AudioBuffer, config: StftConfig = StftConfig()) -> 
         centroid_hz=float(centroid_sum / count),
         bandwidth_hz=float(bandwidth_sum / count),
         rolloff_hz=float(rolloff_sum / count),
-        mfcc_mean=dct(logmel_sum / count, type=2, norm="ortho")[:N_MFCC],
+        mfcc_mean=orthonormal_dct(logmel_sum / count)[:N_MFCC],
         rms=float(rms_sum / count),
     )

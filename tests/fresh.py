@@ -1,0 +1,17 @@
+"""Run code in a fresh interpreter, for checks that depend on what is
+imported, and in which order."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import eqrep
+
+
+def run_fresh(code, *argv):
+    """stdout of `code` run in a fresh interpreter that imports eqrep from this tree."""
+    src = str(Path(eqrep.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-c", code, *map(str, argv)], env=env,
+                          capture_output=True, text=True, timeout=120, check=True).stdout

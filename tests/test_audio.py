@@ -7,6 +7,7 @@ from eqrep.audio import (AudioBuffer, NoteSpec, max_alias_free_partials,
                          note_corpus, pitch_to_hz, pitch_to_midi, read_wav,
                          synthesize_note, write_wav, DEFAULT_PITCHES)
 from eqrep.features import extract_features
+from fresh import run_fresh
 
 SR = 44100
 
@@ -76,6 +77,49 @@ class TestWriteWav:
         path = tmp_path / "hot.wav"
         write_wav(AudioBuffer(np.array([1.5, -2.0]), SR), path)
         np.testing.assert_array_equal(read_wav(path).samples, [1.5, -2.0])
+
+
+# The WAV code loaded by file against the public `scipy.io.wavfile`, in a
+# fresh interpreter and in both import orders: `write_wav` writes its bytes,
+# and `read_wav` reads what it wrote as its documented conversion of
+# `wavfile.read`.
+WAV_BOTH_IMPORT_ORDERS = """
+import sys
+from pathlib import Path
+import numpy as np
+if sys.argv[1] == "scipy-first":
+    import scipy.io.wavfile
+from eqrep.audio import AudioBuffer, read_wav, write_wav, wavfile as loaded
+from scipy.io import wavfile
+
+directory = Path(sys.argv[2])
+rng = np.random.default_rng(9)
+samples = rng.uniform(-1.5, 1.5, 3001)
+write_wav(AudioBuffer(samples, 22050), directory / "ours.wav")
+wavfile.write(directory / "theirs.wav", 22050, samples.astype(np.float32))
+same = [(directory / "ours.wav").read_bytes() == (directory / "theirs.wav").read_bytes()]
+files = {"int16": rng.integers(-32768, 32768, 2001).astype(np.int16),
+         "float32": rng.uniform(-1.5, 1.5, 2001).astype(np.float32),
+         "stereo": rng.integers(-32768, 32768, (2001, 2)).astype(np.int16)}
+for name, data in files.items():
+    path = directory / f"{name}.wav"
+    wavfile.write(path, 44100, data)
+    rate, public = wavfile.read(path)
+    ours_rate, ours = loaded.read(path)
+    same.append(rate == ours_rate and ours.dtype == public.dtype
+                and ours.shape == public.shape and ours.tobytes() == public.tobytes())
+    expected = public / 32768.0 if public.dtype == np.int16 else public.astype(np.float64)
+    if expected.ndim == 2:
+        expected = expected.mean(axis=1)
+    buffer = read_wav(path)
+    same.append(buffer.sample_rate == rate and buffer.samples.tobytes() == expected.tobytes())
+print(*same)
+"""
+
+
+@pytest.mark.parametrize("order", ["scipy-first", "eqrep-first"])
+def test_wav_code_matches_scipy(tmp_path, order):
+    assert run_fresh(WAV_BOTH_IMPORT_ORDERS, order, tmp_path).split() == ["True"] * 7
 
 
 class TestAudioBuffer:

@@ -15,6 +15,7 @@ import eqrep
 from eqrep import dataset as ds
 from eqrep import evaluate as ev
 from eqrep.cli import build_parser, main
+from eqrep.eq import log_frequency_grid
 from eqrep.features import FEATURE_NAMES, StftConfig
 from eqrep.models import load_model, save_model
 
@@ -76,6 +77,23 @@ class TestResponse:
 
     def test_bad_gain_syntax(self):
         assert run("response", "--gains", "a,b,c") == 2
+
+    @pytest.mark.parametrize("sample_rate, stop", [(44100, 20000.0), (22050, 10473.75)])
+    def test_default_stop_lies_below_nyquist(self, capsys, sample_rate, stop):
+        assert run("response", "--gains", "6,-3,0,4,-6", "--sample-rate", sample_rate) == 0
+        lines = capsys.readouterr().out.strip().split("\n")
+        assert len(lines) == 201
+        assert float(lines[-1].split(",")[0]) == pytest.approx(stop, rel=1e-12)
+
+    def test_frequency_above_nyquist_is_named(self, capsys):
+        assert run("response", "--gains", "6,-3,0,4,-6", "--sample-rate", 22050,
+                   "--stop", 20000) == 2
+        freqs = log_frequency_grid(20.0, 20000.0, 200)
+        first = float(freqs[freqs >= 11025][0])
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"eqrep: frequency {first!r} Hz lies outside "
+                                "[0, Nyquist) = [0, 11025.0) Hz\n")
 
     def test_nan_gain_is_runtime_error(self, capsys):
         assert run("response", "--gains", "6,-3,0,4,nan") == 2

@@ -9,6 +9,7 @@ from eqrep.features import (BLOCK_FRAMES, FEATURE_DIM, LOG_FLOOR, StftConfig,
                             fft_bin_freqs, frame_signal, hann_window, hz_to_mel,
                             mel_bands, mel_filterbank, mel_log_energies, mel_to_hz,
                             spectral_bandwidth, spectral_centroid, spectral_rolloff)
+from fresh import run_fresh
 
 SR = 44100
 
@@ -181,6 +182,36 @@ class TestMfcc:
         a = extract_features(noise_buffer, StftConfig(2048, 512)).mfcc_mean
         b = extract_features(noise_buffer, StftConfig(2048, 512)).mfcc_mean
         np.testing.assert_array_equal(a, b)
+
+
+# The DCT loaded by file against `scipy.fft.dct`, in a fresh interpreter and
+# in both import orders, on random 40-vectors and a real mean log-mel vector.
+DCT_BOTH_IMPORT_ORDERS = """
+import hashlib, sys
+import numpy as np
+if sys.argv[1] == "scipy-first":
+    import scipy.fft
+from eqrep.audio import NoteSpec, synthesize_note
+from eqrep.features import (StftConfig, _magnitudes, analysis_constants, extract_features,
+                            frame_signal, mel_log_energies, orthonormal_dct)
+import scipy.fft
+
+note = synthesize_note(NoteSpec("C2", 65.40639132514966, 1.0, 300), 44100)
+window, _, bands = analysis_constants(44100, 2048)
+mags = _magnitudes(frame_signal(note.samples, StftConfig()), window)
+vectors = [*np.random.default_rng(10).standard_normal((20, 40)),
+           mel_log_energies(mags, bands).mean(axis=0)]
+same = [orthonormal_dct(v).tobytes() == scipy.fft.dct(v, type=2, norm="ortho").tobytes()
+        for v in vectors]
+print(all(same), len(same), hashlib.sha256(extract_features(note).to_array().tobytes()).hexdigest())
+"""
+
+
+def test_dct_matches_scipy_in_both_import_orders():
+    outputs = {order: run_fresh(DCT_BOTH_IMPORT_ORDERS, order).split()
+               for order in ("scipy-first", "eqrep-first")}
+    assert outputs["scipy-first"][:2] == ["True", "21"], outputs
+    assert outputs["scipy-first"] == outputs["eqrep-first"], outputs
 
 
 class TestRms:
