@@ -73,7 +73,7 @@ SAMPLE_DTYPE = np.dtype([("sample_id", object), ("base_label", object),
 
 def sample_table(ids, labels, gains, features) -> np.recarray:
     """The read-only record array of n manifest rows: str ids and labels, the
-    applied EqSetting gains (n, 5) and the flattened FeatureVectors (n, 17)."""
+    applied gains (n, 5) and the features (n, 17)."""
     table = np.recarray(len(ids), SAMPLE_DTYPE)
     table.sample_id = ids
     table.base_label = labels
@@ -88,6 +88,8 @@ class DatasetManifest:
     sample_rate: int
     stft: StftConfig
     samples: np.recarray  # a `sample_table`; the matrices are its read-only column views
+    # The seed build_dataset drew its subsample with. `train` splits by its
+    # own --seed and `eval` scores every row, so neither reads this one.
     split_seed: int
 
     def feature_matrix(self) -> np.ndarray:
@@ -140,8 +142,8 @@ def build_dataset(corpus, settings, stft: StftConfig = StftConfig(),
             write_wav(processed, f"{keep_audio_dir}/{ids[k]}.wav")
         return extract_features(processed, stft).to_array()
 
-    with fork_map(features_of, range(len(ids)), jobs) as rows:
-        samples = sample_table(ids, [labels[n] for n in note], settings[setting], list(rows))
+    rows = fork_map(features_of, range(len(ids)), jobs)
+    samples = sample_table(ids, [labels[n] for n in note], settings[setting], rows)
     return DatasetManifest(sample_rate, stft, samples, seed)
 
 

@@ -113,8 +113,8 @@ def _fit_and_report(manifest, split, experiment_id, trainers, seed, config,
                     jobs: int = 1) -> list:
     """Fit each (kind, trainer) on the train rows of `split`, report it on the
     test rows; one ExperimentResult per trainer, in order. With `jobs` > 1
-    every trainer but the last fits on worker processes, which send back only
-    their test-row predictions, while the last fits in this process."""
+    the trainers fit on worker processes, which send back only their test-row
+    predictions."""
     train_idx, test_idx = split
     x, y = manifest.feature_matrix(), manifest.target_matrix()
     ids = manifest.samples.sample_id[test_idx].tolist()
@@ -123,10 +123,7 @@ def _fit_and_report(manifest, split, experiment_id, trainers, seed, config,
         train = trainers[k][1]
         return predict(train(x[train_idx], y[train_idx]), x[test_idx])
 
-    *pooled, last = range(len(trainers))
-    with fork_map(fit_predict, pooled, jobs) as pending:
-        last_preds = fit_predict(last)
-        all_preds = [*pending, last_preds]
+    all_preds = fork_map(fit_predict, range(len(trainers)), jobs)
     return [ExperimentResult(make_report(experiment_id, kind, preds, y[test_idx], seed, config),
                              ids, preds, y[test_idx])
             for (kind, _), preds in zip(trainers, all_preds)]
@@ -159,9 +156,8 @@ def experiment_interpolation(sweep, seed: int = 42) -> ExperimentResult:
 def experiment_multi_band(manifest, seed: int = 42, jobs: int = 1):
     """Multi-band 4 dB grid comparison: linear vs forest (TREE_COUNT trees) vs
     MLP (`TrainConfig(seed=seed)`) on one shared 80/20 split. Returns results
-    in that order. With `jobs` > 1 the linear fit and the forest run on worker
-    processes, so the forest trains beside the MLP; the results are the same
-    for any `jobs`."""
+    in that order. With `jobs` > 1 the three fit on worker processes, so the
+    forest trains beside the MLP; the results are the same for any `jobs`."""
     if len(manifest.samples) < MULTI_BAND_MIN_SAMPLES:
         raise ValueError(f"multi-band experiment needs >= {MULTI_BAND_MIN_SAMPLES} samples")
     cfg = TrainConfig(seed=seed)

@@ -58,6 +58,8 @@ class TrainConfig:
     validation_fraction: float = 0.1
 
     def __post_init__(self):
+        if not np.isfinite(self.learning_rate):
+            raise ValueError(f"learning_rate must be finite, got {self.learning_rate}")
         if min(self.learning_rate, self.epochs, self.batch_size, self.hidden_dim) <= 0:
             raise ValueError("learning_rate, epochs, batch_size, hidden_dim must be positive")
         if not 0 <= self.validation_fraction <= 0.5:

@@ -15,7 +15,6 @@ thresholds (`mallopt`), so freed memory stays in the worker's heap and is
 reused. Only worker processes change; the calling process keeps its settings.
 """
 
-import contextlib
 import ctypes
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
@@ -61,22 +60,19 @@ def _run(item):
     return _task(item)
 
 
-@contextlib.contextmanager
-def fork_map(task, items, jobs: int):
-    """Start task(item) for every item on up to `jobs` worker processes and
-    yield an iterator over the results, in item order; the caller may do
-    other work before reading it. With one job, or fewer than two items, the
-    items run in this process as the iterator is read. Leaving the block
+def fork_map(task, items, jobs: int) -> list:
+    """[task(item) for item in items], run on up to `jobs` worker processes;
+    the results come back in item order. With one job, or fewer than two
+    items, the items run in this process. An exception raised by an item
     cancels the items no worker has started."""
     items = list(items)
     workers = min(jobs, len(items))
     if workers <= 1:
-        yield map(task, items)
-        return
+        return [task(item) for item in items]
     chunksize = max(1, len(items) // (workers * CHUNKS_PER_WORKER))
     with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
                              initializer=_install, initargs=(task,)) as pool:
         try:
-            yield pool.map(_run, items, chunksize=chunksize)
+            return list(pool.map(_run, items, chunksize=chunksize))
         finally:
             pool.shutdown(cancel_futures=True)

@@ -750,6 +750,30 @@ def test_reproduce_dead_worker_is_one_line(monkeypatch, tmp_path, capsys):
     assert "terminated abruptly" in err[0]
 
 
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="--jobs 2 needs two CPUs")
+def test_mlp_error_in_a_worker_is_raised_in_the_caller(monkeypatch, tmp_path, capsys):
+    parent = os.getpid()
+    diverged = "training diverged: non-finite loss at step 1"
+
+    def train_mlp(*args, **kwargs):
+        assert os.getpid() != parent, "the MLP fit in the calling process"
+        raise RuntimeError(diverged)
+
+    monkeypatch.setattr(ev, "train_mlp", train_mlp)
+    rng = np.random.default_rng(5)
+    n = ev.MULTI_BAND_MIN_SAMPLES
+    samples = ds.sample_table([f"s{i}" for i in range(n)], ["x"] * n,
+                              rng.choice(ds.COARSE_GRID, size=(n, 5)),
+                              rng.standard_normal((n, len(FEATURE_NAMES))))
+    with pytest.raises(RuntimeError) as excinfo:
+        ev.experiment_multi_band(ds.DatasetManifest(44100, StftConfig(), samples, 0), 42,
+                                 jobs=2)
+    assert excinfo.type is RuntimeError and str(excinfo.value) == diverged
+    assert run("reproduce", "--sample-rate", 22050, "--limit", n, "--jobs", "2",
+               "--out", tmp_path) == 2
+    assert capsys.readouterr().err.splitlines() == [f"eqrep: {diverged}"]
+
+
 def test_reproduce_bytes_do_not_depend_on_blas_threads_or_jobs(tmp_path):
     """The same run with one BLAS thread in process and with two BLAS threads
     on two workers: same exit code, byte-identical output files."""

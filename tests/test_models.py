@@ -203,6 +203,9 @@ class TestMlp:
             TrainConfig(epochs=0)
         with pytest.raises(ValueError):
             TrainConfig(validation_fraction=0.9)
+        for rate in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="learning_rate must be finite"):
+                TrainConfig(learning_rate=rate)
 
 
 class TestForest:

@@ -37,8 +37,7 @@ def faults_per_sample(_item):
         extract_features(apply_eq(note, gains))
     return (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 20
 
-with fork_map(faults_per_sample, range(2), jobs=2) as results:
-    print(json.dumps(list(results)))
+print(json.dumps(fork_map(faults_per_sample, range(2), jobs=2)))
 """
 
 
@@ -58,6 +57,31 @@ def test_build_worker_does_not_refault_its_heap(sample_rate):
 def test_heap_setting_stays_in_the_workers(monkeypatch, jobs):
     calls = []
     monkeypatch.setattr(pool, "_keep_heap", lambda: calls.append(1))
-    with fork_map(len, ["ab", "c"], jobs) as results:
-        assert list(results) == [2, 1]
+    assert fork_map(len, ["ab", "c"], jobs) == [2, 1]
     assert calls == []
+
+
+def _square_unless_seven(item):
+    if item == 7:
+        raise ValueError("item 7")
+    return item * item
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_results_come_back_in_item_order(jobs):
+    # 40 items at jobs=2 make 40 one-item chunks, many per worker; the items
+    # are not sorted, so the result order is the item order, not the value order.
+    items = [(17 * k) % 40 + 10 for k in range(40)]
+    assert fork_map(_square_unless_seven, items, jobs) == [k * k for k in items]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_no_items_give_no_results(jobs):
+    assert fork_map(_square_unless_seven, [], jobs) == []
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_an_items_exception_is_raised_in_the_caller(jobs):
+    with pytest.raises(ValueError) as excinfo:
+        fork_map(_square_unless_seven, range(40), jobs)
+    assert excinfo.type is ValueError and str(excinfo.value) == "item 7"
