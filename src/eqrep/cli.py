@@ -19,8 +19,7 @@ from . import jsondoc
 from .audio import DEFAULT_SAMPLE_RATE, note_corpus, pitch_to_hz, read_wav, write_wav
 from .eq import BAND_NAMES, eq_response, log_frequency_grid
 from .features import FEATURE_NAMES, StftConfig, extract_features
-from .models import (TREE_COUNT, TrainConfig, load_model, predict, save_model,
-                     train_forest, train_linear, train_mlp)
+from .models import MODEL_KINDS, TREE_COUNT, TrainConfig, load_model, predict, save_model
 
 
 class _Parser(argparse.ArgumentParser):
@@ -119,12 +118,7 @@ def cmd_train(args):
     cfg = TrainConfig(learning_rate=args.learning_rate, epochs=args.epochs,
                       batch_size=args.batch_size, hidden_dim=args.hidden_dim,
                       seed=args.seed)
-    if args.model == "linear":
-        model = train_linear(x[train_idx], y[train_idx])
-    elif args.model == "forest":
-        model = train_forest(x[train_idx], y[train_idx], args.trees, args.seed)
-    else:
-        model = train_mlp(x[train_idx], y[train_idx], cfg)
+    model = MODEL_KINDS[args.model].fit(x[train_idx], y[train_idx], cfg, args.trees)
 
     test_mse, per_band = ev.mse(predict(model, x[test_idx]), y[test_idx])
     train_mse, _ = ev.mse(predict(model, x[train_idx]), y[train_idx])
@@ -178,11 +172,12 @@ def cmd_eval(args):
     out = _out_dir(args)
     model, train_config, _ = load_model(args.model)
     contract = _feature_contract(train_config)
+    seed = jsondoc.JsonValue(train_config, "model artifact", "train_config")["seed"].int()
     manifest = ds.load_manifest(args.manifest)
     if (manifest.sample_rate, manifest.stft) != contract:
         raise RuntimeError(f"{args.manifest}: features of {manifest.sample_rate} Hz, "
                            f"{manifest.stft} != model's {contract[0]} Hz, {contract[1]}")
-    result = ev.evaluate_model(model, manifest, args.seed)
+    result = ev.evaluate_model(model, manifest, seed)
     _save_result(result, out, "eval")
     report = result.report
     print(f"overall MSE {report.overall_mse:.6g} ({report.n_samples} samples)")
@@ -329,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train a model on a dataset manifest")
     p.add_argument("--manifest", required=True)
-    p.add_argument("--model", choices=["linear", "forest", "mlp"], required=True)
+    p.add_argument("--model", choices=list(MODEL_KINDS), required=True)
     p.add_argument("--outfile", required=True, help="model artifact path")
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--hidden-dim", type=_int_range(1), default=TrainConfig.hidden_dim)
@@ -347,7 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate a model artifact against a manifest")
     p.add_argument("--model", required=True)
     p.add_argument("--manifest", required=True)
-    p.add_argument("--seed", type=int, default=42)
     p.add_argument("--out", default=".")
     p.set_defaults(func=cmd_eval)
 

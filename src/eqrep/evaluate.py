@@ -17,7 +17,7 @@ from . import jsondoc
 from .audio import DEFAULT_SAMPLE_RATE, note_corpus
 from .eq import BAND_NAMES
 from .features import StftConfig
-from .models import TREE_COUNT, TrainConfig, predict, train_forest, train_linear, train_mlp
+from .models import MODEL_KINDS, TREE_COUNT, LinearModel, TrainConfig, predict
 from .pool import fork_map
 
 # Default note for the reproduction runs: low fundamental with enough partials
@@ -26,7 +26,6 @@ from .pool import fork_map
 REPRODUCTION_PITCH = "C2"
 REPRODUCTION_PARTIALS = 300
 MULTI_BAND_MIN_SAMPLES = 500
-_LINEAR = (("linear", train_linear),)
 
 
 def reproduction_corpus(sample_rate: int = DEFAULT_SAMPLE_RATE, pitches=None):
@@ -109,30 +108,31 @@ def scatter_export(sample_ids, predictions, targets, path) -> None:
             writer.writerows([sid, name, t, p] for name, t, p in zip(BAND_NAMES, true, pred))
 
 
-def _fit_and_report(manifest, split, experiment_id, trainers, seed, config,
+def _fit_and_report(manifest, split, experiment_id, kinds, seed, config,
                     jobs: int = 1) -> list:
-    """Fit each (kind, trainer) on the train rows of `split`, report it on the
-    test rows; one ExperimentResult per trainer, in order. With `jobs` > 1
-    the trainers fit on worker processes, which send back only their test-row
-    predictions."""
+    """Fit each model kind (`TrainConfig(seed=seed)`, TREE_COUNT trees) on the
+    train rows of `split`, report it on the test rows; one ExperimentResult
+    per kind, in order. With `jobs` > 1 the kinds fit on worker processes,
+    which send back only their test-row predictions."""
     train_idx, test_idx = split
     x, y = manifest.feature_matrix(), manifest.target_matrix()
     ids = manifest.samples.sample_id[test_idx].tolist()
+    cfg = TrainConfig(seed=seed)
 
-    def fit_predict(k):
-        train = trainers[k][1]
-        return predict(train(x[train_idx], y[train_idx]), x[test_idx])
+    def fit_predict(kind):
+        model = MODEL_KINDS[kind].fit(x[train_idx], y[train_idx], cfg, TREE_COUNT)
+        return predict(model, x[test_idx])
 
-    all_preds = fork_map(fit_predict, range(len(trainers)), jobs)
+    all_preds = fork_map(fit_predict, kinds, jobs)
     return [ExperimentResult(make_report(experiment_id, kind, preds, y[test_idx], seed, config),
                              ids, preds, y[test_idx])
-            for (kind, _), preds in zip(trainers, all_preds)]
+            for kind, preds in zip(kinds, all_preds)]
 
 
 def _sweep_experiment(sweep, grid, experiment_id, seed) -> ExperimentResult:
     config = {"grid": list(np.asarray(grid, dtype=float)), "train_fraction": ds.TRAIN_FRACTION}
     split = ds.split(sweep, seed)
-    return _fit_and_report(sweep, split, experiment_id, _LINEAR, seed, config)[0]
+    return _fit_and_report(sweep, split, experiment_id, [LinearModel.kind], seed, config)[0]
 
 
 def experiment_single_band_fine(sweep, seed: int = 42) -> ExperimentResult:
@@ -150,33 +150,27 @@ def experiment_interpolation(sweep, seed: int = 42) -> ExperimentResult:
     """Train on the 4 dB grid points of the 1 dB sweep, validate in between."""
     split = ds.interpolation_split(sweep, ds.COARSE_GRID)
     config = {"coarse_grid": list(ds.COARSE_GRID)}
-    return _fit_and_report(sweep, split, "interpolation", _LINEAR, seed, config)[0]
+    return _fit_and_report(sweep, split, "interpolation", [LinearModel.kind], seed, config)[0]
 
 
 def experiment_multi_band(manifest, seed: int = 42, jobs: int = 1):
-    """Multi-band 4 dB grid comparison: linear vs forest (TREE_COUNT trees) vs
-    MLP (`TrainConfig(seed=seed)`) on one shared 80/20 split. Returns results
-    in that order. With `jobs` > 1 the three fit on worker processes, so the
-    forest trains beside the MLP; the results are the same for any `jobs`."""
+    """Multi-band 4 dB grid comparison of every model kind on one shared
+    80/20 split, with results in MODEL_KINDS order: linear, forest, MLP. With
+    `jobs` > 1 the three fit on worker processes, so the forest trains
+    beside the MLP; the results are the same for any `jobs`."""
     if len(manifest.samples) < MULTI_BAND_MIN_SAMPLES:
         raise ValueError(f"multi-band experiment needs >= {MULTI_BAND_MIN_SAMPLES} samples")
-    cfg = TrainConfig(seed=seed)
-    config = {"limit": len(manifest.samples), "hidden_dim": cfg.hidden_dim,
-              "epochs": cfg.epochs, "tree_count": TREE_COUNT}
-    trainers = _LINEAR + (
-        ("forest", lambda x, y: train_forest(x, y, seed=seed)),
-        ("mlp", lambda x, y: train_mlp(x, y, cfg)),
-    )
+    config = {"limit": len(manifest.samples), "hidden_dim": TrainConfig.hidden_dim,
+              "epochs": TrainConfig.epochs, "tree_count": TREE_COUNT}
     split = ds.split(manifest, seed)
-    return _fit_and_report(manifest, split, "multi_band", trainers, seed, config, jobs)
+    return _fit_and_report(manifest, split, "multi_band", list(MODEL_KINDS), seed, config, jobs)
 
 
 def evaluate_model(model, manifest, seed: int = 42) -> ExperimentResult:
     """One trained model scored on every row of a manifest (`eqrep eval`)."""
     targets = manifest.target_matrix()
     preds = predict(model, manifest.feature_matrix())
-    kind = type(model).__name__.replace("Model", "").lower()
-    return ExperimentResult(make_report("eval", kind, preds, targets, seed),
+    return ExperimentResult(make_report("eval", model.kind, preds, targets, seed),
                             manifest.samples.sample_id.tolist(), preds, targets)
 
 

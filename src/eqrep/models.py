@@ -1,10 +1,16 @@
 """The three gain predictors: closed-form linear regression, a two-hidden-layer
 MLP trained from scratch with backprop, and a bagged CART random forest.
 All map 17 features to the 5 band gains in dB.
+
+`MODEL_KINDS` is the one list of model kinds. Each model class carries its
+`kind`, its `fit`, its `forward` pass on normalized rows, and its artifact
+`params` both ways (`params_doc`, `from_params`); `predict`, the artifact
+functions, the experiments and `train --model` all go through the table.
 """
 
 import json
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -74,6 +80,22 @@ class LinearModel:
     weights: np.ndarray  # (5, 17)
     bias: np.ndarray     # (5,)
     norm: Normalization
+    kind: ClassVar[str] = "linear"
+
+    @staticmethod
+    def fit(x, y, config: TrainConfig, tree_count: int) -> "LinearModel":
+        return train_linear(x, y)
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        return x @ self.weights.T + self.bias
+
+    def params_doc(self) -> dict:
+        return {"weights": self.weights.tolist(), "bias": self.bias.tolist()}
+
+    @classmethod
+    def from_params(cls, params: JsonValue, norm: Normalization) -> "LinearModel":
+        return cls(_finite(params["weights"], (OUTPUT_DIM, FEATURE_DIM)),
+                   _finite(params["bias"], (OUTPUT_DIM,)), norm)
 
 
 def train_linear(features: np.ndarray, targets: np.ndarray) -> LinearModel:
@@ -98,6 +120,29 @@ def train_linear(features: np.ndarray, targets: np.ndarray) -> LinearModel:
 class MlpModel:
     params: dict  # W1,b1,W2,b2,W3,b3; W1 is (17, hidden width)
     norm: Normalization
+    kind: ClassVar[str] = "mlp"
+
+    @staticmethod
+    def fit(x, y, config: TrainConfig, tree_count: int) -> "MlpModel":
+        return train_mlp(x, y, config)
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        return mlp_forward(self.params, x)[0]
+
+    def params_doc(self) -> dict:
+        return {"hidden_dim": self.params["W1"].shape[1],
+                **{k: v.tolist() for k, v in self.params.items()}}
+
+    @classmethod
+    def from_params(cls, params: JsonValue, norm: Normalization) -> "MlpModel":
+        hidden = params["hidden_dim"].int()
+        if hidden < 1:
+            raise ValueError(f"{params.what} {params.path}.hidden_dim: expected a positive "
+                             f"integer, got {hidden}")
+        shapes = {"W1": (FEATURE_DIM, hidden), "b1": (hidden,),
+                  "W2": (hidden, hidden), "b2": (hidden,),
+                  "W3": (hidden, OUTPUT_DIM), "b3": (OUTPUT_DIM,)}
+        return cls({k: _finite(params[k], shape) for k, shape in shapes.items()}, norm)
 
 
 def init_mlp_params(input_dim: int, hidden_dim: int, output_dim: int, seed: int) -> dict:
@@ -259,6 +304,7 @@ class ForestModel:
     # The trees' node arrays packed end to end, child indices made global;
     # derived from `trees`, so they are neither arguments nor saved.
     packed: dict = field(init=False, repr=False, compare=False)
+    kind: ClassVar[str] = "forest"
 
     def __post_init__(self):
         if not self.trees:
@@ -271,6 +317,34 @@ class ForestModel:
             packed[key] = np.where(packed["feature"] >= 0, child, -1)
         packed["roots"] = offsets[:-1]
         object.__setattr__(self, "packed", packed)
+
+    @staticmethod
+    def fit(x, y, config: TrainConfig, tree_count: int) -> "ForestModel":
+        return train_forest(x, y, tree_count, config.seed)
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        """Mean leaf value over trees: every (tree, row) pair descends one
+        level per step until all of them sit on a leaf."""
+        p = self.packed
+        rows = len(x)
+        node = np.repeat(p["roots"], rows)                     # tree-major pairs
+        row = np.tile(np.arange(rows), len(p["roots"]))
+        active = np.flatnonzero(p["feature"][node] >= 0)
+        while active.size:
+            at = node[active]
+            go_left = x[row[active], p["feature"][at]] <= p["threshold"][at]
+            at = np.where(go_left, p["left"][at], p["right"][at])
+            node[active] = at
+            active = active[p["feature"][at] >= 0]
+        return p["value"][node].reshape(len(p["roots"]), rows, p["value"].shape[1]).mean(axis=0)
+
+    def params_doc(self) -> dict:
+        keys = ("feature", "threshold", "left", "right", "value")
+        return {"trees": [{key: t[key].tolist() for key in keys} for t in self.trees]}
+
+    @classmethod
+    def from_params(cls, params: JsonValue, norm: Normalization) -> "ForestModel":
+        return cls([_tree_from_doc(t) for t in params["trees"].elements()], norm)
 
 
 # A node with at most this many rows is not split. It bounds the size of the
@@ -459,23 +533,6 @@ def _grow_trees(x: np.ndarray, y: np.ndarray, roots, keys,
             for lo, size in zip(first.tolist(), sizes.tolist())]
 
 
-def _forest_predict(forest: ForestModel, x: np.ndarray) -> np.ndarray:
-    """Mean leaf value over trees: every (tree, row) pair descends one level
-    per step until all of them sit on a leaf."""
-    p = forest.packed
-    rows = len(x)
-    node = np.repeat(p["roots"], rows)                     # tree-major pairs
-    row = np.tile(np.arange(rows), len(p["roots"]))
-    active = np.flatnonzero(p["feature"][node] >= 0)
-    while active.size:
-        at = node[active]
-        go_left = x[row[active], p["feature"][at]] <= p["threshold"][at]
-        at = np.where(go_left, p["left"][at], p["right"][at])
-        node[active] = at
-        active = active[p["feature"][at] >= 0]
-    return p["value"][node].reshape(len(p["roots"]), rows, p["value"].shape[1]).mean(axis=0)
-
-
 def train_forest(features: np.ndarray, targets: np.ndarray,
                  tree_count: int = TREE_COUNT, seed: int = 42) -> ForestModel:
     """Bagged CART trees grown together by `_grow_trees`. Tree t draws its
@@ -499,23 +556,22 @@ def train_forest(features: np.ndarray, targets: np.ndarray,
 # -------------------------------------------------------------- predict
 
 
+# The kinds in the order of `train --model`'s choices and of the multi-band
+# experiment's results.
+MODEL_KINDS = {cls.kind: cls for cls in (LinearModel, ForestModel, MlpModel)}
+
+
 def predict(model, features: np.ndarray) -> np.ndarray:
-    """Predict 5 band gains (dB, unclamped) for one feature vector or a batch."""
+    """Predict 5 band gains (dB, unclamped) for one (17,) feature vector or
+    an (n, 17) batch."""
     features = np.asarray(features, dtype=np.float64)
+    if features.ndim not in (1, 2) or features.shape[-1] != FEATURE_DIM:
+        raise ValueError(f"expected a ({FEATURE_DIM},) or (n, {FEATURE_DIM}) feature "
+                         f"array, got shape {features.shape}")
     if not np.all(np.isfinite(features)):
         raise ValueError("non-finite feature input")
-    single = features.ndim == 1
-    batch = np.atleast_2d(features)
-    x = model.norm.apply(batch)
-    if isinstance(model, LinearModel):
-        out = x @ model.weights.T + model.bias
-    elif isinstance(model, MlpModel):
-        out, _ = mlp_forward(model.params, x)
-    elif isinstance(model, ForestModel):
-        out = _forest_predict(model, x)
-    else:
-        raise TypeError(f"unknown model type {type(model).__name__}")
-    return out[0] if single else out
+    out = model.forward(model.norm.apply(np.atleast_2d(features)))
+    return out[0] if features.ndim == 1 else out
 
 
 # -------------------------------------------------------- serialization
@@ -545,35 +601,10 @@ def _norm_from_doc(doc: JsonValue) -> Normalization:
 
 def model_to_dict(model, train_config: dict | None = None,
                   metrics: dict | None = None) -> dict:
-    if isinstance(model, LinearModel):
-        kind = "linear"
-        params = {"weights": model.weights.tolist(), "bias": model.bias.tolist()}
-    elif isinstance(model, MlpModel):
-        kind = "mlp"
-        params = {
-            "hidden_dim": model.params["W1"].shape[1],
-            **{k: v.tolist() for k, v in model.params.items()},
-        }
-    elif isinstance(model, ForestModel):
-        kind = "forest"
-        params = {
-            "trees": [
-                {
-                    "feature": t["feature"].tolist(),
-                    "threshold": t["threshold"].tolist(),
-                    "left": t["left"].tolist(),
-                    "right": t["right"].tolist(),
-                    "value": t["value"].tolist(),
-                }
-                for t in model.trees
-            ]
-        }
-    else:
-        raise TypeError(f"unknown model type {type(model).__name__}")
     return {
         "schema_version": MODEL_SCHEMA_VERSION,
-        "kind": kind,
-        "params": params,
+        "kind": model.kind,
+        "params": model.params_doc(),
         "normalization": _norm_to_dict(model.norm),
         "train_config": train_config or {},
         "metrics": metrics or {},
@@ -619,19 +650,9 @@ def model_from_dict(doc: dict):
     kind = doc["kind"].str()
     norm = _norm_from_doc(doc["normalization"])
     params = doc["params"]
-    if kind == "linear":
-        model = LinearModel(_finite(params["weights"], (OUTPUT_DIM, FEATURE_DIM)),
-                            _finite(params["bias"], (OUTPUT_DIM,)), norm)
-    elif kind == "mlp":
-        hidden = params["hidden_dim"].int()
-        shapes = {"W1": (FEATURE_DIM, hidden), "b1": (hidden,),
-                  "W2": (hidden, hidden), "b2": (hidden,),
-                  "W3": (hidden, OUTPUT_DIM), "b3": (OUTPUT_DIM,)}
-        model = MlpModel({k: _finite(params[k], shape) for k, shape in shapes.items()}, norm)
-    elif kind == "forest":
-        model = ForestModel([_tree_from_doc(t) for t in params["trees"].elements()], norm)
-    else:
+    if kind not in MODEL_KINDS:
         raise ValueError(f"unknown model kind {kind!r}")
+    model = MODEL_KINDS[kind].from_params(params, norm)
     return model, doc.get("train_config", {}).obj(), doc.get("metrics", {}).obj()
 
 

@@ -14,10 +14,11 @@ from scipy.io import wavfile
 import eqrep
 from eqrep import dataset as ds
 from eqrep import evaluate as ev
+from eqrep import models
 from eqrep.cli import build_parser, main
 from eqrep.eq import log_frequency_grid
 from eqrep.features import FEATURE_NAMES, StftConfig
-from eqrep.models import load_model, save_model
+from eqrep.models import MODEL_KINDS, load_model, save_model
 
 
 def run(*argv):
@@ -418,6 +419,26 @@ class TestMalformedArtifacts:
         assert _one_error_line(capsys) == \
             f"eqrep: model artifact lacks key {key!r} in train_config"
 
+    def test_eval_reports_the_artifact_seed(self, workspace, tmp_path, capsys):
+        """`eval` scores every row, so its report's seed is the one that made
+        the model; an artifact that does not record it is refused."""
+        model = tmp_path / "m.json"
+        assert run("train", "--manifest", workspace / "manifest.json", "--model", "linear",
+                   "--seed", "7", "--outfile", model) == 0
+        assert run("eval", "--model", model, "--manifest", workspace / "manifest.json",
+                   "--out", tmp_path) == 0
+        assert json.loads((tmp_path / "eval_report.json").read_text())["seed"] == 7
+
+        doc = json.loads(model.read_text())
+        del doc["train_config"]["seed"]
+        model.write_text(json.dumps(doc))
+        (tmp_path / "eval_report.json").unlink()
+        capsys.readouterr()
+        assert run("eval", "--model", model, "--manifest", workspace / "manifest.json",
+                   "--out", tmp_path) == 2
+        assert _one_error_line(capsys) == "eqrep: model artifact lacks key 'seed' in train_config"
+        assert not (tmp_path / "eval_report.json").exists()
+
     def test_eval_needs_the_feature_contract(self, workspace, linear_artifact, tmp_path,
                                              capsys):
         model = tmp_path / "m.json"
@@ -535,6 +556,7 @@ class TestDatasetStep:
     ["extract", "--seed", "1", "a.wav"],
     ["dataset", "--sample-rate", "44100", "--corpus", "c", "--mode", "single"],
     ["train", "--optimizer", "adam", "--manifest", "m", "--model", "mlp", "--outfile", "o"],
+    ["eval", "--seed", "7", "--model", "m", "--manifest", "x"],
 ])
 def test_option_the_command_does_not_read_is_usage_error(argv, capsys):
     """Parsed only: each subcommand accepts only the options it reads."""
@@ -617,6 +639,11 @@ class TestTrainOptionBounds:
             "--learning-rate", "1e-9"])
         assert (args.trees, args.epochs, args.hidden_dim, args.batch_size) == (1, 1, 1, 1)
         assert args.learning_rate == 1e-9
+
+    def test_model_choices_are_the_model_kinds(self, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["train", "--help"])
+        assert "--model {" + ",".join(MODEL_KINDS) + "}" in capsys.readouterr().out
 
 
 def test_jobs_default_to_the_usable_cores():
@@ -759,7 +786,7 @@ def test_mlp_error_in_a_worker_is_raised_in_the_caller(monkeypatch, tmp_path, ca
         assert os.getpid() != parent, "the MLP fit in the calling process"
         raise RuntimeError(diverged)
 
-    monkeypatch.setattr(ev, "train_mlp", train_mlp)
+    monkeypatch.setattr(models, "train_mlp", train_mlp)
     rng = np.random.default_rng(5)
     n = ev.MULTI_BAND_MIN_SAMPLES
     samples = ds.sample_table([f"s{i}" for i in range(n)], ["x"] * n,

@@ -7,6 +7,7 @@ from eqrep import dataset as ds
 from eqrep import evaluate as ev
 from eqrep.eq import BAND_NAMES
 from eqrep.features import FEATURE_DIM, StftConfig
+from eqrep.models import MODEL_KINDS, TrainConfig
 
 
 class TestMse:
@@ -171,6 +172,17 @@ def test_multi_band_jobs_give_identical_results():
         assert a.sample_ids == b.sample_ids
         np.testing.assert_array_equal(a.predictions, b.predictions)
         np.testing.assert_array_equal(a.targets, b.targets)
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_evaluate_model_reports_the_model_kind(kind):
+    rng = np.random.default_rng(6)
+    gains, feats = rng.standard_normal((40, 5)), rng.standard_normal((40, FEATURE_DIM))
+    samples = ds.sample_table([f"s{i}" for i in range(40)], ["x"] * 40, gains, feats)
+    model = MODEL_KINDS[kind].fit(feats, gains, TrainConfig(epochs=2, hidden_dim=4), 2)
+    result = ev.evaluate_model(model, ds.DatasetManifest(44100, StftConfig(), samples, 0), 7)
+    assert (result.report.model_kind, result.report.seed, result.report.n_samples) == \
+        (kind, 7, 40)
 
 
 # The reproduction's checks, in the order `eqrep reproduce` prints them.

@@ -1,4 +1,5 @@
 import gc
+import json
 import math
 import tracemalloc
 
@@ -7,7 +8,7 @@ import pytest
 
 import oracles
 from eqrep import models
-from eqrep.models import (ForestModel, LinearModel, MlpModel, Normalization,
+from eqrep.models import (MODEL_KINDS, ForestModel, LinearModel, MlpModel, Normalization,
                           TrainConfig, fit_normalization, init_mlp_params,
                           load_model, mlp_forward, mlp_loss_and_grads,
                           model_from_dict, model_to_dict, predict, save_model,
@@ -22,6 +23,12 @@ def _random_instance(n, seed=0, noise=0.0):
     b = rng.standard_normal(5)
     y = x @ w + b + noise * rng.standard_normal((n, 5))
     return x, y
+
+
+def _fitted(kind):
+    """A small model of `kind`, fitted through its table entry."""
+    x, y = _random_instance(60, seed=18, noise=0.5)
+    return MODEL_KINDS[kind].fit(x, y, TrainConfig(epochs=2, hidden_dim=4, seed=2), 2)
 
 
 class TestNormalization:
@@ -452,6 +459,12 @@ class TestPredict:
         with pytest.raises(ValueError):
             predict(model, bad)
 
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    @pytest.mark.parametrize("shape", [(2, 3, 17), (16,), (), (3, 16), (17, 1)])
+    def test_features_of_another_shape_are_refused(self, kind, shape):
+        with pytest.raises(ValueError, match=fr"got shape \({', '.join(map(str, shape))}"):
+            predict(_fitted(kind), np.ones(shape))
+
 
 class TestSerialization:
     @pytest.mark.parametrize("kind", ["linear", "mlp", "forest"])
@@ -470,6 +483,23 @@ class TestSerialization:
         np.testing.assert_array_equal(predict(back, queries), predict(model, queries))
         assert train_config == {"model": kind}
         assert metrics == {"test_mse": 0.1}
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_loaded_artifact_serialises_back_to_its_dict(self, kind, tmp_path):
+        model = _fitted(kind)
+        assert type(model).kind == kind
+        path = tmp_path / f"{kind}.json"
+        save_model(model, path, {"model": kind, "seed": 2}, {"test_mse": 0.1})
+        doc = json.loads(path.read_text())
+        assert model_to_dict(*model_from_dict(doc)) == doc
+
+    @pytest.mark.parametrize("hidden_dim", [0, -1])
+    def test_nonpositive_hidden_dim_is_named(self, hidden_dim):
+        doc = model_to_dict(_fitted("mlp"))
+        doc["params"]["hidden_dim"] = hidden_dim
+        with pytest.raises(ValueError, match=f"params.hidden_dim: expected a positive "
+                                             f"integer, got {hidden_dim}"):
+            model_from_dict(doc)
 
     def test_hidden_dim_shape_mismatch(self):
         x, y = _random_instance(40, seed=20)
