@@ -1,8 +1,11 @@
 """Command-line pipeline: synth, dataset, extract, train, predict, eval,
 reproduce, response.
 
-Exit codes: 0 success, 1 usage error, 2 runtime failure. The EQREP_OUT
-environment variable overrides the default output directory.
+Exit codes: 0 success, 1 usage error, 2 runtime failure. synth, dataset,
+eval and reproduce write into the --out directory (default .); the EQREP_OUT
+environment variable, when set, replaces it, even when --out is given.
+extract and response write a CSV to --out (default stdout), train writes
+--outfile and predict prints; EQREP_OUT does not touch these.
 """
 
 import argparse
@@ -11,6 +14,7 @@ import io
 import math
 import os
 import sys
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from . import dataset as ds
@@ -19,7 +23,12 @@ from . import jsondoc
 from .audio import DEFAULT_SAMPLE_RATE, note_corpus, pitch_to_hz, read_wav, write_wav
 from .eq import BAND_NAMES, eq_response, log_frequency_grid
 from .features import FEATURE_NAMES, StftConfig, extract_features
-from .models import MODEL_KINDS, TREE_COUNT, TrainConfig, load_model, predict, save_model
+from .models import MODEL_KINDS, TrainConfig, load_model, predict, save_model
+
+
+# The options of `dataset` that only one --mode reads, with their defaults;
+# they parse to None when not given, so that the other mode can refuse them.
+_MODE_OPTIONS = {"step": ("single", 1.0), "limit": ("multi", 3000), "full": ("multi", False)}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -33,6 +42,12 @@ class _Parser(argparse.ArgumentParser):
         if "hop_size" in vars(args) and args.hop_size > args.frame_size:
             self.error(f"argument --hop-size: must not exceed --frame-size "
                        f"({args.frame_size}), got {args.hop_size}")
+        if args.command == "dataset":
+            for name, (mode, default) in _MODE_OPTIONS.items():
+                if getattr(args, name) is None:
+                    setattr(args, name, default)
+                elif args.mode != mode:
+                    self.error(f"argument --{name}: not read by --mode {args.mode}")
         return args
 
 
@@ -112,23 +127,16 @@ def cmd_extract(args):
 
 def cmd_train(args):
     manifest = ds.load_manifest(args.manifest)
-    train_idx, test_idx = ds.split(manifest, args.seed)
+    cfg = TrainConfig(**{f.name: getattr(args, f.name) for f in fields(TrainConfig)})
+    train_idx, test_idx = ds.split(manifest, cfg.seed)
     x = manifest.feature_matrix()
     y = manifest.target_matrix()
-    cfg = TrainConfig(learning_rate=args.learning_rate, epochs=args.epochs,
-                      batch_size=args.batch_size, hidden_dim=args.hidden_dim,
-                      seed=args.seed)
-    model = MODEL_KINDS[args.model].fit(x[train_idx], y[train_idx], cfg, args.trees)
+    model = MODEL_KINDS[args.model].fit(x[train_idx], y[train_idx], cfg)
 
     test_mse, per_band = ev.mse(predict(model, x[test_idx]), y[test_idx])
     train_mse, _ = ev.mse(predict(model, x[train_idx]), y[train_idx])
-    train_config = {
-        "model": args.model, "seed": args.seed, "hidden_dim": args.hidden_dim,
-        "epochs": args.epochs, "batch_size": args.batch_size,
-        "learning_rate": args.learning_rate, "trees": args.trees,
-        "sample_rate": manifest.sample_rate,
-        "frame_size": manifest.stft.frame_size, "hop_size": manifest.stft.hop_size,
-    }
+    train_config = {"model": args.model, **asdict(cfg),
+                    "sample_rate": manifest.sample_rate, **asdict(manifest.stft)}
     metrics = {"train_mse": train_mse, "test_mse": test_mse,
                "per_band_test_mse": list(per_band)}
     save_model(model, args.outfile, train_config, metrics)
@@ -286,7 +294,7 @@ def _add_stft(parser):
 
 def _add_build(parser):
     """The options of the commands that build datasets: dataset, reproduce."""
-    parser.add_argument("--seed", type=int, default=42)
+    parser.add_argument("--seed", type=_int_range(0), default=42)
     _add_stft(parser)
     parser.add_argument("--out", default=".", help="output directory")
 
@@ -306,11 +314,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_build(p)
     p.add_argument("--corpus", required=True, help="directory of base WAV files")
     p.add_argument("--mode", choices=["single", "multi"], required=True)
-    p.add_argument("--step", type=_grid_step, default=1.0,
-                   help="single-band grid step (dB); must divide 24")
-    p.add_argument("--limit", type=_int_range(1), default=3000,
-                   help="multi-band samples (>= 1; clamped to the pair count)")
-    p.add_argument("--full", action="store_true", help="no subsampling (multi mode)")
+    p.add_argument("--step", type=_grid_step,
+                   help="single mode: grid step in dB (default 1); must divide 24")
+    p.add_argument("--limit", type=_int_range(1),
+                   help="multi mode: samples (>= 1, default 3000; clamped to the pair count)")
+    p.add_argument("--full", action="store_true", default=None, help="multi mode: no subsampling")
     p.add_argument("--csv", action="store_true", help="also export manifest.csv")
     p.add_argument("--keep-audio", action="store_true", help="keep processed WAVs")
     p.add_argument("--jobs", type=_jobs, default=USABLE_CORES, help=JOBS_HELP)
@@ -326,12 +334,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--model", choices=list(MODEL_KINDS), required=True)
     p.add_argument("--outfile", required=True, help="model artifact path")
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--seed", type=_int_range(0), default=TrainConfig.seed)
     p.add_argument("--hidden-dim", type=_int_range(1), default=TrainConfig.hidden_dim)
     p.add_argument("--epochs", type=_int_range(1), default=TrainConfig.epochs)
     p.add_argument("--batch-size", type=_int_range(1), default=TrainConfig.batch_size)
     p.add_argument("--learning-rate", type=_positive_float, default=TrainConfig.learning_rate)
-    p.add_argument("--trees", type=_int_range(1), default=TREE_COUNT)
+    p.add_argument("--trees", type=_int_range(1), default=TrainConfig.trees)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("predict", help="predict the 5 EQ gains for WAV files")

@@ -17,7 +17,7 @@ from . import jsondoc
 from .audio import DEFAULT_SAMPLE_RATE, note_corpus
 from .eq import BAND_NAMES
 from .features import StftConfig
-from .models import MODEL_KINDS, TREE_COUNT, LinearModel, TrainConfig, predict
+from .models import MODEL_KINDS, LinearModel, TrainConfig, predict
 from .pool import fork_map
 
 # Default note for the reproduction runs: low fundamental with enough partials
@@ -110,17 +110,17 @@ def scatter_export(sample_ids, predictions, targets, path) -> None:
 
 def _fit_and_report(manifest, split, experiment_id, kinds, seed, config,
                     jobs: int = 1) -> list:
-    """Fit each model kind (`TrainConfig(seed=seed)`, TREE_COUNT trees) on the
-    train rows of `split`, report it on the test rows; one ExperimentResult
-    per kind, in order. With `jobs` > 1 the kinds fit on worker processes,
-    which send back only their test-row predictions."""
+    """Fit each model kind with `TrainConfig(seed=seed)` on the train rows of
+    `split`, report it on the test rows; one ExperimentResult per kind, in
+    order. With `jobs` > 1 the kinds fit on worker processes, which send
+    back only their test-row predictions."""
     train_idx, test_idx = split
     x, y = manifest.feature_matrix(), manifest.target_matrix()
     ids = manifest.samples.sample_id[test_idx].tolist()
     cfg = TrainConfig(seed=seed)
 
     def fit_predict(kind):
-        model = MODEL_KINDS[kind].fit(x[train_idx], y[train_idx], cfg, TREE_COUNT)
+        model = MODEL_KINDS[kind].fit(x[train_idx], y[train_idx], cfg)
         return predict(model, x[test_idx])
 
     all_preds = fork_map(fit_predict, kinds, jobs)
@@ -161,7 +161,7 @@ def experiment_multi_band(manifest, seed: int = 42, jobs: int = 1):
     if len(manifest.samples) < MULTI_BAND_MIN_SAMPLES:
         raise ValueError(f"multi-band experiment needs >= {MULTI_BAND_MIN_SAMPLES} samples")
     config = {"limit": len(manifest.samples), "hidden_dim": TrainConfig.hidden_dim,
-              "epochs": TrainConfig.epochs, "tree_count": TREE_COUNT}
+              "epochs": TrainConfig.epochs, "tree_count": TrainConfig.trees}
     split = ds.split(manifest, seed)
     return _fit_and_report(manifest, split, "multi_band", list(MODEL_KINDS), seed, config, jobs)
 

@@ -22,7 +22,8 @@ from .rng import splitmix64
 MODEL_SCHEMA_VERSION = 1
 OUTPUT_DIM = 5
 RIDGE_DAMPING = 1e-8
-TREE_COUNT = 50
+# Share of the rows `train_mlp` holds out to pick its best epoch.
+VALIDATION_FRACTION = 0.1
 
 
 @dataclass(frozen=True)
@@ -56,20 +57,22 @@ def _training_targets(targets: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """Every training option of every model kind; `train` takes one option
+    per field and records the fields in its artifact."""
     learning_rate: float = 1e-3
     epochs: int = 500
     batch_size: int = 64
     hidden_dim: int = 64
     seed: int = 42
-    validation_fraction: float = 0.1
+    trees: int = 50
 
     def __post_init__(self):
         if not np.isfinite(self.learning_rate):
             raise ValueError(f"learning_rate must be finite, got {self.learning_rate}")
-        if min(self.learning_rate, self.epochs, self.batch_size, self.hidden_dim) <= 0:
-            raise ValueError("learning_rate, epochs, batch_size, hidden_dim must be positive")
-        if not 0 <= self.validation_fraction <= 0.5:
-            raise ValueError("validation_fraction must be in [0, 0.5]")
+        if min(self.learning_rate, self.epochs, self.batch_size, self.hidden_dim,
+               self.trees) <= 0:
+            raise ValueError("learning_rate, epochs, batch_size, hidden_dim, trees "
+                             "must be positive")
 
 
 # ---------------------------------------------------------------- linear
@@ -83,7 +86,7 @@ class LinearModel:
     kind: ClassVar[str] = "linear"
 
     @staticmethod
-    def fit(x, y, config: TrainConfig, tree_count: int) -> "LinearModel":
+    def fit(x, y, config: TrainConfig) -> "LinearModel":
         return train_linear(x, y)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
@@ -123,7 +126,7 @@ class MlpModel:
     kind: ClassVar[str] = "mlp"
 
     @staticmethod
-    def fit(x, y, config: TrainConfig, tree_count: int) -> "MlpModel":
+    def fit(x, y, config: TrainConfig) -> "MlpModel":
         return train_mlp(x, y, config)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
@@ -213,7 +216,9 @@ def _unflatten(flat: np.ndarray, like: dict) -> dict:
 def train_mlp(features: np.ndarray, targets: np.ndarray,
               config: TrainConfig = TrainConfig()) -> MlpModel:
     """Mini-batch training on normalized features; returns the parameters with
-    the best validation MSE seen across epochs (initialization included).
+    the best validation MSE seen across epochs (initialization included). The
+    validation rows are VALIDATION_FRACTION of the set; a set too small to
+    spare one is validated on its training rows.
 
     One flat vector holds every parameter and another every gradient;
     params[k] and grads[k] are reshaped views into them. Each step has
@@ -232,13 +237,10 @@ def train_mlp(features: np.ndarray, targets: np.ndarray,
 
     rng = np.random.default_rng(config.seed)
     n = len(x_all)
-    n_val = int(n * config.validation_fraction)
+    n_val = int(n * VALIDATION_FRACTION)
     order = rng.permutation(n)
     val_idx, train_idx = order[:n_val], order[n_val:]
-    if len(train_idx) == 0:
-        raise ValueError("validation fraction leaves no training rows")
     x_train, y_train = x_all[train_idx], targets[train_idx]
-    # fall back to the training rows when no validation split is requested
     x_val = x_all[val_idx] if n_val else x_train
     y_val = targets[val_idx] if n_val else y_train
 
@@ -319,8 +321,8 @@ class ForestModel:
         object.__setattr__(self, "packed", packed)
 
     @staticmethod
-    def fit(x, y, config: TrainConfig, tree_count: int) -> "ForestModel":
-        return train_forest(x, y, tree_count, config.seed)
+    def fit(x, y, config: TrainConfig) -> "ForestModel":
+        return train_forest(x, y, config.trees, config.seed)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Mean leaf value over trees: every (tree, row) pair descends one
@@ -534,7 +536,7 @@ def _grow_trees(x: np.ndarray, y: np.ndarray, roots, keys,
 
 
 def train_forest(features: np.ndarray, targets: np.ndarray,
-                 tree_count: int = TREE_COUNT, seed: int = 42) -> ForestModel:
+                 tree_count: int = TrainConfig.trees, seed: int = 42) -> ForestModel:
     """Bagged CART trees grown together by `_grow_trees`. Tree t draws its
     bootstrap rows from `np.random.default_rng(seed + t)` and its split
     candidates from root key seed + t, so it is the single tree that

@@ -19,6 +19,7 @@ import math
 
 import numpy as np
 
+from eqrep import models
 from eqrep.audio import DECAY_RATE
 from eqrep.models import (SPLIT_CANDIDATES, fit_normalization, init_mlp_params,
                           mlp_forward, mlp_loss_and_grads)
@@ -303,7 +304,7 @@ def train_mlp_params(features, targets, config):
 
     rng = np.random.default_rng(config.seed)
     n = len(x_all)
-    n_val = int(n * config.validation_fraction)
+    n_val = int(n * models.VALIDATION_FRACTION)
     order = rng.permutation(n)
     val_idx, train_idx = order[:n_val], order[n_val:]
     x_train, y_train = x_all[train_idx], targets[train_idx]

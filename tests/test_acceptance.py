@@ -177,8 +177,7 @@ def test_criterion_9_round_trips(corpus, tmp_path):
     queries = np.random.default_rng(9).standard_normal((100, 17))
     for name, model in (
         ("linear", train_linear(xx, yy)),
-        ("mlp", train_mlp(x, y, TrainConfig(epochs=5, hidden_dim=8, seed=0,
-                                            validation_fraction=0.0))),
+        ("mlp", train_mlp(x, y, TrainConfig(epochs=5, hidden_dim=8, seed=0))),
         ("forest", train_forest(x, y, tree_count=3, seed=0)),
     ):
         path = tmp_path / f"{name}.json"

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -15,10 +16,11 @@ import eqrep
 from eqrep import dataset as ds
 from eqrep import evaluate as ev
 from eqrep import models
+from eqrep.audio import read_wav
 from eqrep.cli import build_parser, main
-from eqrep.eq import log_frequency_grid
+from eqrep.eq import apply_eq, log_frequency_grid
 from eqrep.features import FEATURE_NAMES, StftConfig
-from eqrep.models import MODEL_KINDS, load_model, save_model
+from eqrep.models import MODEL_KINDS, TrainConfig, load_model, save_model
 
 
 def run(*argv):
@@ -528,6 +530,22 @@ class TestDatasetSampleRate:
         assert not (tmp_path / "manifest.json").exists()
 
 
+def test_dataset_keep_audio_writes_each_processed_note(tmp_path):
+    """`--keep-audio`: the workers write one WAV per manifest row, each the
+    EQ'd note as float32."""
+    corpus = tmp_path / "corpus"
+    assert run("synth", "--pitches", "C2", "--duration", "0.3", "--out", corpus) == 0
+    assert run("dataset", "--corpus", corpus, "--mode", "multi", "--limit", 6,
+               "--jobs", min(2, os.cpu_count() or 1), "--keep-audio", "--out", tmp_path) == 0
+    samples = ds.load_manifest(tmp_path / "manifest.json").samples
+    kept = tmp_path / "processed_audio"
+    assert sorted(p.name for p in kept.iterdir()) == sorted(f"{i}.wav" for i in samples.sample_id)
+    row = samples[3]
+    processed = apply_eq(read_wav(corpus / "C2.wav"), row.gains_db)
+    np.testing.assert_array_equal(read_wav(kept / f"{row.sample_id}.wav").samples,
+                                  processed.samples.astype(np.float32))
+
+
 class TestDatasetStep:
     def test_fractional_step_reaches_plus_12(self, workspace, tmp_path):
         assert run("dataset", "--corpus", workspace / "corpus", "--mode", "single",
@@ -566,6 +584,28 @@ def test_option_the_command_does_not_read_is_usage_error(argv, capsys):
     err = capsys.readouterr().err
     assert err.splitlines()[-1].startswith(f"eqrep: error: unrecognized arguments: {argv[1]}")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["--mode", "single", "--limit", "3"], "--limit"),
+    (["--mode", "single", "--full"], "--full"),
+    (["--mode", "multi", "--step", "2"], "--step"),
+])
+def test_option_the_dataset_mode_does_not_read_is_usage_error(argv, option, capsys):
+    """Parsed only: `dataset` refuses an option that its --mode ignores."""
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(["dataset", "--corpus", "c", *argv])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == \
+        f"eqrep: error: argument {option}: not read by --mode {argv[1]}"
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("mode", ["single", "multi"])
+def test_dataset_mode_options_keep_their_defaults(mode):
+    args = build_parser().parse_args(["dataset", "--corpus", "c", "--mode", mode])
+    assert (args.step, args.limit, args.full) == (1.0, 3000, False)
 
 
 @pytest.mark.parametrize("argv", [
@@ -640,6 +680,12 @@ class TestTrainOptionBounds:
         assert (args.trees, args.epochs, args.hidden_dim, args.batch_size) == (1, 1, 1, 1)
         assert args.learning_rate == 1e-9
 
+    def test_every_train_config_field_is_an_option(self):
+        args = build_parser().parse_args(["train", "--manifest", "m", "--model", "linear",
+                                          "--outfile", "o"])
+        for field in fields(TrainConfig):
+            assert getattr(args, field.name) == field.default, field.name
+
     def test_model_choices_are_the_model_kinds(self, capsys):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["train", "--help"])
@@ -677,6 +723,32 @@ class TestLimitBound:
     ])
     def test_range_ends_are_accepted(self, command, limit):
         assert build_parser().parse_args(_limit_argv(command, limit)).limit == limit
+
+
+def _seed_argv(command, seed):
+    extra = {"dataset": ["--corpus", "corpus", "--mode", "multi"],
+             "train": ["--manifest", "m", "--model", "linear", "--outfile", "o"]}
+    return [command, "--seed", str(seed)] + extra.get(command, [])
+
+
+class TestSeedBound:
+    """Parsed only: no dataset is built and no model is trained."""
+
+    @pytest.mark.parametrize("command", ["dataset", "train", "reproduce"])
+    @pytest.mark.parametrize("seed", ["-1", "-5", "1.5", "x"])
+    def test_bad_value_is_usage_error(self, command, seed, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(_seed_argv(command, seed))
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert "argument --seed" in err.splitlines()[-1]
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command, seed", [
+        ("dataset", 0), ("train", 0), ("reproduce", 0), ("train", 2 ** 64 - 1),
+    ])
+    def test_range_ends_are_accepted(self, command, seed):
+        assert build_parser().parse_args(_seed_argv(command, seed)).seed == seed
 
 
 def _sample_rate_argv(command, rate):

@@ -179,7 +179,7 @@ def test_evaluate_model_reports_the_model_kind(kind):
     rng = np.random.default_rng(6)
     gains, feats = rng.standard_normal((40, 5)), rng.standard_normal((40, FEATURE_DIM))
     samples = ds.sample_table([f"s{i}" for i in range(40)], ["x"] * 40, gains, feats)
-    model = MODEL_KINDS[kind].fit(feats, gains, TrainConfig(epochs=2, hidden_dim=4), 2)
+    model = MODEL_KINDS[kind].fit(feats, gains, TrainConfig(epochs=2, hidden_dim=4, trees=2))
     result = ev.evaluate_model(model, ds.DatasetManifest(44100, StftConfig(), samples, 0), 7)
     assert (result.report.model_kind, result.report.seed, result.report.n_samples) == \
         (kind, 7, 40)

@@ -28,7 +28,7 @@ def _random_instance(n, seed=0, noise=0.0):
 def _fitted(kind):
     """A small model of `kind`, fitted through its table entry."""
     x, y = _random_instance(60, seed=18, noise=0.5)
-    return MODEL_KINDS[kind].fit(x, y, TrainConfig(epochs=2, hidden_dim=4, seed=2), 2)
+    return MODEL_KINDS[kind].fit(x, y, TrainConfig(epochs=2, hidden_dim=4, seed=2, trees=2))
 
 
 class TestNormalization:
@@ -131,11 +131,11 @@ class TestMlp:
     def test_gradient_check(self):
         assert _grad_check(4, seed=11) <= 1e-4
 
-    def test_subsumes_linear(self):
+    def test_subsumes_linear(self, monkeypatch):
+        monkeypatch.setattr(models, "VALIDATION_FRACTION", 0.0)
         x, y = _random_instance(80, seed=5)
         linear_mse = ((predict(train_linear(x, y), x) - y) ** 2).mean()
-        cfg = TrainConfig(hidden_dim=8, epochs=5000, learning_rate=3e-3, seed=0,
-                          validation_fraction=0.0)
+        cfg = TrainConfig(hidden_dim=8, epochs=5000, learning_rate=3e-3, seed=0)
         mlp = train_mlp(x, y, cfg)
         mlp_mse = ((predict(mlp, x) - y) ** 2).mean()
         assert mlp_mse <= linear_mse + 1e-3
@@ -164,10 +164,10 @@ class TestMlp:
         assert np.all(np.abs(params["W1"]) < bound)
 
     @pytest.mark.parametrize("validation_fraction", [0.0, 0.2])
-    def test_flat_update_matches_per_parameter_loop(self, validation_fraction):
+    def test_flat_update_matches_per_parameter_loop(self, monkeypatch, validation_fraction):
+        monkeypatch.setattr(models, "VALIDATION_FRACTION", validation_fraction)
         x, y = _random_instance(45, seed=22, noise=0.5)
-        cfg = TrainConfig(epochs=12, batch_size=16, hidden_dim=6, seed=3,
-                          learning_rate=1e-2, validation_fraction=validation_fraction)
+        cfg = TrainConfig(epochs=12, batch_size=16, hidden_dim=6, seed=3, learning_rate=1e-2)
         model = train_mlp(x, y, cfg)
         reference = oracles.train_mlp_params(x, y, cfg)
         assert list(model.params) == list(reference)
@@ -201,7 +201,7 @@ class TestMlp:
         x, y = _random_instance(n, seed=24, noise=0.5)
         cfg = TrainConfig(epochs=7, batch_size=batch_size, hidden_dim=5, seed=2)
         train_mlp(x, y, cfg)
-        n_train = n - int(n * cfg.validation_fraction)
+        n_train = n - int(n * models.VALIDATION_FRACTION)
         assert len(calls) == cfg.epochs * math.ceil(n_train / batch_size)
         assert sum(calls) == cfg.epochs * n_train
 
@@ -209,7 +209,7 @@ class TestMlp:
         with pytest.raises(ValueError):
             TrainConfig(epochs=0)
         with pytest.raises(ValueError):
-            TrainConfig(validation_fraction=0.9)
+            TrainConfig(trees=0)
         for rate in (float("nan"), float("inf")):
             with pytest.raises(ValueError, match="learning_rate must be finite"):
                 TrainConfig(learning_rate=rate)
