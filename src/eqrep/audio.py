@@ -93,9 +93,17 @@ def read_wav(path) -> AudioBuffer:
     """Read a PCM16 or float32 RIFF/WAVE file as a mono AudioBuffer.
 
     Stereo is downmixed by channel average; int16 is scaled by 1/32768. A
-    float file holding a NaN or an infinity is refused.
+    float file holding a NaN or an infinity is refused. A file the WAV parser
+    cannot read raises ValueError naming the path; OSError passes through.
     """
-    sample_rate, data = wavfile.read(path)
+    try:
+        sample_rate, data = wavfile.read(path)
+    except OSError:
+        raise
+    except ValueError as exc:  # the parser's own refusal, such as of a non-RIFF file
+        raise ValueError(f"{path}: {exc}") from None
+    except Exception:  # a corrupt header breaks the parser: struct.error, NameError, ...
+        raise ValueError(f"{path}: truncated or corrupt WAV file") from None
     if data.size == 0:
         raise ValueError(f"{path}: zero-length data chunk")
     if data.dtype == np.int16:

@@ -28,7 +28,8 @@ from .models import MODEL_KINDS, TrainConfig, load_model, predict, save_model
 
 # The options of `dataset` that only one --mode reads, with their defaults;
 # they parse to None when not given, so that the other mode can refuse them.
-_MODE_OPTIONS = {"step": ("single", 1.0), "limit": ("multi", 3000), "full": ("multi", False)}
+_MODE_OPTIONS = {"step": ("single", 1.0), "limit": ("multi", 3000), "full": ("multi", False),
+                 "seed": ("multi", 42)}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -242,42 +243,31 @@ def _grid_step(text):
     return step
 
 
-def _int_range(low, high=None, note=""):
-    """An argparse type: an integer from `low` to `high` (no upper bound if None)."""
+def _checked(convert, ok, requirement):
+    """An argparse type: `convert(text)` where `ok` holds for it; text that
+    does not convert, or converts to a value that fails `ok`, is refused
+    with "must be {requirement}"."""
     def parse(text):
         try:
-            value = int(text)
+            value = convert(text)
+            if ok(value):
+                return value
         except ValueError:
-            value = low - 1
-        if value < low or (high is not None and value > high):
-            bound = f"from {low} to {high}{note}" if high is not None else f">= {low}"
-            raise argparse.ArgumentTypeError(f"must be an integer {bound}, got {text!r}")
-        return value
+            pass
+        raise argparse.ArgumentTypeError(f"must be {requirement}, got {text!r}")
     return parse
 
 
-def _power_of_two(text):
-    """An argparse type: an integer power of two >= 2 (an STFT frame size)."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 2 or value & (value - 1):
-        raise argparse.ArgumentTypeError(f"must be a power of two >= 2, got {text!r}")
-    return value
+def _int_range(low, high=None, note=""):
+    """An argparse type: an integer from `low` to `high` (no upper bound if None)."""
+    bound = f"from {low} to {high}{note}" if high is not None else f">= {low}"
+    return _checked(int, lambda v: low <= v and (high is None or v <= high),
+                    f"an integer {bound}")
 
 
-def _positive_float(text):
-    """An argparse type: a positive finite float."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text!r}")
-    return value
-
-
+_power_of_two = _checked(int, lambda v: v >= 2 and not v & (v - 1), "a power of two >= 2")
+_positive_float = _checked(float, lambda v: math.isfinite(v) and v > 0,
+                           "a positive finite number")
 _jobs = _int_range(1, os.cpu_count() or 1, " (the CPU count)")
 # The cores this process may run on: the default worker count.
 USABLE_CORES = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
@@ -322,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", action="store_true", help="also export manifest.csv")
     p.add_argument("--keep-audio", action="store_true", help="keep processed WAVs")
     p.add_argument("--jobs", type=_jobs, default=USABLE_CORES, help=JOBS_HELP)
-    p.set_defaults(func=cmd_dataset)
+    p.set_defaults(func=cmd_dataset, seed=None)
 
     p = sub.add_parser("extract", help="extract the 17 features from WAV files")
     _add_stft(p)

@@ -48,11 +48,15 @@ def fit_normalization(features: np.ndarray) -> Normalization:
     return Normalization(mean, std)
 
 
-def _training_targets(targets: np.ndarray) -> np.ndarray:
+def _training_set(features: np.ndarray, targets: np.ndarray):
+    """(normalization, normalized features, targets) of a training set. A
+    non-finite target, a non-finite feature or fewer than 2 rows is refused."""
+    features = np.asarray(features, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
     if not np.all(np.isfinite(targets)):
         raise ValueError("non-finite target in the training set")
-    return targets
+    norm = fit_normalization(features)
+    return norm, norm.apply(features), targets
 
 
 @dataclass(frozen=True)
@@ -104,13 +108,11 @@ class LinearModel:
 def train_linear(features: np.ndarray, targets: np.ndarray) -> LinearModel:
     """Least squares on normalized features, closed form with a small ridge
     damping on the normal equations for conditioning."""
-    features = np.asarray(features, dtype=np.float64)
-    targets = _training_targets(targets)
-    n, d = features.shape
+    norm, x, targets = _training_set(features, targets)
+    n, d = x.shape
     if n <= d:
         raise ValueError(f"need more rows ({n}) than features ({d})")
-    norm = fit_normalization(features)
-    x = np.hstack([norm.apply(features), np.ones((n, 1))])
+    x = np.hstack([x, np.ones((n, 1))])
     gram = x.T @ x + RIDGE_DAMPING * np.eye(d + 1)
     coef = np.linalg.solve(gram, x.T @ targets)  # (18, 5)
     return LinearModel(weights=coef[:-1].T.copy(), bias=coef[-1].copy(), norm=norm)
@@ -228,12 +230,7 @@ def train_mlp(features: np.ndarray, targets: np.ndarray,
     gathers its shuffled training rows once, and its batches are slices of
     that copy. Past set-up, the forward activations are a step's only sizeable
     allocations."""
-    features = np.asarray(features, dtype=np.float64)
-    targets = _training_targets(targets)
-    if len(features) == 0:
-        raise ValueError("empty training set")
-    norm = fit_normalization(features)
-    x_all = norm.apply(features)
+    norm, x_all, targets = _training_set(features, targets)
 
     rng = np.random.default_rng(config.seed)
     n = len(x_all)
@@ -541,14 +538,9 @@ def train_forest(features: np.ndarray, targets: np.ndarray,
     bootstrap rows from `np.random.default_rng(seed + t)` and its split
     candidates from root key seed + t, so it is the single tree that
     `train_forest(..., tree_count=1, seed=seed + t)` grows."""
-    features = np.asarray(features, dtype=np.float64)
-    targets = _training_targets(targets)
-    if len(features) == 0:
-        raise ValueError("empty training set")
     if tree_count < 1:
         raise ValueError("a forest needs at least one tree")
-    norm = fit_normalization(features)
-    x = norm.apply(features)
+    norm, x, targets = _training_set(features, targets)
     n = len(x)
     roots = [np.random.default_rng(seed + t).integers(0, n, size=n) for t in range(tree_count)]
     keys = [(seed + t) % 2 ** 64 for t in range(tree_count)]

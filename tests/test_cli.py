@@ -138,6 +138,30 @@ def test_float_option_must_be_positive_and_finite(argv, option, value, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, line", [
+    (["reproduce", "--jobs", "0"],
+     "eqrep reproduce: error: argument --jobs: must be an integer from 1 to "
+     f"{os.cpu_count() or 1} (the CPU count), got '0'"),
+    (["reproduce", "--limit", "2e3"],
+     "eqrep reproduce: error: argument --limit: must be an integer from 500 to 16807, "
+     "got '2e3'"),
+    (["response", "--gains", "0,0,0,0,0", "--points", "1.5"],
+     "eqrep response: error: argument --points: must be an integer >= 1, got '1.5'"),
+    (["extract", "--frame-size", "1000", "a.wav"],
+     "eqrep extract: error: argument --frame-size: must be a power of two >= 2, "
+     "got '1000'"),
+    (["synth", "--duration", "nan"],
+     "eqrep synth: error: argument --duration: must be a positive finite number, "
+     "got 'nan'"),
+], ids=lambda v: v[1] if isinstance(v, list) else None)
+def test_numeric_option_usage_line(argv, line, capsys):
+    """Parsed only: the whole last stderr line of each kind of numeric check."""
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    assert exc.value.code == 1
+    assert capsys.readouterr().err.splitlines()[-1] == line
+
+
 class TestExtract:
     def test_header_and_row(self, tmp_path, capsys):
         run("synth", "--pitches", "C3", "--duration", "0.2", "--out", tmp_path)
@@ -490,13 +514,18 @@ def _nan_wav(directory):
     return directory / "C2.wav"
 
 
+def _wav_argv(command, wav, model, out):
+    """argv of `command` reading `wav` (dataset: as its corpus directory)."""
+    return {"extract": ["extract", wav],
+            "predict": ["predict", "--model", model, wav],
+            "dataset": ["dataset", "--corpus", wav.parent, "--mode", "single",
+                        "--out", out]}[command]
+
+
 @pytest.mark.parametrize("command", ["extract", "predict", "dataset"])
 def test_non_finite_wav_sample_is_runtime_error(command, linear_artifact, tmp_path, capsys):
     wav = _nan_wav(tmp_path / "corpus")
-    argv = {"extract": ["extract", wav],
-            "predict": ["predict", "--model", linear_artifact, wav],
-            "dataset": ["dataset", "--corpus", wav.parent, "--mode", "single",
-                        "--out", tmp_path / "data"]}[command]
+    argv = _wav_argv(command, wav, linear_artifact, tmp_path / "data")
     capsys.readouterr()
     assert run(*argv) == 2
     captured = capsys.readouterr()
@@ -504,6 +533,38 @@ def test_non_finite_wav_sample_is_runtime_error(command, linear_artifact, tmp_pa
         f"eqrep: {wav}: sample 1000 is nan; samples must be finite"]
     header = "path," + ",".join(ev.BAND_NAMES) + "\n"  # predict prints it first
     assert captured.out == (header if command == "predict" else "")
+    assert not (tmp_path / "data" / "manifest.json").exists()
+
+
+def _patched(data, at, value):
+    """`data` with the 4 bytes at `at` replaced by little-endian `value`."""
+    return data[:at] + value.to_bytes(4, "little") + data[at + 4:]
+
+
+# Malformed copies of a float WAV (RIFF header, `fmt ` chunk at byte 12 with
+# its channel count at byte 22, `fact` chunk at byte 36).
+MALFORMED_WAVS = {
+    "riff-only": lambda wav: b"RIFF",
+    "cut-at-20-bytes": lambda wav: wav[:20],
+    "fmt-size-1000": lambda wav: _patched(wav, 16, 1000),
+    "chunk-size-huge": lambda wav: _patched(wav, 40, 0x7FFFFFFF),
+    "zero-channels": lambda wav: wav[:22] + bytes(2) + wav[24:],
+    "empty": lambda wav: b"",
+}
+
+
+@pytest.mark.parametrize("command", ["extract", "predict", "dataset"])
+@pytest.mark.parametrize("malformed", MALFORMED_WAVS)
+def test_malformed_wav_is_one_line_runtime_error(command, malformed, linear_artifact,
+                                                 tmp_path, capsys):
+    good = io.BytesIO()
+    wavfile.write(good, 44100, np.full(4096, 0.25, dtype=np.float32))
+    wav = tmp_path / "corpus" / "C2.wav"
+    wav.parent.mkdir()
+    wav.write_bytes(MALFORMED_WAVS[malformed](good.getvalue()))
+    capsys.readouterr()
+    assert run(*_wav_argv(command, wav, linear_artifact, tmp_path / "data")) == 2
+    assert _one_error_line(capsys).startswith(f"eqrep: {wav}: ")
     assert not (tmp_path / "data" / "manifest.json").exists()
 
 
@@ -590,6 +651,7 @@ def test_option_the_command_does_not_read_is_usage_error(argv, capsys):
     (["--mode", "single", "--limit", "3"], "--limit"),
     (["--mode", "single", "--full"], "--full"),
     (["--mode", "multi", "--step", "2"], "--step"),
+    (["--mode", "single", "--seed", "1"], "--seed"),
 ])
 def test_option_the_dataset_mode_does_not_read_is_usage_error(argv, option, capsys):
     """Parsed only: `dataset` refuses an option that its --mode ignores."""
@@ -606,6 +668,7 @@ def test_option_the_dataset_mode_does_not_read_is_usage_error(argv, option, caps
 def test_dataset_mode_options_keep_their_defaults(mode):
     args = build_parser().parse_args(["dataset", "--corpus", "c", "--mode", mode])
     assert (args.step, args.limit, args.full) == (1.0, 3000, False)
+    assert args.seed == 42
 
 
 @pytest.mark.parametrize("argv", [

@@ -433,6 +433,13 @@ class TestNonFiniteTrainingData:
         with pytest.raises(ValueError, match="non-finite target"):
             self.TRAINERS[kind](x, y)
 
+    @pytest.mark.parametrize("kind", TRAINERS)
+    @pytest.mark.parametrize("rows", [0, 1])
+    def test_too_few_rows_rejected(self, kind, rows):
+        x, y = _random_instance(40, seed=19)
+        with pytest.raises(ValueError):
+            self.TRAINERS[kind](x[:rows], y[:rows])
+
 
 class TestPredict:
     def test_zero_weight_linear_returns_bias(self):
