@@ -7,6 +7,7 @@ same code as the public module, checked on scipy 1.17.1.
 """
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,9 +96,12 @@ def read_wav(path) -> AudioBuffer:
     Stereo is downmixed by channel average; int16 is scaled by 1/32768. A
     float file holding a NaN or an infinity is refused. A file the WAV parser
     cannot read raises ValueError naming the path; OSError passes through.
+    The parser's warnings, on an unknown chunk or trailing bytes, are hidden.
     """
     try:
-        sample_rate, data = wavfile.read(path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", wavfile.WavFileWarning)
+            sample_rate, data = wavfile.read(path)
     except OSError:
         raise
     except ValueError as exc:  # the parser's own refusal, such as of a non-RIFF file

@@ -70,6 +70,15 @@ def _stft_from_args(args) -> StftConfig:
     return StftConfig(args.frame_size, args.hop_size)
 
 
+def _write_text(text, out) -> int:
+    """Write a command's text to the file `out`, or to stdout without one."""
+    if out:
+        Path(out).write_text(text)
+    else:
+        sys.stdout.write(text)
+    return 0
+
+
 # ------------------------------------------------------------- commands
 
 
@@ -118,12 +127,7 @@ def cmd_extract(args):
     writer.writerow(["path", *FEATURE_NAMES])
     for path in args.wavs:
         writer.writerow([path, *extract_features(read_wav(path), stft).to_array().tolist()])
-    text = table.getvalue()
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
-    return 0
+    return _write_text(table.getvalue(), args.out)
 
 
 def cmd_train(args):
@@ -222,12 +226,7 @@ def cmd_response(args):
     response = eq_response(gains, freqs, args.sample_rate)
     lines = ["frequency_hz,gain_db"]
     lines += [f"{float(f)!r},{float(g)!r}" for f, g in zip(freqs, response)]
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
-    return 0
+    return _write_text("\n".join(lines) + "\n", args.out)
 
 
 # --------------------------------------------------------------- parser

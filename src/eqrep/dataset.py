@@ -9,7 +9,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from . import jsondoc
+from . import jsondoc, rng
 from .audio import check_distinct_labels, write_wav
 from .eq import BAND_NAMES, BANDS, apply_eq
 from .features import FEATURE_DIM, FEATURE_NAMES, StftConfig, extract_features
@@ -107,8 +107,8 @@ def build_dataset(corpus, settings, stft: StftConfig = StftConfig(),
     corpus labels must be distinct; the notes must share one sample rate,
     which the manifest records.
 
-    With `limit`, a uniform random subset of pairs is drawn with `seed`; the
-    manifest keeps settings order either way, so output is deterministic.
+    With `limit`, the pairs taken are those with the smallest outputs of
+    their `seed`'s subsample stream; the manifest keeps settings order.
     With `jobs` > 1 the pairs are processed on that many fork-started worker
     processes (`pool.fork_map`); the manifest is the same for any `jobs`."""
     corpus = list(corpus)
@@ -130,8 +130,8 @@ def build_dataset(corpus, settings, stft: StftConfig = StftConfig(),
     if limit is not None:
         if not 0 < limit <= total:
             raise ValueError(f"limit must be in [1, {total}]")
-        rng = np.random.default_rng(seed)
-        pair_indices = np.sort(rng.choice(total, size=limit, replace=False))
+        z = rng.splitmix64([rng.key(seed, "subsample")], total)[0]
+        pair_indices = np.sort(np.argpartition(z, limit - 1)[:limit])
 
     note, setting = np.divmod(pair_indices, len(settings))
     ids = [f"{labels[n]}-{s:05d}" for n, s in zip(note.tolist(), setting.tolist())]
@@ -150,7 +150,7 @@ def build_dataset(corpus, settings, stft: StftConfig = StftConfig(),
 def split(manifest: DatasetManifest, seed: int):
     """Seeded shuffle; first floor(n * TRAIN_FRACTION) train, remainder test."""
     n = len(manifest.samples)
-    order = np.random.default_rng(seed).permutation(n)
+    order = rng.permutation(rng.key(seed, "split"), n)
     cut = int(n * TRAIN_FRACTION)
     train, test = order[:cut], order[cut:]
     if len(train) == 0 or len(test) == 0:

@@ -11,15 +11,10 @@ from call to call is up to the allocator: glibc's dynamic trim threshold
 returns the heap top to the kernel when a call's last block is freed along
 with a large input (an EQ output), and the next call faults it in again.
 `pool` workers fix the threshold for this reason. The pass makes no BLAS
-call, so its bytes do not depend on the BLAS thread count. Its stage
-functions take a (frames, bins) block of magnitude spectra and return one
-value per frame.
-
-The MFCCs' DCT is pocketfft's, the one `scipy.fft.dct` runs, loaded from its
-own file `scipy/fft/_pocketfft/pypocketfft*.so` by `scipyfiles.load`, so
-that `scipy.fft` and the `scipy.special` it imports are never loaded. It
-gives the bytes of `scipy.fft.dct(x, type=2, norm="ortho")`, checked on
-scipy 1.17.1.
+call, so its bytes do not depend on the BLAS thread count: the MFCCs' DCT
+is the constant matrix `MFCC_DCT`, applied with `einsum` like the other
+weights. Its stage functions take a (frames, bins) block of magnitude
+spectra and return one value per frame.
 """
 
 import functools
@@ -28,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from . import scipyfiles
 from .audio import AudioBuffer
 
 N_MFCC = 13
@@ -46,7 +40,11 @@ FEATURE_NAMES = (
 )
 FEATURE_DIM = len(FEATURE_NAMES)  # 17
 
-_dct = scipyfiles.load("fft._pocketfft.pypocketfft").dct
+# Rows 0..N_MFCC-1 of the orthonormal DCT-II of length N: sqrt(2/N) cos(pi k (2j + 1) / 2N).
+MFCC_DCT = np.sqrt(2.0 / N_MELS) * np.cos(
+    np.pi * np.arange(N_MFCC)[:, None] * (2 * np.arange(N_MELS) + 1) / (2 * N_MELS))
+MFCC_DCT[0] /= np.sqrt(2.0)
+MFCC_DCT.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -187,13 +185,6 @@ def analysis_constants(sample_rate: int, frame_size: int):
     return window, bin_freqs, bands
 
 
-def orthonormal_dct(x: np.ndarray) -> np.ndarray:
-    """DCT-II of a float64 vector with orthonormal scaling: pocketfft's
-    `dct(a, type, axes, inorm, out, nthreads)` called as
-    `scipy.fft.dct(x, type=2, norm="ortho")` calls it, inorm 1 being "ortho"."""
-    return _dct(x, 2, (-1,), 1, None, 1)
-
-
 def extract_features(buffer: AudioBuffer, config: StftConfig = StftConfig()) -> FeatureVector:
     """Assemble the 17-dim feature vector of file-level means.
 
@@ -222,6 +213,6 @@ def extract_features(buffer: AudioBuffer, config: StftConfig = StftConfig()) -> 
         centroid_hz=float(centroid_sum / count),
         bandwidth_hz=float(bandwidth_sum / count),
         rolloff_hz=float(rolloff_sum / count),
-        mfcc_mean=orthonormal_dct(logmel_sum / count)[:N_MFCC],
+        mfcc_mean=np.einsum("kj,j->k", MFCC_DCT, logmel_sum / count),
         rms=float(rms_sum / count),
     )

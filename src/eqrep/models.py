@@ -14,10 +14,9 @@ from typing import ClassVar
 
 import numpy as np
 
-from . import jsondoc
+from . import jsondoc, rng
 from .features import FEATURE_DIM
 from .jsondoc import JsonValue
-from .rng import splitmix64
 
 MODEL_SCHEMA_VERSION = 1
 OUTPUT_DIM = 5
@@ -152,11 +151,11 @@ class MlpModel:
 
 def init_mlp_params(input_dim: int, hidden_dim: int, output_dim: int, seed: int) -> dict:
     """Uniform +/- sqrt(6/fan_in) init. W1, W2 and W3 are, in turn, the first
-    outputs of the SplitMix64 stream keyed by the seed (mod 2^64), each draw
+    outputs of the stream keyed by `rng.key(seed, "mlp_init")`, each draw
     keeping its top 53 bits as a unit float in [0, 1)."""
     dims = [(input_dim, hidden_dim), (hidden_dim, hidden_dim), (hidden_dim, output_dim)]
     sizes = [fan_in * fan_out for fan_in, fan_out in dims]
-    z = splitmix64([seed % 2 ** 64], sum(sizes))[0]
+    z = rng.splitmix64([rng.key(seed, "mlp_init")], sum(sizes))[0]
     units = np.split((z >> np.uint64(11)).astype(np.float64) * (1.0 / (1 << 53)),
                      np.cumsum(sizes)[:-1])
     params = {}
@@ -232,10 +231,9 @@ def train_mlp(features: np.ndarray, targets: np.ndarray,
     allocations."""
     norm, x_all, targets = _training_set(features, targets)
 
-    rng = np.random.default_rng(config.seed)
     n = len(x_all)
     n_val = int(n * VALIDATION_FRACTION)
-    order = rng.permutation(n)
+    order = rng.permutation(rng.key(config.seed, "mlp_validation"), n)
     val_idx, train_idx = order[:n_val], order[n_val:]
     x_train, y_train = x_all[train_idx], targets[train_idx]
     x_val = x_all[val_idx] if n_val else x_train
@@ -258,8 +256,8 @@ def train_mlp(features: np.ndarray, targets: np.ndarray,
     best_mse = val_mse(params)
     best = theta.copy()
 
-    for _ in range(config.epochs):
-        batch_order = rng.permutation(len(x_train))
+    for epoch_key in rng.splitmix64([rng.key(config.seed, "mlp_epoch")], config.epochs)[0]:
+        batch_order = rng.permutation(epoch_key, len(x_train))
         x_epoch, y_epoch = x_train[batch_order], y_train[batch_order]
         for start in range(0, len(x_train), config.batch_size):
             batch = slice(start, start + config.batch_size)
@@ -371,7 +369,7 @@ def _node_draws(keys: np.ndarray, features: int):
     candidates are the SPLIT_CANDIDATES smallest of the first `features`
     outputs of its SplitMix64 stream, in increasing order (a stable argsort);
     the next two outputs are its left and right child's keys."""
-    z = splitmix64(keys, features + 2)
+    z = rng.splitmix64(keys, features + 2)
     order = np.argsort(z[:, :features], axis=1, kind="stable")
     return order[:, :SPLIT_CANDIDATES], z[:, features:]
 
@@ -534,16 +532,16 @@ def _grow_trees(x: np.ndarray, y: np.ndarray, roots, keys,
 
 def train_forest(features: np.ndarray, targets: np.ndarray,
                  tree_count: int = TrainConfig.trees, seed: int = 42) -> ForestModel:
-    """Bagged CART trees grown together by `_grow_trees`. Tree t draws its
-    bootstrap rows from `np.random.default_rng(seed + t)` and its split
-    candidates from root key seed + t, so it is the single tree that
-    `train_forest(..., tree_count=1, seed=seed + t)` grows."""
+    """Bagged CART trees grown together by `_grow_trees`. Tree t's bootstrap
+    rows and root node key are keyed by seed + t, so it is the single tree
+    that `train_forest(..., tree_count=1, seed=seed + t)` grows."""
     if tree_count < 1:
         raise ValueError("a forest needs at least one tree")
     norm, x, targets = _training_set(features, targets)
     n = len(x)
-    roots = [np.random.default_rng(seed + t).integers(0, n, size=n) for t in range(tree_count)]
-    keys = [(seed + t) % 2 ** 64 for t in range(tree_count)]
+    roots = [(rng.splitmix64([rng.key(seed + t, "tree_bootstrap")], n)[0] % np.uint64(n))
+             .astype(np.int64) for t in range(tree_count)]
+    keys = [rng.key(seed + t, "tree_root") for t in range(tree_count)]
     return ForestModel(trees=_grow_trees(x, targets, roots, keys), norm=norm)
 
 

@@ -1,24 +1,16 @@
-"""Three private scipy modules, each loaded from its own file without running
-the package `__init__` files above it.
-
-eqrep uses one function from each of three scipy subpackages, and each
-subpackage's `__init__` loads far more than that function: `scipy.signal`
-loads `scipy.stats`, `scipy.interpolate`, `scipy.sparse` and `numpy.f2py`,
-`scipy.io` loads `scipy.sparse` and `scipy.io.matlab`, and `scipy.fft` loads
-`scipy.special`. Loaded by file, `import eqrep` runs only the top-level
-`scipy` package beside numpy. The three files are:
+"""Two private scipy modules, each loaded from its own file without running
+the package `__init__` files above it, which would load `scipy.stats`,
+`scipy.interpolate`, `scipy.sparse`, `numpy.f2py` and `scipy.io.matlab`.
+So `import eqrep` runs only the top-level `scipy` package beside numpy:
 
 - `signal/_sosfilt*.so`, the Cython kernel that `scipy.signal.sosfilt` runs
   after it validates and copies its arguments (`eq.apply_eq`);
-- `fft/_pocketfft/pypocketfft*.so`, the pocketfft binding whose `dct`
-  `scipy.fft.dct` calls (`features.extract_features`);
 - `io/wavfile.py`, the module `scipy.io.wavfile`, which imports only the
   standard library and numpy (`audio.read_wav` and `audio.write_wav`).
 
 They are private to scipy and were checked only on scipy 1.17.1. The tests
-in `tests/test_eq.py`, `tests/test_features.py` and `tests/test_audio.py`
-hold each to its public scipy function byte for byte; a scipy upgrade must
-rerun them.
+in `tests/test_eq.py` and `tests/test_audio.py` hold each to its public
+scipy function byte for byte; a scipy upgrade must rerun them.
 """
 
 import importlib.machinery

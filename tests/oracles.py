@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from eqrep import models
+from eqrep import models, rng
 from eqrep.audio import DECAY_RATE
 from eqrep.models import (SPLIT_CANDIDATES, fit_normalization, init_mlp_params,
                           mlp_forward, mlp_loss_and_grads)
@@ -72,6 +72,16 @@ def splitmix64_outputs(key, count):
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
         out.append(z ^ (z >> 31))
     return out
+
+
+def stream_key(seed, purpose):
+    """`rng.key` one Python-int step at a time: from 0, the key is XORed with
+    seed mod 2^64, then with the purpose's position in `rng.PURPOSES`, and
+    each time replaced by its stream's first output."""
+    key = 0
+    for part in (seed % (1 << 64), rng.PURPOSES.index(purpose)):
+        key = splitmix64_outputs(key ^ part, 1)[0]
+    return key
 
 
 def splitmix64_uniform(seed, low, high, sizes):
@@ -296,16 +306,18 @@ def forest_predict(forest, features):
 
 def train_mlp_params(features, targets, config):
     """`models.train_mlp` with the Adam state kept per parameter array
-    and updated one array at a time; returns the best parameter dict."""
+    and updated one array at a time; returns the best parameter dict. The
+    validation split and each epoch's order are the library's keyed
+    permutations: of the seed's "mlp_validation" stream, and of the stream
+    keyed by output e of its "mlp_epoch" stream for epoch e."""
     features = np.asarray(features, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
     norm = fit_normalization(features)
     x_all = norm.apply(features)
 
-    rng = np.random.default_rng(config.seed)
     n = len(x_all)
     n_val = int(n * models.VALIDATION_FRACTION)
-    order = rng.permutation(n)
+    order = rng.permutation(rng.key(config.seed, "mlp_validation"), n)
     val_idx, train_idx = order[:n_val], order[n_val:]
     x_train, y_train = x_all[train_idx], targets[train_idx]
     x_val = x_all[val_idx] if n_val else x_train
@@ -323,8 +335,9 @@ def train_mlp_params(features, targets, config):
     best_mse = val_mse(params)
     best = {k: v.copy() for k, v in params.items()}
 
-    for _ in range(config.epochs):
-        batch_order = rng.permutation(len(x_train))
+    epoch_keys = splitmix64_outputs(rng.key(config.seed, "mlp_epoch"), config.epochs)
+    for epoch_key in epoch_keys:
+        batch_order = rng.permutation(epoch_key, len(x_train))
         for start in range(0, len(x_train), config.batch_size):
             idx = batch_order[start:start + config.batch_size]
             _, grads = mlp_loss_and_grads(params, x_train[idx], y_train[idx])

@@ -568,6 +568,34 @@ def test_malformed_wav_is_one_line_runtime_error(command, malformed, linear_arti
     assert not (tmp_path / "data" / "manifest.json").exists()
 
 
+def _with_chunk_before_data(wav, chunk_id, body):
+    """`wav` with one more chunk right before its `data` chunk, and the RIFF
+    size grown to match."""
+    at = wav.index(b"data")
+    wav = wav[:at] + chunk_id + len(body).to_bytes(4, "little") + body + wav[at:]
+    return _patched(wav, 4, len(wav) - 8)
+
+
+@pytest.mark.parametrize("name, code, lines", [("fmt-size-1000", 2, 1), ("extra-chunk", 0, 0)])
+def test_wav_parser_warnings_stay_off_stderr(tmp_path, name, code, lines):
+    """Outside pytest's warning capture, a refused WAV prints its one
+    `eqrep:` line and a readable one with an unknown chunk prints nothing."""
+    good = io.BytesIO()
+    wavfile.write(good, 44100, np.full(4096, 0.25, dtype=np.float32))
+    wav = tmp_path / f"{name}.wav"
+    wav.write_bytes(_patched(good.getvalue(), 16, 1000) if name == "fmt-size-1000"
+                    else _with_chunk_before_data(good.getvalue(), b"abcd", bytes(4)))
+    src = str(Path(eqrep.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-m", "eqrep.cli", "extract", str(wav)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, len(proc.stderr.splitlines())) == (code, lines), proc.stderr
+    if code:
+        assert proc.stderr.startswith(f"eqrep: {wav}: ")
+    else:
+        assert read_wav(wav).samples.tolist() == [0.25] * 4096
+
+
 class TestDatasetSampleRate:
     def test_takes_the_corpus_rate(self, tmp_path):
         corpus = tmp_path / "c22"

@@ -4,12 +4,11 @@ import pytest
 import oracles
 from eqrep.audio import AudioBuffer, NoteSpec, synthesize_note
 from eqrep.eq import apply_eq
-from eqrep.features import (BLOCK_FRAMES, FEATURE_DIM, LOG_FLOOR, StftConfig,
+from eqrep.features import (BLOCK_FRAMES, FEATURE_DIM, LOG_FLOOR, MFCC_DCT, StftConfig,
                             _magnitudes, analysis_constants, extract_features,
                             fft_bin_freqs, frame_signal, hann_window, hz_to_mel,
                             mel_bands, mel_filterbank, mel_log_energies, mel_to_hz,
                             spectral_bandwidth, spectral_centroid, spectral_rolloff)
-from fresh import run_fresh
 
 SR = 44100
 
@@ -184,34 +183,13 @@ class TestMfcc:
         np.testing.assert_array_equal(a, b)
 
 
-# The DCT loaded by file against `scipy.fft.dct`, in a fresh interpreter and
-# in both import orders, on random 40-vectors and a real mean log-mel vector.
-DCT_BOTH_IMPORT_ORDERS = """
-import hashlib, sys
-import numpy as np
-if sys.argv[1] == "scipy-first":
-    import scipy.fft
-from eqrep.audio import NoteSpec, synthesize_note
-from eqrep.features import (StftConfig, _magnitudes, analysis_constants, extract_features,
-                            frame_signal, mel_log_energies, orthonormal_dct)
-import scipy.fft
-
-note = synthesize_note(NoteSpec("C2", 65.40639132514966, 1.0, 300), 44100)
-window, _, bands = analysis_constants(44100, 2048)
-mags = _magnitudes(frame_signal(note.samples, StftConfig()), window)
-vectors = [*np.random.default_rng(10).standard_normal((20, 40)),
-           mel_log_energies(mags, bands).mean(axis=0)]
-same = [orthonormal_dct(v).tobytes() == scipy.fft.dct(v, type=2, norm="ortho").tobytes()
-        for v in vectors]
-print(all(same), len(same), hashlib.sha256(extract_features(note).to_array().tobytes()).hexdigest())
-"""
-
-
-def test_dct_matches_scipy_in_both_import_orders():
-    outputs = {order: run_fresh(DCT_BOTH_IMPORT_ORDERS, order).split()
-               for order in ("scipy-first", "eqrep-first")}
-    assert outputs["scipy-first"][:2] == ["True", "21"], outputs
-    assert outputs["scipy-first"] == outputs["eqrep-first"], outputs
+def test_dct_matrix_matches_the_direct_sum():
+    """`MFCC_DCT` is read-only, and applied to 40-vectors of the size of
+    mean log mel energies it gives the direct DCT-II sum's first 13
+    coefficients."""
+    assert MFCC_DCT.shape == (13, 40) and not MFCC_DCT.flags.writeable
+    for v in 10 * np.random.default_rng(10).standard_normal((5, 40)):
+        np.testing.assert_allclose(MFCC_DCT @ v, oracles.dct2_ortho(v)[:13], rtol=0, atol=1e-12)
 
 
 class TestRms:

@@ -319,8 +319,11 @@ class TestTreeGrowthOracle:
         model = train_forest(x, y, tree_count=4, seed=7)
         z = model.norm.apply(x)
         for t, tree in enumerate(model.trees):
-            idx = np.random.default_rng(7 + t).integers(0, len(z), size=len(z))
-            _assert_same_tree(tree, oracles.grow_tree(z[idx], y[idx], 7 + t, 5))
+            # tree t: its bootstrap is its stream's outputs mod n; its root, a keyed node
+            boot = oracles.splitmix64_outputs(oracles.stream_key(7 + t, "tree_bootstrap"), len(z))
+            idx = np.array([v % len(z) for v in boot])
+            root = oracles.stream_key(7 + t, "tree_root")
+            _assert_same_tree(tree, oracles.grow_tree(z[idx], y[idx], root, 5))
 
     def test_tree_does_not_depend_on_its_neighbours(self):
         # tree t of a forest is the one tree grown from seed + t, whatever grows beside it

@@ -1,5 +1,9 @@
+import re
+from pathlib import Path
+
 import pytest
 
+import eqrep
 from eqrep import scipyfiles
 from fresh import run_fresh
 
@@ -13,7 +17,8 @@ ALLOWED_SCIPY_MODULES = {
     "scipy.signal._sosfilt",
 }
 
-FILES = ["signal._sosfilt", "fft._pocketfft.pypocketfft", "io.wavfile"]
+FILES = ["signal._sosfilt", "io.wavfile"]
+SRC = Path(eqrep.__file__).parent
 
 
 def test_cli_import_loads_only_allowed_scipy_modules():
@@ -22,6 +27,15 @@ def test_cli_import_loads_only_allowed_scipy_modules():
     loaded = set(run_fresh(code).split())
     assert "scipy" in loaded
     assert sorted(loaded - ALLOWED_SCIPY_MODULES) == []
+
+
+def test_one_source_of_randomness():
+    """Every draw comes from `rng.splitmix64`: no eqrep module reaches for
+    numpy's generators or Python's `random`."""
+    banned = re.compile(r"\bnp\.random\b|\bnumpy\.random\b|^\s*(import|from) random\b", re.M)
+    hits = [f"{path.name}: {m.group(0).strip()}" for path in sorted(SRC.glob("*.py"))
+            for m in banned.finditer(path.read_text())]
+    assert len(list(SRC.glob("*.py"))) > 10 and hits == []
 
 
 @pytest.mark.parametrize("name", FILES)
