@@ -1,20 +1,16 @@
 """Audio container, WAV I/O, and additive synthesis of the base note corpus.
 
-WAV files are read and written by `scipy.io.wavfile`, loaded from its own
-file `scipy/io/wavfile.py` by `scipyfiles.load`, so that `scipy.io` and the
-`scipy.sparse` and `scipy.io.matlab` it imports are never loaded. It is the
-same code as the public module, checked on scipy 1.17.1.
+`read_wav` and `write_wav` parse and write RIFF themselves, with `struct`
+and numpy. They read what `scipy.io.wavfile.read` reads in 16-bit PCM or
+32-bit float, in 1 or 2 channels, and write the bytes `scipy.io.wavfile.write`
+writes for a mono float32 array; the tests hold both to the public module.
 """
 
 import math
-import warnings
+import struct
 from dataclasses import dataclass
 
 import numpy as np
-
-from . import scipyfiles
-
-wavfile = scipyfiles.load("io.wavfile")
 
 DEFAULT_SAMPLE_RATE = 44100
 DECAY_RATE = 1.5  # 1/s, the amplitude envelope of every note
@@ -90,49 +86,97 @@ def pitch_to_hz(label: str) -> float:
     return 440.0 * 2.0 ** ((midi - 69) / 12.0)
 
 
-def read_wav(path) -> AudioBuffer:
-    """Read a PCM16 or float32 RIFF/WAVE file as a mono AudioBuffer.
+# The sample type of each format tag read_wav reads: 16-bit PCM and 32-bit
+# IEEE float. An extensible `fmt ` (tag 0xFFFE) holds the tag in its GUID.
+_SAMPLE_TYPES = {1: np.dtype("<i2"), 3: np.dtype("<f4")}
+_GUID_TAIL = bytes.fromhex("000010008000 00aa00389b71")
 
-    Stereo is downmixed by channel average; int16 is scaled by 1/32768. A
-    float file holding a NaN or an infinity is refused. A file the WAV parser
-    cannot read raises ValueError naming the path; OSError passes through.
-    The parser's warnings, on an unknown chunk or trailing bytes, are hidden.
-    """
+
+def _wav_samples(raw: memoryview):
+    """(sample rate, samples) of a little-endian RIFF or RF64 WAV file's
+    bytes; the samples, of shape (frames,) or (frames, 2), view `raw`. The
+    chunks are walked up to the end the RIFF size gives, and all but `fmt `
+    and `data` are skipped."""
+    def need(stop, what):
+        if stop > len(raw):
+            raise ValueError(f"file ends at byte {len(raw)}, inside {what}")
+
+    need(12, "the RIFF header")
+    riff, end, wave = struct.unpack_from("<4sI4s", raw)
+    if riff not in (b"RIFF", b"RF64") or wave != b"WAVE":
+        raise ValueError("not a little-endian RIFF or RF64 WAVE file")
+    pos = 12
+    if riff == b"RF64":  # the RIFF and data sizes are in a ds64 chunk
+        need(36, "the ds64 chunk")
+        ds64, ds64_size, end, data_size = struct.unpack_from("<4sIQQ", raw, 12)
+        if ds64 != b"ds64" or ds64_size < 16:
+            raise ValueError("RF64 file without a ds64 chunk")
+        pos = 20 + ds64_size
+    chunks = []
+    while pos < end + 8:
+        need(pos + 8, f"the chunk header at byte {pos}")
+        chunk_id, size = struct.unpack_from("<4sI", raw, pos)
+        size = data_size if chunk_id == b"data" and riff == b"RF64" else size
+        need(pos + 8 + size, f"chunk {chunk_id.decode('latin-1')!r} at byte {pos}")
+        if chunk_id in (b"fmt ", b"data"):
+            chunks.append((chunk_id, raw[pos + 8:pos + 8 + size]))
+        pos += 8 + size + size % 2  # a pad byte follows an odd size
+    if [chunk_id for chunk_id, _ in chunks] != [b"fmt ", b"data"]:
+        raise ValueError("expected one 'fmt ' chunk, then one 'data' chunk")
+    (_, fmt), (_, data) = chunks
+    if len(fmt) < 16:
+        raise ValueError(f"'fmt ' chunk of {len(fmt)} bytes; expected at least 16")
+    tag, channels, rate, byte_rate, block_align, bits = struct.unpack_from("<HHIIHH", fmt)
+    if tag == 0xFFFE and len(fmt) >= 40:
+        cb_size, subformat_tag, guid_tail = struct.unpack_from("<H6xI12s", fmt, 16)
+        tag = subformat_tag if cb_size >= 22 and guid_tail == _GUID_TAIL else tag
+    dtype = _SAMPLE_TYPES.get(tag)
+    if (dtype is None or bits != 8 * dtype.itemsize or channels not in (1, 2)
+            or block_align != channels * dtype.itemsize):
+        raise ValueError(f"unsupported sample format: {channels} channel(s) of {bits} bits "
+                         f"(format tag {tag:#06x}) in {block_align}-byte frames; expected "
+                         "1 or 2 channels of 16-bit PCM or 32-bit IEEE float")
+    if tag == 1 and byte_rate != rate * block_align:  # scipy checks PCM alone
+        raise ValueError(f"byte rate {byte_rate} != sample rate {rate} x {block_align}")
+    if rate == 0:
+        raise ValueError("sample rate 0")
+    if not data or len(data) % block_align:
+        raise ValueError(f"'data' chunk of {len(data)} bytes; expected a positive "
+                         f"whole number of {block_align}-byte frames")
+    samples = np.frombuffer(data, dtype)
+    return rate, samples if channels == 1 else samples.reshape(-1, 2)
+
+
+def read_wav(path) -> AudioBuffer:
+    """Read a 16-bit PCM or 32-bit float WAV file, plain or extensible, RIFF
+    or RF64, as a mono AudioBuffer: stereo is downmixed by channel average,
+    int16 scaled by 1/32768. A file cut anywhere, of another format, or with
+    a NaN or infinite float sample raises one ValueError that starts with
+    the path; OSError passes through."""
+    with open(path, "rb") as file:
+        raw = file.read()
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", wavfile.WavFileWarning)
-            sample_rate, data = wavfile.read(path)
-    except OSError:
-        raise
-    except ValueError as exc:  # the parser's own refusal, such as of a non-RIFF file
-        raise ValueError(f"{path}: {exc}") from None
-    except Exception:  # a corrupt header breaks the parser: struct.error, NameError, ...
-        raise ValueError(f"{path}: truncated or corrupt WAV file") from None
-    if data.size == 0:
-        raise ValueError(f"{path}: zero-length data chunk")
-    if data.dtype == np.int16:
-        samples = data.astype(np.float64) / 32768.0
-    elif data.dtype == np.float32:
-        if not np.isfinite(data).all():
+        sample_rate, data = _wav_samples(memoryview(raw))
+        if data.dtype == np.float32 and not np.isfinite(data).all():
             first = np.argwhere(~np.isfinite(data))[0]  # (frame,) or (frame, channel)
-            raise ValueError(f"{path}: sample {first[0]} is {data[tuple(first)]}; "
+            raise ValueError(f"sample {first[0]} is {data[tuple(first)]}; "
                              "samples must be finite")
-        samples = data.astype(np.float64)
-    else:
-        raise ValueError(
-            f"{path}: unsupported sample format {data.dtype}; "
-            "expected 16-bit PCM or 32-bit IEEE float"
-        )
-    if samples.ndim == 2:
-        if samples.shape[1] > 2:
-            raise ValueError(f"{path}: expected 1 or 2 channels, got {samples.shape[1]}")
-        samples = samples.mean(axis=1)
-    return AudioBuffer(samples, int(sample_rate))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    samples = data / 32768.0 if data.dtype == np.int16 else data.astype(np.float64)
+    return AudioBuffer(samples.mean(axis=1) if samples.ndim == 2 else samples, sample_rate)
 
 
 def write_wav(buffer: AudioBuffer, path) -> None:
-    """Write a mono IEEE float-32 WAV; read_wav(write_wav(x)) is exact."""
-    wavfile.write(path, buffer.sample_rate, buffer.samples.astype(np.float32))
+    """Write a mono IEEE float-32 WAV in the bytes `scipy.io.wavfile.write`
+    writes for a float32 array: `fmt ` with cbSize 0, `fact` with the frame
+    count, then `data`. read_wav(write_wav(x)) is exact."""
+    data, rate = buffer.samples.astype("<f4"), buffer.sample_rate
+    with open(path, "wb") as file:
+        file.write(struct.pack("<4sI4s 4sIHHIIHHH 4sII 4sI", b"RIFF", 50 + data.nbytes,
+                               b"WAVE", b"fmt ", 18, 3, 1, rate, 4 * rate, 4, 32, 0,
+                               b"fact", 4, len(data), b"data", data.nbytes))
+        file.write(data.data)
 
 
 def synthesize_note(spec: NoteSpec, sample_rate: int = DEFAULT_SAMPLE_RATE) -> AudioBuffer:
@@ -146,6 +190,9 @@ def synthesize_note(spec: NoteSpec, sample_rate: int = DEFAULT_SAMPLE_RATE) -> A
             f"{spec.fundamental_hz * spec.partial_count:.1f} Hz reaches Nyquist"
         )
     n = int(round(spec.duration_s * sample_rate))
+    if n == 0:
+        raise ValueError(f"{spec.pitch_name}: duration {spec.duration_s} s rounds to 0 "
+                         f"samples at {sample_rate} Hz")
     t = np.arange(n) / sample_rate
     out = np.zeros(n)
     partial = np.empty(n)  # each partial in turn, then the envelope

@@ -66,6 +66,16 @@ def _load_corpus_dir(path):
     return [(wav.stem, read_wav(wav)) for wav in wavs]
 
 
+def _wav_features(path, stft, sample_rate=None):
+    """The feature row of the WAV file `path`, refused with one line naming
+    it when too short for one frame or (if given) not at `sample_rate`."""
+    buf = read_wav(path)
+    if sample_rate is not None and buf.sample_rate != sample_rate:
+        raise RuntimeError(f"{path}: sample rate {buf.sample_rate} != model's {sample_rate}")
+    stft.check_length(len(buf), f"{path}: ")
+    return extract_features(buf, stft).to_array()
+
+
 def _stft_from_args(args) -> StftConfig:
     return StftConfig(args.frame_size, args.hop_size)
 
@@ -126,7 +136,7 @@ def cmd_extract(args):
     writer = csv.writer(table, lineterminator="\n")
     writer.writerow(["path", *FEATURE_NAMES])
     for path in args.wavs:
-        writer.writerow([path, *extract_features(read_wav(path), stft).to_array().tolist()])
+        writer.writerow([path, *_wav_features(path, stft).tolist()])
     return _write_text(table.getvalue(), args.out)
 
 
@@ -164,12 +174,7 @@ def cmd_predict(args):
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["path", *BAND_NAMES])
     for path in args.wavs:
-        buf = read_wav(path)
-        if buf.sample_rate != sample_rate:
-            raise RuntimeError(
-                f"{path}: sample rate {buf.sample_rate} != model's {sample_rate}"
-            )
-        gains = predict(model, extract_features(buf, stft).to_array())
+        gains = predict(model, _wav_features(path, stft, sample_rate))
         writer.writerow([path, *(f"{g:.3f}" for g in gains)])
     return 0
 

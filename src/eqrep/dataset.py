@@ -122,6 +122,7 @@ def build_dataset(corpus, settings, stft: StftConfig = StftConfig(),
         if buf.sample_rate != sample_rate:
             raise ValueError(f"note {label}: sample rate {buf.sample_rate} != "
                              f"{sample_rate} of note {labels[0]}")
+        stft.check_length(len(buf), f"note {label}: ")
     if settings.ndim != 2 or settings.shape[1] != 5:
         raise ValueError("settings must be an (n, 5) array of dB gains")
 

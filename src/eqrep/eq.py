@@ -7,17 +7,21 @@ A = 10^(gain_db/40), w0 = 2*pi*f0/fs, alpha = sin(w0)/(2*q).
 
 The module does not import `scipy.signal`. It runs `_sosfilt`, the Cython
 kernel that `scipy.signal.sosfilt` runs after it validates and copies its
-arguments, loaded from its own file `scipy/signal/_sosfilt*.so` by
-`scipyfiles.load`, and computes the response in numpy with the arithmetic
-of `freqz_sos`. Both give the bytes of `sosfilt` and `sosfreqz`, checked on
-scipy 1.17.1.
+arguments, loaded from its own file `scipy/signal/_sosfilt*.so`, so that no
+scipy `__init__` beyond the top-level package runs; it is the one private
+scipy file eqrep runs. The response is computed in numpy with the
+arithmetic of `freqz_sos`. Both give the bytes of `sosfilt` and `sosfreqz`,
+checked on scipy 1.17.1.
 """
 
+import importlib.machinery
+import importlib.util
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
+import scipy
 
-from . import scipyfiles
 from .audio import AudioBuffer
 
 BAND_NAMES = ["EQ_80", "EQ_240", "EQ_2500", "EQ_4000", "EQ_10000"]
@@ -29,9 +33,21 @@ HIGH_SHELF = "high_shelf"
 GAIN_LIMIT_DB = 24.0  # safety envelope; datasets use [-12, +12]
 
 
-# `_sosfilt(sos, x, zi)` filters the C-ordered (rows, n) array `x` in place,
-# row by row, from the C-ordered (rows, sections, 2) state `zi`.
-_sosfilt = scipyfiles.load("signal._sosfilt")._sosfilt
+def load_sosfilt(directory=Path(scipy.__file__).parent / "signal"):
+    """`scipy.signal._sosfilt(sos, x, zi)`, from its compiled file in
+    `directory`. It filters the C-ordered (rows, n) array `x` in place, row
+    by row, from the C-ordered (rows, sections, 2) state `zi`."""
+    name = "scipy.signal._sosfilt"
+    loaders = (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES)
+    spec = importlib.machinery.FileFinder(str(directory), loaders).find_spec(name)
+    if spec is None:
+        raise ImportError(f"no file for {name} (a compiled _sosfilt) in {directory}", name=name)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module._sosfilt
+
+
+_sosfilt = load_sosfilt()
 
 
 @dataclass(frozen=True)

@@ -58,6 +58,13 @@ class StftConfig:
         if not 0 < self.hop_size <= self.frame_size:
             raise ValueError("hop_size must be in (0, frame_size]")
 
+    def check_length(self, n: int, source: str = "") -> None:
+        """Refuse a signal of `n` samples, too short for one frame, with a
+        message after `source`, such as "note C4: "."""
+        if n < self.frame_size:
+            raise ValueError(f"{source}buffer of {n} samples is shorter than one "
+                             f"frame ({self.frame_size})")
+
 
 @dataclass(frozen=True)
 class FeatureVector:
@@ -82,9 +89,7 @@ def hann_window(frame_size: int) -> np.ndarray:
 def frame_signal(samples: np.ndarray, config: StftConfig) -> np.ndarray:
     """Frame-major read-only view of the full frames at hop stride; no
     padding and no copy."""
-    if len(samples) < config.frame_size:
-        raise ValueError(f"buffer of {len(samples)} samples is shorter than one "
-                         f"frame ({config.frame_size})")
+    config.check_length(len(samples))
     return sliding_window_view(samples, config.frame_size)[::config.hop_size]
 
 

@@ -53,6 +53,13 @@ class TestSynth:
         assert captured.err.splitlines() == ["eqrep: corpus repeats note label(s) C4"]
         assert captured.out == "" and list(tmp_path.iterdir()) == []
 
+    def test_duration_of_no_sample_is_runtime_error(self, tmp_path, capsys):
+        assert run("synth", "--pitches", "C4", "--duration", "1e-6", "--out", tmp_path) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "eqrep: C4: duration 1e-06 s rounds to 0 samples at 44100 Hz"]
+        assert captured.out == "" and list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("duration", ["inf", "nan", "0", "-1", "long"])
     def test_bad_duration_is_usage_error(self, tmp_path, capsys, duration):
         with pytest.raises(SystemExit) as exc:
@@ -182,7 +189,8 @@ class TestExtract:
         capsys.readouterr()
         assert run("extract", tmp_path / "C4.wav") == 2
         assert capsys.readouterr().err == (
-            "eqrep: buffer of 1323 samples is shorter than one frame (2048)\n")
+            f"eqrep: {tmp_path / 'C4.wav'}: buffer of 1323 samples is shorter than one "
+            "frame (2048)\n")
 
 
 def _csv_rows(text):
@@ -541,8 +549,16 @@ def _patched(data, at, value):
     return data[:at] + value.to_bytes(4, "little") + data[at + 4:]
 
 
-# Malformed copies of a float WAV (RIFF header, `fmt ` chunk at byte 12 with
-# its channel count at byte 22, `fact` chunk at byte 36).
+def _pcm16(wav):
+    """A 44.1 kHz int16 WAV of as many samples as the float WAV `wav`."""
+    out = io.BytesIO()
+    wavfile.write(out, 44100, np.full((len(wav) - 58) // 4, 8192, dtype=np.int16))
+    return out.getvalue()
+
+
+# Malformed copies of a float WAV of 4096 samples (RIFF header, `fmt ` chunk
+# at byte 12 with its channel count at byte 22 and its rate at byte 24,
+# `fact` chunk at byte 38, `data` chunk at byte 50).
 MALFORMED_WAVS = {
     "riff-only": lambda wav: b"RIFF",
     "cut-at-20-bytes": lambda wav: wav[:20],
@@ -550,6 +566,9 @@ MALFORMED_WAVS = {
     "chunk-size-huge": lambda wav: _patched(wav, 40, 0x7FFFFFFF),
     "zero-channels": lambda wav: wav[:22] + bytes(2) + wav[24:],
     "empty": lambda wav: b"",
+    "cut-in-data": lambda wav: wav[:-4000],
+    "cut-mid-sample": lambda wav: _pcm16(wav)[:-1],
+    "zero-rate": lambda wav: _patched(wav, 24, 0),
 }
 
 
@@ -565,6 +584,19 @@ def test_malformed_wav_is_one_line_runtime_error(command, malformed, linear_arti
     capsys.readouterr()
     assert run(*_wav_argv(command, wav, linear_artifact, tmp_path / "data")) == 2
     assert _one_error_line(capsys).startswith(f"eqrep: {wav}: ")
+    assert not (tmp_path / "data" / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("command", ["extract", "predict", "dataset"])
+def test_note_shorter_than_a_frame_is_named(command, linear_artifact, tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    assert run("synth", "--pitches", "C4", "--duration", "0.01", "--out", corpus) == 0
+    wav = corpus / "C4.wav"
+    capsys.readouterr()
+    assert run(*_wav_argv(command, wav, linear_artifact, tmp_path / "data")) == 2
+    source = "note C4" if command == "dataset" else wav
+    assert _one_error_line(capsys) == (
+        f"eqrep: {source}: buffer of 441 samples is shorter than one frame (2048)")
     assert not (tmp_path / "data" / "manifest.json").exists()
 
 

@@ -1,10 +1,11 @@
+import ast
 import re
 from pathlib import Path
 
 import pytest
 
 import eqrep
-from eqrep import scipyfiles
+from eqrep import eq
 from fresh import run_fresh
 
 # Every scipy module `import eqrep.cli` may load: the top-level package with
@@ -17,7 +18,6 @@ ALLOWED_SCIPY_MODULES = {
     "scipy.signal._sosfilt",
 }
 
-FILES = ["signal._sosfilt", "io.wavfile"]
 SRC = Path(eqrep.__file__).parent
 
 
@@ -38,13 +38,46 @@ def test_one_source_of_randomness():
     assert len(list(SRC.glob("*.py"))) > 10 and hits == []
 
 
-@pytest.mark.parametrize("name", FILES)
-def test_loader_refuses_a_directory_without_the_file(tmp_path, name):
-    with pytest.raises(ImportError) as exc:
-        scipyfiles.load(name, tmp_path)
-    stem = name.rpartition(".")[2]
-    message = str(exc.value)
-    assert str(tmp_path) in message and stem in message and "\n" not in message
-    assert exc.value.name == f"scipy.{name}"
-    assert exc.value.__context__ is None and exc.value.__cause__ is None
+def _scipy_reaches(source):
+    """The line numbers of the code in `source` that names scipy: every
+    import, name, attribute or string holding "scipy", docstrings aside."""
+    tree = ast.parse(source)
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef)) \
+                and ast.get_docstring(node, clean=False) is not None:
+            node.body[0].value.value = ""
+    code = (ast.Import, ast.ImportFrom, ast.Name, ast.Attribute, ast.Constant)
+    return sorted({node.lineno for node in ast.walk(tree)
+                   if isinstance(node, code) and "scipy" in ast.unparse(node)})
 
+
+# Ways a module could reach scipy, each a line added to a copy of audio.py.
+SCIPY_REACHES = [
+    "import scipy",
+    "from scipy.io import wavfile",
+    "import scipy.io.wavfile as wavfile",
+    "wavfile = __import__('importlib').import_module('scipy.io.wavfile')",
+    "SCIPY_DIR = __import__('importlib').util.find_spec('scipy').origin",
+]
+
+
+def test_only_eq_reaches_scipy():
+    """No eqrep module but `eq.py` imports scipy or reaches for a file under
+    it; comments and docstrings may still cite the public module. Each line
+    of SCIPY_REACHES, added to a copy of `audio.py`, is caught."""
+    hits = {path.name: _scipy_reaches(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    assert hits.pop("eq.py") and len(hits) >= 10
+    assert {name: lines for name, lines in hits.items() if lines} == {}
+    audio = (SRC / "audio.py").read_text()
+    assert "scipy.io.wavfile" in audio  # cited in docstrings, so the check must skip them
+    for line in SCIPY_REACHES:
+        assert _scipy_reaches(f"{audio}\n{line}\n") == [audio.count("\n") + 2], line
+
+
+def test_loader_refuses_a_directory_without_the_file(tmp_path):
+    with pytest.raises(ImportError) as exc:
+        eq.load_sosfilt(tmp_path)
+    message = str(exc.value)
+    assert str(tmp_path) in message and "_sosfilt" in message and "\n" not in message
+    assert exc.value.name == "scipy.signal._sosfilt"
+    assert exc.value.__context__ is None and exc.value.__cause__ is None
