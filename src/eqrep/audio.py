@@ -13,6 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 
 DEFAULT_SAMPLE_RATE = 44100
+# The largest rate write_wav can store: the header's byte rate, 4 x rate, is a uint32.
+MAX_SAMPLE_RATE = 0xFFFFFFFF // 4
+# The most sample bytes write_wav can store: the RIFF size, 50 + data bytes, is a uint32.
+MAX_WAV_DATA_BYTES = 0xFFFFFFFF - 50
 DECAY_RATE = 1.5  # 1/s, the amplitude envelope of every note
 
 # Default pitch set: alternating C and G across octaves 0..7.
@@ -81,9 +85,16 @@ def pitch_to_midi(label: str) -> int:
 
 
 def pitch_to_hz(label: str) -> float:
-    """Equal-temperament frequency, A4 = 440 Hz."""
+    """Equal-temperament frequency, A4 = 440 Hz. A label whose frequency
+    overflows a float is refused by name."""
     midi = pitch_to_midi(label)
-    return 440.0 * 2.0 ** ((midi - 69) / 12.0)
+    try:
+        hz = 440.0 * 2.0 ** ((midi - 69) / 12.0)
+    except OverflowError:
+        hz = math.inf
+    if hz == math.inf:
+        raise ValueError(f"pitch label {label!r}: frequency overflows a float")
+    return hz
 
 
 # The sample type of each format tag read_wav reads: 16-bit PCM and 32-bit
@@ -170,8 +181,14 @@ def read_wav(path) -> AudioBuffer:
 def write_wav(buffer: AudioBuffer, path) -> None:
     """Write a mono IEEE float-32 WAV in the bytes `scipy.io.wavfile.write`
     writes for a float32 array: `fmt ` with cbSize 0, `fact` with the frame
-    count, then `data`. read_wav(write_wav(x)) is exact."""
-    data, rate = buffer.samples.astype("<f4"), buffer.sample_rate
+    count, then `data`. read_wav(write_wav(x)) is exact. A rate above
+    MAX_SAMPLE_RATE or more than MAX_WAV_DATA_BYTES of samples overflows the
+    header's 32-bit fields and raises ValueError starting with the path."""
+    rate, size = buffer.sample_rate, 4 * len(buffer)
+    if rate > MAX_SAMPLE_RATE or size > MAX_WAV_DATA_BYTES:
+        raise ValueError(f"{path}: {rate} Hz and {size} bytes of samples overflow a WAV "
+                         f"header (at most {MAX_SAMPLE_RATE} Hz, {MAX_WAV_DATA_BYTES} bytes)")
+    data = buffer.samples.astype("<f4")
     with open(path, "wb") as file:
         file.write(struct.pack("<4sI4s 4sIHHIIHHH 4sII 4sI", b"RIFF", 50 + data.nbytes,
                                b"WAVE", b"fmt ", 18, 3, 1, rate, 4 * rate, 4, 32, 0,

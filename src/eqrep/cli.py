@@ -20,8 +20,9 @@ from pathlib import Path
 from . import dataset as ds
 from . import evaluate as ev
 from . import jsondoc
-from .audio import DEFAULT_SAMPLE_RATE, note_corpus, pitch_to_hz, read_wav, write_wav
-from .eq import BAND_NAMES, eq_response, log_frequency_grid
+from .audio import (DEFAULT_SAMPLE_RATE, MAX_SAMPLE_RATE, note_corpus, pitch_to_hz, read_wav,
+                    write_wav)
+from .eq import BAND_COUNT, BAND_NAMES, eq_response, log_frequency_grid
 from .features import FEATURE_NAMES, StftConfig, extract_features
 from .models import MODEL_KINDS, TrainConfig, load_model, predict, save_model
 
@@ -273,6 +274,7 @@ _power_of_two = _checked(int, lambda v: v >= 2 and not v & (v - 1), "a power of 
 _positive_float = _checked(float, lambda v: math.isfinite(v) and v > 0,
                            "a positive finite number")
 _jobs = _int_range(1, os.cpu_count() or 1, " (the CPU count)")
+_sample_rate = _int_range(1, MAX_SAMPLE_RATE, " (the most a WAV header holds)")
 # The cores this process may run on: the default worker count.
 USABLE_CORES = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                 else os.cpu_count() or 1)
@@ -298,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="synthesize the base note corpus as WAV files")
-    p.add_argument("--sample-rate", type=_int_range(1), default=DEFAULT_SAMPLE_RATE)
+    p.add_argument("--sample-rate", type=_sample_rate, default=DEFAULT_SAMPLE_RATE)
     p.add_argument("--out", default=".", help="output directory")
     p.add_argument("--pitches", help="comma-separated pitch labels (default C/G 0..7)")
     p.add_argument("--duration", type=_positive_float, default=2.0, help="seconds")
@@ -336,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trees", type=_int_range(1), default=TrainConfig.trees)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("predict", help="predict the 5 EQ gains for WAV files")
+    p = sub.add_parser("predict", help=f"predict the {BAND_COUNT} EQ gains for WAV files")
     p.add_argument("--model", required=True, help="model artifact path")
     p.add_argument("wavs", nargs="+")
     p.set_defaults(func=cmd_predict)
@@ -349,13 +351,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reproduce", help="run all four experiments end to end")
     _add_build(p)
-    p.add_argument("--sample-rate", type=_int_range(1), default=DEFAULT_SAMPLE_RATE)
+    p.add_argument("--sample-rate", type=_sample_rate, default=DEFAULT_SAMPLE_RATE)
     p.add_argument("--pitches", default=None,
                    help="distinct corpus notes for the runs (default: broadband C2); "
                         "the five built-in checks are calibrated for the single "
                         "broadband C2 note, so a multi-note corpus such as C2,G4 "
                         "can fail them and exit 2")
-    low, high = ev.MULTI_BAND_MIN_SAMPLES, len(ds.COARSE_GRID) ** 5
+    low, high = ev.MULTI_BAND_MIN_SAMPLES, len(ds.COARSE_GRID) ** BAND_COUNT
     p.add_argument("--limit", type=_int_range(low, high), default=3000,
                    help=f"multi-band samples ({low}..{high}); below about 2000 the "
                         "built-in 'MLP MSE < linear MSE' check can fail and exit 2")
@@ -364,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("response", help="CSV of the combined EQ magnitude curve")
     p.add_argument("--gains", required=True, help="five comma-separated dB values")
-    p.add_argument("--sample-rate", type=_int_range(1), default=DEFAULT_SAMPLE_RATE)
+    p.add_argument("--sample-rate", type=_sample_rate, default=DEFAULT_SAMPLE_RATE)
     p.add_argument("--start", type=_positive_float, default=20.0, help="Hz")
     p.add_argument("--stop", type=_positive_float,
                    help="Hz (default 20000, or 0.95 x Nyquist where that is lower)")
@@ -379,8 +381,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (RuntimeError, ValueError, OSError) as exc:
-        print(f"eqrep: {exc}", file=sys.stderr)
+    except (RuntimeError, ValueError, OSError, MemoryError) as exc:
+        # numpy's MemoryError names the size it could not allocate; a bare one says nothing
+        print(f"eqrep: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

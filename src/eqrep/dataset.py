@@ -5,19 +5,20 @@ manifest with optional CSV export.
 
 import csv
 import json
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import jsondoc, rng
 from .audio import check_distinct_labels, write_wav
-from .eq import BAND_NAMES, BANDS, apply_eq
+from .eq import BAND_COUNT, BAND_NAMES, BANDS, apply_eq
 from .features import FEATURE_DIM, FEATURE_NAMES, StftConfig, extract_features
 from .pool import fork_map
 
 MANIFEST_SCHEMA_VERSION = 1
 
 GRID_LIMIT_DB = 12.0
+MIN_GRID_STEP_DB = 0.001  # keeps every grid at 24 001 values or fewer
 
 TRAIN_FRACTION = 0.8  # the paper's 80/20 held-out split
 
@@ -25,11 +26,12 @@ TRAIN_FRACTION = 0.8  # the paper's 80/20 held-out split
 def gain_grid(step_db: float) -> np.ndarray:
     """Ascending grid from -12 to +12 dB in `step_db` steps. It is built from
     the integer step count, so both ends are exact; the step must divide the
-    24 dB span."""
+    24 dB span and be at least MIN_GRID_STEP_DB, checked before any array is made."""
     span = 2 * GRID_LIMIT_DB
-    count = round(span / step_db) if step_db > 0 else 0
+    count = round(span / step_db) if step_db >= MIN_GRID_STEP_DB else 0
     if count < 1 or not np.isclose(count * step_db, span, rtol=1e-9, atol=0.0):
-        raise ValueError(f"grid step must be positive and divide {span:g} dB, got {step_db:g}")
+        raise ValueError(f"grid step must be at least {MIN_GRID_STEP_DB:g} dB and divide "
+                         f"{span:g} dB, got {step_db:g}")
     return np.linspace(-GRID_LIMIT_DB, GRID_LIMIT_DB, count + 1)
 
 
@@ -53,21 +55,20 @@ def single_band_settings(grid) -> np.ndarray:
 
     A 25-value grid yields 125 settings (the 0 dB setting repeats per band)."""
     grid = validate_grid(grid)
-    settings = np.zeros((5 * grid.size, 5))
-    for band in range(5):
-        settings[band * grid.size:(band + 1) * grid.size, band] = grid
-    return settings
+    settings = np.zeros((BAND_COUNT, grid.size, BAND_COUNT))
+    settings[range(BAND_COUNT), :, range(BAND_COUNT)] = grid  # band b's block sets column b
+    return settings.reshape(-1, BAND_COUNT)
 
 
 def multi_band_settings(grid) -> np.ndarray:
     """Full Cartesian product grid^5, lexicographic (band 0 slowest)."""
     grid = validate_grid(grid)
-    return grid[np.indices((grid.size,) * 5).reshape(5, -1).T]
+    return grid[np.indices((grid.size,) * BAND_COUNT).reshape(BAND_COUNT, -1).T]
 
 
 # One manifest row. Ids and labels are str objects: a fixed-width field drops a trailing NUL.
 SAMPLE_DTYPE = np.dtype([("sample_id", object), ("base_label", object),
-                         ("gains_db", np.float64, (5,)),
+                         ("gains_db", np.float64, (BAND_COUNT,)),
                          ("features", np.float64, (FEATURE_DIM,))])
 
 
@@ -77,7 +78,7 @@ def sample_table(ids, labels, gains, features) -> np.recarray:
     table = np.recarray(len(ids), SAMPLE_DTYPE)
     table.sample_id = ids
     table.base_label = labels
-    table.gains_db = np.reshape(gains, (len(ids), 5))
+    table.gains_db = np.reshape(gains, (len(ids), BAND_COUNT))
     table.features = np.reshape(features, (len(ids), FEATURE_DIM))
     table.flags.writeable = False
     return table
@@ -123,8 +124,8 @@ def build_dataset(corpus, settings, stft: StftConfig = StftConfig(),
             raise ValueError(f"note {label}: sample rate {buf.sample_rate} != "
                              f"{sample_rate} of note {labels[0]}")
         stft.check_length(len(buf), f"note {label}: ")
-    if settings.ndim != 2 or settings.shape[1] != 5:
-        raise ValueError("settings must be an (n, 5) array of dB gains")
+    if settings.ndim != 2 or settings.shape[1] != BAND_COUNT:
+        raise ValueError(f"settings must be an (n, {BAND_COUNT}) array of dB gains")
 
     total = len(corpus) * len(settings)
     pair_indices = np.arange(total)
@@ -178,20 +179,6 @@ def interpolation_split(manifest: DatasetManifest, coarse_grid):
     return np.flatnonzero(train), np.flatnonzero(~train)
 
 
-def sweep_subset(sweep: DatasetManifest, grid) -> DatasetManifest:
-    """The rows of a full single-band sweep whose gain lies on `grid`: the
-    manifest `build_dataset(corpus, single_band_settings(grid))` would give,
-    ids renumbered per note, without a second EQ and feature pass."""
-    settings = single_band_settings(grid)
-    rows = np.flatnonzero(on_grid(sweep, grid))
-    if not np.array_equal(sweep.target_matrix()[rows], np.resize(settings, (len(rows), 5))):
-        raise ValueError("sweep must hold every grid setting once per note, in order")
-    taken = sweep.samples[rows]
-    ids = [f"{label}-{k % len(settings):05d}" for k, label in enumerate(taken.base_label)]
-    return replace(sweep, samples=sample_table(ids, taken.base_label, taken.gains_db,
-                                               taken.features))
-
-
 def _check_bands(bands: jsondoc.JsonValue) -> None:
     """Type-check a manifest's band list, then refuse one other than BANDS:
     features made with other bands cannot be labelled with BAND_NAMES."""
@@ -232,7 +219,7 @@ def manifest_from_dict(doc: dict) -> DatasetManifest:
     rows = doc["samples"].elements()
     samples = sample_table([s["sample_id"].str() for s in rows],
                            [s["base_label"].str() for s in rows],
-                           [s["gains_db"].array((5,)) for s in rows],
+                           [s["gains_db"].array((BAND_COUNT,)) for s in rows],
                            [s["features"].array((FEATURE_DIM,)) for s in rows])
     _check_bands(doc["bands"])
     stft = doc["stft"]

@@ -24,8 +24,6 @@ import scipy
 
 from .audio import AudioBuffer
 
-BAND_NAMES = ["EQ_80", "EQ_240", "EQ_2500", "EQ_4000", "EQ_10000"]
-
 LOW_SHELF = "low_shelf"
 BELL = "bell"
 HIGH_SHELF = "high_shelf"
@@ -65,7 +63,7 @@ class EqBandSpec:
             raise ValueError(f"unknown filter kind {self.filter_kind!r}")
 
 
-# The five piano EQ bands, in BAND_NAMES order.
+# The five piano EQ bands: the one source of the band count and names.
 BANDS = (
     EqBandSpec(80.0, LOW_SHELF, 0.707),
     EqBandSpec(240.0, BELL, 1.0),
@@ -73,14 +71,15 @@ BANDS = (
     EqBandSpec(4000.0, BELL, 1.0),
     EqBandSpec(10000.0, HIGH_SHELF, 0.707),
 )
+BAND_COUNT = len(BANDS)
+BAND_NAMES = [f"EQ_{band.center_hz:g}" for band in BANDS]
 
 
 def validate_setting(gains_db) -> np.ndarray:
-    """Check a 5-vector of band gains in dB against the safety envelope;
-    NaN lies outside it."""
+    """Check one gain in dB per band against the safety envelope; NaN lies outside it."""
     gains = np.asarray(gains_db, dtype=np.float64)
-    if gains.shape != (5,):
-        raise ValueError("an EQ setting is exactly 5 gains (dB)")
+    if gains.shape != (BAND_COUNT,):
+        raise ValueError(f"an EQ setting is exactly {BAND_COUNT} gains (dB)")
     if not np.all(np.abs(gains) <= GAIN_LIMIT_DB):  # false for NaN too
         raise ValueError(f"gains must be finite and lie within +/-{GAIN_LIMIT_DB} dB")
     return gains

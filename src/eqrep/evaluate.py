@@ -8,7 +8,7 @@ judge it.
 import csv
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -135,25 +135,27 @@ def _sweep_experiment(sweep, grid, experiment_id, seed) -> ExperimentResult:
     return _fit_and_report(sweep, split, experiment_id, [LinearModel.kind], seed, config)[0]
 
 
-def experiment_single_band_fine(sweep, seed: int = 42) -> ExperimentResult:
+def experiment_single_band_fine(sweep, seed: int) -> ExperimentResult:
     """1 dB single-band sweep, linear regression, 80/20 held-out MSE."""
     return _sweep_experiment(sweep, ds.FINE_GRID, "single_band_fine", seed)
 
 
-def experiment_single_band_coarse(sweep, seed: int = 42) -> ExperimentResult:
-    """4 dB rows of the 1 dB sweep; the smaller train set degrades the held-out MSE."""
-    coarse = ds.sweep_subset(sweep, ds.COARSE_GRID)
-    return _sweep_experiment(coarse, ds.COARSE_GRID, "single_band_coarse", seed)
+def experiment_single_band_coarse(sweep, seed: int) -> ExperimentResult:
+    """The 4 dB rows of the 1 dB sweep, ids kept; the smaller train set degrades the MSE."""
+    coarse = sweep.samples[ds.on_grid(sweep, ds.COARSE_GRID)]
+    coarse.flags.writeable = False
+    return _sweep_experiment(replace(sweep, samples=coarse), ds.COARSE_GRID,
+                             "single_band_coarse", seed)
 
 
-def experiment_interpolation(sweep, seed: int = 42) -> ExperimentResult:
+def experiment_interpolation(sweep, seed: int) -> ExperimentResult:
     """Train on the 4 dB grid points of the 1 dB sweep, validate in between."""
     split = ds.interpolation_split(sweep, ds.COARSE_GRID)
     config = {"coarse_grid": list(ds.COARSE_GRID)}
     return _fit_and_report(sweep, split, "interpolation", [LinearModel.kind], seed, config)[0]
 
 
-def experiment_multi_band(manifest, seed: int = 42, jobs: int = 1):
+def experiment_multi_band(manifest, seed: int, jobs: int = 1):
     """Multi-band 4 dB grid comparison of every model kind on one shared
     80/20 split, with results in MODEL_KINDS order: linear, forest, MLP. With
     `jobs` > 1 the three fit on worker processes, so the forest trains
@@ -166,7 +168,7 @@ def experiment_multi_band(manifest, seed: int = 42, jobs: int = 1):
     return _fit_and_report(manifest, split, "multi_band", list(MODEL_KINDS), seed, config, jobs)
 
 
-def evaluate_model(model, manifest, seed: int = 42) -> ExperimentResult:
+def evaluate_model(model, manifest, seed: int) -> ExperimentResult:
     """One trained model scored on every row of a manifest (`eqrep eval`)."""
     targets = manifest.target_matrix()
     preds = predict(model, manifest.feature_matrix())
@@ -177,8 +179,7 @@ def evaluate_model(model, manifest, seed: int = 42) -> ExperimentResult:
 # ---------------------------------------------------------- reproduction
 
 
-def run_reproduction(corpus, stft: StftConfig, limit: int, seed: int,
-                     jobs: int = 1) -> list:
+def run_reproduction(corpus, stft: StftConfig, limit: int, seed: int, jobs: int) -> list:
     """The four experiments on `corpus`: the fine sweep, coarse sweep and
     interpolation share one 1 dB single-band sweep, and the model comparison
     runs on `limit` samples of the 4 dB multi-band grid. Each dataset is

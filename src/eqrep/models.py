@@ -15,11 +15,11 @@ from typing import ClassVar
 import numpy as np
 
 from . import jsondoc, rng
+from .eq import BAND_COUNT
 from .features import FEATURE_DIM
 from .jsondoc import JsonValue
 
 MODEL_SCHEMA_VERSION = 1
-OUTPUT_DIM = 5
 RIDGE_DAMPING = 1e-8
 # Share of the rows `train_mlp` holds out to pick its best epoch.
 VALIDATION_FRACTION = 0.1
@@ -100,8 +100,8 @@ class LinearModel:
 
     @classmethod
     def from_params(cls, params: JsonValue, norm: Normalization) -> "LinearModel":
-        return cls(_finite(params["weights"], (OUTPUT_DIM, FEATURE_DIM)),
-                   _finite(params["bias"], (OUTPUT_DIM,)), norm)
+        return cls(_finite(params["weights"], (BAND_COUNT, FEATURE_DIM)),
+                   _finite(params["bias"], (BAND_COUNT,)), norm)
 
 
 def train_linear(features: np.ndarray, targets: np.ndarray) -> LinearModel:
@@ -145,7 +145,7 @@ class MlpModel:
                              f"integer, got {hidden}")
         shapes = {"W1": (FEATURE_DIM, hidden), "b1": (hidden,),
                   "W2": (hidden, hidden), "b2": (hidden,),
-                  "W3": (hidden, OUTPUT_DIM), "b3": (OUTPUT_DIM,)}
+                  "W3": (hidden, BAND_COUNT), "b3": (BAND_COUNT,)}
         return cls({k: _finite(params[k], shape) for k, shape in shapes.items()}, norm)
 
 
@@ -617,9 +617,9 @@ def _tree_from_doc(doc: JsonValue) -> dict:
     if nodes == 0 or any(a.shape != (nodes,) for a in tree.values()):
         raise ValueError("forest tree node arrays are empty or differ in length")
     tree["value"] = _finite(doc["value"], (None, None))
-    if tree["value"].shape != (nodes, OUTPUT_DIM):
+    if tree["value"].shape != (nodes, BAND_COUNT):
         raise ValueError(f"forest tree values have shape {tree['value'].shape}, "
-                         f"expected {(nodes, OUTPUT_DIM)}")
+                         f"expected {(nodes, BAND_COUNT)}")
     leaf = tree["feature"] == -1
     if np.any(~leaf & ((tree["feature"] < 0) | (tree["feature"] >= FEATURE_DIM))):
         raise ValueError(f"forest tree feature index outside [0, {FEATURE_DIM})")

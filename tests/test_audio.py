@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 from scipy.io import wavfile
 
 import oracles
-from eqrep.audio import (AudioBuffer, NoteSpec, max_alias_free_partials,
-                         note_corpus, pitch_to_hz, pitch_to_midi, read_wav,
-                         synthesize_note, write_wav, DEFAULT_PITCHES)
+from eqrep.audio import (MAX_SAMPLE_RATE, MAX_WAV_DATA_BYTES, AudioBuffer, NoteSpec,
+                         max_alias_free_partials, note_corpus, pitch_to_hz, pitch_to_midi,
+                         read_wav, synthesize_note, write_wav, DEFAULT_PITCHES)
 from eqrep.features import extract_features
 from fresh import run_fresh
 
@@ -77,6 +77,23 @@ class TestWriteWav:
         back = read_wav(path)
         assert back.samples[0] == 0.25
         assert back.sample_rate == 22050
+
+    def test_largest_rate_round_trips(self, tmp_path):
+        path = tmp_path / "fast.wav"
+        write_wav(AudioBuffer(np.array([0.25]), MAX_SAMPLE_RATE), path)
+        assert read_wav(path).sample_rate == MAX_SAMPLE_RATE == wavfile.read(path)[0]
+
+    @pytest.mark.parametrize("rate, frames", [
+        (MAX_SAMPLE_RATE + 1, 1), (2_000_000_000, 1), (SR, MAX_WAV_DATA_BYTES // 4 + 1),
+    ], ids=["rate-above-max", "rate-2e9", "data-above-max"])
+    def test_header_overflow_is_refused(self, tmp_path, rate, frames):
+        """Refused before a byte is written. The samples are one broadcast
+        zero, so no 4 GiB array is made."""
+        path = tmp_path / "big.wav"
+        with pytest.raises(ValueError, match="overflow a WAV header") as exc:
+            write_wav(AudioBuffer(np.broadcast_to(0.0, (frames,)), rate), path)
+        assert str(exc.value).startswith(f"{path}: {rate} Hz and {4 * frames} bytes")
+        assert not path.exists()
 
     def test_float_payload_survives_pipeline(self, tmp_path):
         # values outside [-1, 1] are legal in float WAVs (boosted EQ output)
@@ -415,6 +432,15 @@ class TestPitchParsing:
     def test_bad_labels(self, label):
         with pytest.raises(ValueError):
             pitch_to_hz(label)
+
+    @pytest.mark.parametrize("label", ["C1020", "B#1019", "C10000", "C" + "9" * 400])
+    def test_overflowing_frequency_is_refused_by_name(self, label):
+        with pytest.raises(ValueError, match=f"^pitch label '{label}': frequency overflows"):
+            pitch_to_hz(label)
+
+    def test_largest_finite_frequency_is_kept(self):
+        assert pitch_to_hz("B1019") == 440.0 * 2.0 ** ((pitch_to_midi("B1019") - 69) / 12.0)
+        assert pitch_to_hz("Cb1020") == pitch_to_hz("B1019") < float("inf")
 
 
 class TestNoteCorpus:

@@ -1,3 +1,5 @@
+import argparse
+import contextlib
 import csv
 import faulthandler
 import io
@@ -10,13 +12,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 from scipy.io import wavfile
 
 import eqrep
+from eqrep import cli
 from eqrep import dataset as ds
 from eqrep import evaluate as ev
 from eqrep import models
-from eqrep.audio import read_wav
+from eqrep.audio import MAX_SAMPLE_RATE, read_wav
 from eqrep.cli import build_parser, main
 from eqrep.eq import apply_eq, log_frequency_grid
 from eqrep.features import FEATURE_NAMES, StftConfig
@@ -676,7 +681,7 @@ class TestDatasetStep:
         gains = [g for s in doc["samples"] for g in s["gains_db"]]
         assert max(gains) == 12.0 and min(gains) == -12.0
 
-    @pytest.mark.parametrize("step", ["0", "-1", "0.7", "nan", "abc"])
+    @pytest.mark.parametrize("step", ["0", "-1", "0.7", "nan", "abc", "0.0008", "1e-9", "1e-320"])
     def test_bad_step_is_usage_error(self, tmp_path, capsys, step):
         with pytest.raises(SystemExit) as exc:
             run("dataset", "--corpus", tmp_path, "--mode", "single", "--step", step,
@@ -685,6 +690,10 @@ class TestDatasetStep:
         err = capsys.readouterr().err
         assert "argument --step" in err.splitlines()[-1]
         assert "Traceback" not in err
+
+    def test_finest_step_is_accepted(self):
+        argv = ["dataset", "--corpus", "c", "--mode", "single", "--step", "0.001"]
+        assert build_parser().parse_args(argv).step == 0.001
 
 
 @pytest.mark.parametrize("argv", [
@@ -883,7 +892,7 @@ class TestSampleRateBound:
     """Parsed only: no note is synthesized and no EQ is designed."""
 
     @pytest.mark.parametrize("command", ["synth", "reproduce", "response"])
-    @pytest.mark.parametrize("rate", ["0", "-22050", "22050.5", "fast"])
+    @pytest.mark.parametrize("rate", ["0", "-22050", "22050.5", "fast", str(MAX_SAMPLE_RATE + 1)])
     def test_bad_value_is_usage_error(self, command, rate, capsys):
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(_sample_rate_argv(command, rate))
@@ -895,6 +904,111 @@ class TestSampleRateBound:
     @pytest.mark.parametrize("command", ["synth", "reproduce", "response"])
     def test_positive_value_is_accepted(self, command):
         assert build_parser().parse_args(_sample_rate_argv(command, 1)).sample_rate == 1
+
+    @pytest.mark.parametrize("command", ["synth", "reproduce", "response"])
+    def test_largest_wav_rate_is_accepted(self, command):
+        args = build_parser().parse_args(_sample_rate_argv(command, MAX_SAMPLE_RATE))
+        assert args.sample_rate == MAX_SAMPLE_RATE == (2 ** 32 - 1) // 4
+
+
+def _no_memory(*args, **kwargs):
+    raise MemoryError("Unable to allocate 745. GiB for an array with shape (100000000000,) "
+                      "and data type float64")
+
+
+# Numeric input that overflowed or ran out of memory in a traceback: argv,
+# the exit code and the start of the error line. Code 1 is refused at parse
+# time and only parsed; code 2 runs, with `response`'s frequency grid stubbed.
+OVERFLOWING_INPUT = [
+    (["synth", "--sample-rate", "2000000000", "--pitches", "C4", "--duration", "1e-9"], 1,
+     "eqrep synth: error: argument --sample-rate: must be an integer from 1 to 1073741823"),
+    (["synth", "--sample-rate", "9" * 401], 1, "eqrep synth: error: argument --sample-rate: "),
+    (["response", "--gains", "0,0,0,0,0", "--sample-rate", "9" * 401], 1,
+     "eqrep response: error: argument --sample-rate: "),
+    (["synth", "--pitches", "C10000"], 2,
+     "eqrep: pitch label 'C10000': frequency overflows a float"),
+    (["dataset", "--corpus", "c", "--mode", "single", "--step", "1e-9"], 1,
+     "eqrep dataset: error: argument --step: grid step must be at least 0.001 dB"),
+    (["response", "--gains", "0,0,0,0,0", "--points", "100000000000"], 2,
+     "eqrep: Unable to allocate 745. GiB"),
+]
+
+
+@pytest.mark.parametrize("argv, code, line", OVERFLOWING_INPUT,
+                         ids=["synth-rate-2e9", "synth-rate-401-digits",
+                              "response-rate-401-digits", "synth-pitch-C10000",
+                              "dataset-step-1e-9", "response-points-1e11"])
+def test_overflowing_numeric_input_is_one_line(argv, code, line, monkeypatch, tmp_path, capsys):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "log_frequency_grid", _no_memory)
+    if code == 1:
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 1
+    else:
+        assert main(argv) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert lines[-1].startswith(line)
+    # a runtime failure prints its one line; a usage error its usage, then one error line
+    assert [text for text in lines if "error:" in text or text.startswith("eqrep:")] \
+        == lines[-1:]
+    assert code == 1 or len(lines) == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def _typed_options():
+    """(command, option) of every option a type function parses."""
+    parser = build_parser()
+    [commands] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return [(command, action.option_strings[0]) for command, sub in commands.choices.items()
+            for action in sub._actions if action.type is not None]
+
+
+def _option_argv(command, option, text):
+    """`command` with its required arguments and `option=text`: dataset in
+    the mode that reads the option, and --frame-size with a hop every frame fits."""
+    mode = "single" if option == "--step" else "multi"
+    required = {"dataset": ["--corpus", "c", "--mode", mode], "extract": ["a.wav"],
+                "train": ["--manifest", "m", "--model", "linear", "--outfile", "o"],
+                "response": ["--gains", "0,0,0,0,0"]}
+    hop = ["--hop-size=1"] if option == "--frame-size" else []
+    return [command, *required.get(command, []), *hop, f"{option}={text}"]
+
+
+# Any text, and the numbers a type function may mishandle: huge integers,
+# floats at and past both ends of the double range, and special spellings.
+NUMBER_TEXT = st.one_of(
+    st.text(),
+    st.integers().map(str),
+    st.builds(lambda sign, digits: sign + digits, st.sampled_from(["", "-", "+"]),
+              st.text("0123456789", min_size=20, max_size=5000)),
+    st.floats().map(repr),
+    st.floats(-1e-300, 1e-300).map(repr),
+    st.builds("{}e{}".format, st.sampled_from(["1", "-1", "2.5"]), st.integers(-400, 400)),
+    st.sampled_from(["nan", "-inf", "1e400", "4e-324", "0x10", "1_000", " 7 ", "", "-0"]),
+)
+PARSER = build_parser()
+
+
+@pytest.mark.parametrize("command, option", _typed_options())
+@settings(max_examples=40, deadline=None, database=None)
+@seed(33)
+@given(text=NUMBER_TEXT)
+def test_numeric_option_parses_or_is_one_usage_error(command, option, text):
+    """Parsed only: any text either parses or exits 1 with one error line
+    that names the option, never a traceback. The step bound keeps a fine
+    --step from allocating its grid."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        try:
+            PARSER.parse_args(_option_argv(command, option, text))
+            return
+        except SystemExit as exc:
+            code = exc.code
+    lines = err.getvalue().splitlines()
+    assert code == 1
+    assert [line for line in lines if ": error: " in line] == lines[-1:]
+    assert f"error: argument {option}: " in lines[-1]
 
 
 def test_reproduce_builds_with_the_stft_options(monkeypatch, tmp_path, capsys):

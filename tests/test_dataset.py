@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from eqrep import dataset as ds
-from eqrep.audio import NoteSpec, note_corpus, synthesize_note
+from eqrep.audio import NoteSpec, synthesize_note
 from eqrep.eq import apply_eq
 from eqrep.features import FEATURE_DIM, StftConfig, extract_features
 
@@ -179,39 +179,19 @@ class TestInterpolationSplit:
             ds.interpolation_split(self._sweep_manifest(), ds.FINE_GRID)
 
 
-class TestSweepSubset:
-    @pytest.mark.parametrize("pitches", ["C3", "C3,G4"])
-    def test_coarse_rows_equal_a_coarse_build(self, pitches):
-        pitches = pitches.split(",")
-        corpus = note_corpus(pitches, SR, duration_s=0.1, partial_count=40)
-        sweep = ds.build_dataset(corpus, ds.single_band_settings(ds.FINE_GRID), stft=STFT)
-        coarse = ds.build_dataset(corpus, ds.single_band_settings(ds.COARSE_GRID), stft=STFT)
-        taken = ds.sweep_subset(sweep, ds.COARSE_GRID)
-        assert len(taken.samples) == 35 * len(pitches)
-        assert [s.sample_id for s in taken.samples] == [s.sample_id for s in coarse.samples]
-        assert [s.base_label for s in taken.samples] == [s.base_label for s in coarse.samples]
-        np.testing.assert_array_equal(taken.target_matrix(), coarse.target_matrix())
-        np.testing.assert_array_equal(taken.feature_matrix(), coarse.feature_matrix())
-        assert ds.manifest_to_dict(taken) == ds.manifest_to_dict(coarse)
-
-    def test_subsampled_sweep_rejected(self, tiny_corpus):
-        settings = ds.single_band_settings(ds.FINE_GRID)
-        sweep = ds.build_dataset(tiny_corpus, settings, stft=STFT, limit=60, seed=1)
-        with pytest.raises(ValueError, match="every grid setting"):
-            ds.sweep_subset(sweep, ds.COARSE_GRID)
-
-
 class TestSampleTable:
     """The rows and columns of `samples` that the CLI and the benchmark read,
-    on a built, a loaded and a `sweep_subset` manifest."""
+    on a built, a loaded and a subset manifest: the 4 dB rows of a sweep, as
+    the coarse experiment takes them."""
 
     @pytest.fixture(scope="class")
     def manifests(self, tiny_corpus, tmp_path_factory):
         built = ds.build_dataset(tiny_corpus, ds.single_band_settings(ds.FINE_GRID), stft=STFT)
         path = tmp_path_factory.mktemp("table") / "m.json"
         ds.save_manifest(built, path)
+        subset = built.samples[ds.on_grid(built, ds.COARSE_GRID)]
         return {"built": built, "loaded": ds.load_manifest(path),
-                "subset": ds.sweep_subset(built, ds.COARSE_GRID)}
+                "subset": ds.DatasetManifest(SR, STFT, subset, built.split_seed)}
 
     @pytest.mark.parametrize("kind", ["built", "loaded", "subset"])
     def test_rows_and_columns(self, manifests, kind):
@@ -225,7 +205,8 @@ class TestSampleTable:
         source = np.flatnonzero(ds.on_grid(built, grid))  # every row for the fine grid
         for i in (0, 7, n - 1):
             row = manifest.samples[i]
-            assert type(row.sample_id) is str and row.sample_id == f"C3-{i:05d}"
+            # a subset row keeps the id of the sweep row it is
+            assert type(row.sample_id) is str and row.sample_id == f"C3-{source[i]:05d}"
             # the label is a str, usable as a dict key
             assert type(row.base_label) is str and {"C3": i}[row.base_label] == i
             np.testing.assert_array_equal(row.gains_db, settings[i])

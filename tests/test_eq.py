@@ -5,8 +5,8 @@ from scipy.signal import sosfilt, sosfreqz
 
 import oracles
 from eqrep.audio import AudioBuffer
-from eqrep.eq import (BANDS, BELL, HIGH_SHELF, LOW_SHELF, EqBandSpec, apply_eq,
-                      design_biquad, eq_response, eq_sos, log_frequency_grid)
+from eqrep.eq import (BAND_COUNT, BAND_NAMES, BANDS, BELL, HIGH_SHELF, LOW_SHELF, EqBandSpec,
+                      apply_eq, design_biquad, eq_response, eq_sos, log_frequency_grid)
 from eqrep.features import extract_features
 from fresh import run_fresh
 
@@ -19,6 +19,11 @@ class TestStandardBands:
             (80.0, LOW_SHELF, 0.707), (240.0, BELL, 1.0), (2500.0, BELL, 1.0),
             (4000.0, BELL, 1.0), (10000.0, HIGH_SHELF, 0.707),
         ]
+
+    def test_names_and_count_come_from_the_bands(self):
+        """The labels of the scatter, predict and manifest.csv columns."""
+        assert BAND_NAMES == ["EQ_80", "EQ_240", "EQ_2500", "EQ_4000", "EQ_10000"]
+        assert BAND_COUNT == len(BANDS) == 5
 
 
 class TestDesignBiquad:

@@ -5,6 +5,7 @@ import pytest
 
 from eqrep import dataset as ds
 from eqrep import evaluate as ev
+from eqrep.audio import note_corpus
 from eqrep.eq import BAND_NAMES
 from eqrep.features import FEATURE_DIM, StftConfig
 from eqrep.models import MODEL_KINDS, TrainConfig
@@ -148,12 +149,40 @@ class TestExperimentShapes:
         np.testing.assert_array_equal(a.report.per_band_mse, b.report.per_band_mse)
         np.testing.assert_array_equal(a.predictions, b.predictions)
 
+    def test_coarse_ids_name_the_sweep_rows_of_their_targets(self, small_sweep):
+        """A coarse scatter id is the sweep row whose gains it reports, so the
+        three sweep scatter files join on `sample_id`."""
+        result = ev.experiment_single_band_coarse(small_sweep, seed=3)
+        gains = dict(zip(small_sweep.samples.sample_id, small_sweep.target_matrix()))
+        assert len(result.sample_ids) == 7
+        for sid, target in zip(result.sample_ids, result.targets):
+            np.testing.assert_array_equal(gains[sid], target)
+
     def test_multi_band_limit_guard(self):
         samples = ds.sample_table([f"s{i}" for i in range(100)], ["x"] * 100,
                                   np.zeros((100, 5)), np.zeros((100, FEATURE_DIM)))
         manifest = ds.DatasetManifest(44100, StftConfig(), samples, 0)
         with pytest.raises(ValueError):
             ev.experiment_multi_band(manifest, seed=0)
+
+
+@pytest.mark.parametrize("pitches", ["C3", "C3,G4"])
+def test_coarse_experiment_on_the_sweep_equals_one_on_a_coarse_build(pitches):
+    """The sweep's 4 dB rows are the rows a coarse build makes, so the coarse
+    experiment on either gives the same numbers; only the ids differ."""
+    corpus = note_corpus(pitches.split(","), 44100, duration_s=0.1, partial_count=40)
+    stft = StftConfig(2048, 512)
+    sweep = ds.build_dataset(corpus, ds.single_band_settings(ds.FINE_GRID), stft=stft)
+    coarse = ds.build_dataset(corpus, ds.single_band_settings(ds.COARSE_GRID), stft=stft)
+    rows = ds.on_grid(sweep, ds.COARSE_GRID)
+    assert sweep.samples.base_label[rows].tolist() == coarse.samples.base_label.tolist()
+    np.testing.assert_array_equal(sweep.target_matrix()[rows], coarse.target_matrix())
+    np.testing.assert_array_equal(sweep.feature_matrix()[rows], coarse.feature_matrix())
+    taken = ev.experiment_single_band_coarse(sweep, 42)
+    built = ev.experiment_single_band_coarse(coarse, 42)
+    assert ev.report_to_dict(taken.report) == ev.report_to_dict(built.report)
+    np.testing.assert_array_equal(taken.predictions, built.predictions)
+    np.testing.assert_array_equal(taken.targets, built.targets)
 
 
 def test_multi_band_jobs_give_identical_results():
