@@ -217,7 +217,11 @@ def synthesize_note(spec: NoteSpec, sample_rate: int = DEFAULT_SAMPLE_RATE) -> A
         np.sin(np.multiply(2.0 * np.pi * k * spec.fundamental_hz, t, out=partial), out=partial)
         out += np.multiply(partial, 1.0 / k, out=partial)
     out *= np.exp(np.multiply(-DECAY_RATE, t, out=partial), out=partial)
-    out *= 0.9 / np.max(np.abs(out))
+    peak = np.max(np.abs(out))
+    if peak == 0:  # one sample is sin(0): nothing to normalize
+        raise ValueError(f"{spec.pitch_name}: duration {spec.duration_s} s rounds to {n} "
+                         f"silent sample(s) at {sample_rate} Hz")
+    out *= 0.9 / peak
     return AudioBuffer(out, sample_rate)
 
 

@@ -182,9 +182,8 @@ def cmd_predict(args):
 
 def _save_result(result, out, stem):
     """`{stem}_report.json` and `{stem}_scatter.csv` of one result in `out`."""
-    ev.save_report(result.report, out / f"{stem}_report.json")
-    ev.scatter_export(result.sample_ids, result.predictions, result.targets,
-                      out / f"{stem}_scatter.csv")
+    ev.save_report(result, out / f"{stem}_report.json")
+    ev.scatter_export(result, out / f"{stem}_scatter.csv")
 
 
 def cmd_eval(args):
@@ -198,8 +197,7 @@ def cmd_eval(args):
                            f"{manifest.stft} != model's {contract[0]} Hz, {contract[1]}")
     result = ev.evaluate_model(model, manifest, seed)
     _save_result(result, out, "eval")
-    report = result.report
-    print(f"overall MSE {report.overall_mse:.6g} ({report.n_samples} samples)")
+    print(f"overall MSE {result.overall_mse:.6g} ({len(result.predictions)} samples)")
     return 0
 
 
@@ -209,11 +207,10 @@ def cmd_reproduce(args):
     results = ev.run_reproduction(ev.reproduction_corpus(args.sample_rate, pitches),
                                   _stft_from_args(args), args.limit, args.seed, args.jobs)
     for res in results:
-        rep = res.report
-        _save_result(res, out, f"{rep.experiment_id}_{rep.model_kind}")
-        print(f"{rep.experiment_id:>20s}  {rep.model_kind:>6s}  "
-              f"MSE {rep.overall_mse:.4f} dB^2  ({rep.n_samples} held out)")
-    jsondoc.write([ev.report_to_dict(r.report) for r in results], out / "summary.json")
+        _save_result(res, out, f"{res.experiment_id}_{res.model_kind}")
+        print(f"{res.experiment_id:>20s}  {res.model_kind:>6s}  "
+              f"MSE {res.overall_mse:.4f} dB^2  ({len(res.predictions)} held out)")
+    jsondoc.write([ev.report_to_dict(r) for r in results], out / "summary.json")
     failed = ev.failed_checks(results)
     for name, _ in ev.CHECKS:
         print(f"[{'FAIL' if name in failed else 'PASS'}] {name}")

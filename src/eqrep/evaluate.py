@@ -36,22 +36,19 @@ def reproduction_corpus(sample_rate: int = DEFAULT_SAMPLE_RATE, pitches=None):
 
 
 @dataclass(frozen=True)
-class EvalReport:
+class ExperimentResult:
+    """One model's held-out predictions in one experiment; its MSEs derive from them."""
     experiment_id: str
     model_kind: str
-    overall_mse: float
-    per_band_mse: np.ndarray
-    n_samples: int
     seed: int
-    config_digest: str = ""
-
-
-@dataclass(frozen=True)
-class ExperimentResult:
-    report: EvalReport
+    config_digest: str
     sample_ids: list
     predictions: np.ndarray
     targets: np.ndarray
+
+    @property
+    def overall_mse(self) -> float:
+        return mse(self.predictions, self.targets)[0]
 
 
 def mse(predictions: np.ndarray, targets: np.ndarray):
@@ -67,44 +64,38 @@ def mse(predictions: np.ndarray, targets: np.ndarray):
     return float(sq.mean()), per_band
 
 
-def make_report(experiment_id, model_kind, predictions, targets, seed,
-                config: dict | None = None) -> EvalReport:
-    overall, per_band = mse(predictions, targets)
-    digest = ""
-    if config is not None:
-        digest = hashlib.sha256(
-            json.dumps(config, sort_keys=True).encode()
-        ).hexdigest()[:16]
-    return EvalReport(experiment_id, model_kind, overall, per_band,
-                      len(predictions), seed, digest)
+def digest(config: dict) -> str:
+    """A `config_digest`: 16 hex digits of the sha256 of sorted-key JSON `config`."""
+    return hashlib.sha256(json.dumps(config, sort_keys=True).encode()).hexdigest()[:16]
 
 
-def report_to_dict(report: EvalReport) -> dict:
+def report_to_dict(result: ExperimentResult) -> dict:
+    overall, per_band = mse(result.predictions, result.targets)
     return {
-        "experiment_id": report.experiment_id,
-        "model_kind": report.model_kind,
-        "overall_mse": report.overall_mse,
-        "per_band_mse": list(report.per_band_mse),
-        "n_samples": report.n_samples,
-        "seed": report.seed,
-        "config_digest": report.config_digest,
+        "experiment_id": result.experiment_id,
+        "model_kind": result.model_kind,
+        "overall_mse": overall,
+        "per_band_mse": list(per_band),
+        "n_samples": len(result.predictions),
+        "seed": result.seed,
+        "config_digest": result.config_digest,
     }
 
 
-def save_report(report: EvalReport, path) -> None:
-    jsondoc.write(report_to_dict(report), path)
+def save_report(result: ExperimentResult, path) -> None:
+    jsondoc.write(report_to_dict(result), path)
 
 
-def scatter_export(sample_ids, predictions, targets, path) -> None:
+def scatter_export(result: ExperimentResult, path) -> None:
     """One CSV row per (sample, band): sample_id, band_name, true_db, predicted_db."""
-    predictions = np.asarray(predictions, dtype=np.float64)
-    targets = np.asarray(targets, dtype=np.float64)
-    if not (len(sample_ids) == len(predictions) == len(targets)):
+    predictions = np.asarray(result.predictions, dtype=np.float64)
+    targets = np.asarray(result.targets, dtype=np.float64)
+    if not (len(result.sample_ids) == len(predictions) == len(targets)):
         raise ValueError("length mismatch")
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["sample_id", "band_name", "true_db", "predicted_db"])
-        for sid, pred, true in zip(sample_ids, predictions.tolist(), targets.tolist()):
+        for sid, pred, true in zip(result.sample_ids, predictions.tolist(), targets.tolist()):
             writer.writerows([sid, name, t, p] for name, t, p in zip(BAND_NAMES, true, pred))
 
 
@@ -124,8 +115,7 @@ def _fit_and_report(manifest, split, experiment_id, kinds, seed, config,
         return predict(model, x[test_idx])
 
     all_preds = fork_map(fit_predict, kinds, jobs)
-    return [ExperimentResult(make_report(experiment_id, kind, preds, y[test_idx], seed, config),
-                             ids, preds, y[test_idx])
+    return [ExperimentResult(experiment_id, kind, seed, digest(config), ids, preds, y[test_idx])
             for kind, preds in zip(kinds, all_preds)]
 
 
@@ -172,8 +162,8 @@ def evaluate_model(model, manifest, seed: int) -> ExperimentResult:
     """One trained model scored on every row of a manifest (`eqrep eval`)."""
     targets = manifest.target_matrix()
     preds = predict(model, manifest.feature_matrix())
-    return ExperimentResult(make_report("eval", model.kind, preds, targets, seed),
-                            manifest.samples.sample_id.tolist(), preds, targets)
+    return ExperimentResult("eval", model.kind, seed, "", manifest.samples.sample_id.tolist(),
+                            preds, targets)
 
 
 # ---------------------------------------------------------- reproduction
@@ -216,6 +206,5 @@ CHECKS = (
 
 def failed_checks(results) -> list:
     """The names of the CHECKS that `results` fail, in table order."""
-    by_key = {(r.report.experiment_id, r.report.model_kind): r.report.overall_mse
-              for r in results}
+    by_key = {(r.experiment_id, r.model_kind): r.overall_mse for r in results}
     return [name for name, ok in CHECKS if not ok(by_key)]

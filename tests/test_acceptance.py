@@ -21,6 +21,7 @@ from eqrep.eq import BELL, EqBandSpec, apply_eq, design_biquad, eq_response
 from eqrep.features import StftConfig, extract_features
 from eqrep.models import (TrainConfig, load_model, predict, save_model,
                           train_forest, train_linear, train_mlp)
+from test_evaluate import _scatter_import
 from test_models import _grad_check
 
 SR = 44100
@@ -102,18 +103,18 @@ def test_criterion_4_fine_sweep_experiment(corpus):
     sweep = build_dataset(corpus, single_band_settings(FINE_GRID), seed=42)
     result = ev.experiment_single_band_fine(sweep, seed=42)
     elapsed = time.time() - start
-    assert result.report.overall_mse <= 0.5
+    assert result.overall_mse <= 0.5
     assert elapsed < 120
     print(f"\n[PASS] criterion 4: fine sweep MSE "
-          f"{result.report.overall_mse:.4g} <= 0.5 ({elapsed:.1f}s)")
+          f"{result.overall_mse:.4g} <= 0.5 ({elapsed:.1f}s)")
 
 
 def test_criterion_5_coarse_and_interpolation(corpus):
     start = time.time()
     sweep = build_dataset(corpus, single_band_settings(FINE_GRID), seed=42)
-    fine = ev.experiment_single_band_fine(sweep, seed=42).report.overall_mse
-    coarse = ev.experiment_single_band_coarse(sweep, seed=42).report.overall_mse
-    interp = ev.experiment_interpolation(sweep, seed=42).report.overall_mse
+    fine = ev.experiment_single_band_fine(sweep, seed=42).overall_mse
+    coarse = ev.experiment_single_band_coarse(sweep, seed=42).overall_mse
+    interp = ev.experiment_interpolation(sweep, seed=42).overall_mse
     elapsed = time.time() - start
     assert coarse >= fine
     assert interp <= coarse
@@ -142,8 +143,20 @@ def test_criterion_7_reproduce_determinism(repro_dirs):
     assert any(n.endswith("_scatter.csv") for n in names)
     for name in names:
         assert (run1 / name).read_bytes() == (run2 / name).read_bytes(), name
+    # summary.json is the six reports in print order, and each report's
+    # numbers recompute bit for bit from the rows of its scatter CSV
+    stems = [f"{exp}_linear" for exp in ("single_band_fine", "single_band_coarse",
+                                         "interpolation")]
+    stems += [f"multi_band_{kind}" for kind in ("linear", "forest", "mlp")]
+    reports = [_report(run1, stem) for stem in stems]
+    assert json.loads((run1 / "summary.json").read_text()) == reports
+    for stem, doc in zip(stems, reports):
+        ids, preds, targets = _scatter_import(run1 / f"{stem}_scatter.csv")
+        result = ev.ExperimentResult(doc["experiment_id"], doc["model_kind"], doc["seed"],
+                                     doc["config_digest"], ids, preds, targets)
+        assert ev.report_to_dict(result) == doc, stem
     print(f"\n[PASS] criterion 7: reproduce --seed 42 twice, "
-          f"{len(names)} byte-identical output files")
+          f"{len(names)} byte-identical output files, reports recomputed from scatters")
 
 
 def test_criterion_8_count_reproduction():

@@ -234,26 +234,23 @@ def _stricter_fields(chunks):
 
 MUTANT_BASES = [(dtype, channels, extensible) for dtype in ("int16", "float32")
                 for channels in (1, 2) for extensible in (False, True)]
-
-
-@settings(max_examples=400, deadline=None, database=None)
-@seed(44100)
-@given(base=st.sampled_from(MUTANT_BASES), frames=st.integers(1, 6),
-       overwrite=st.none() | st.tuples(st.integers(0, 76), st.binary(min_size=1, max_size=4)),
-       insert=st.none() | st.tuples(st.integers(0, 3),
+# The three optional steps of a mutant, drawn in this order.
+MUTATIONS = {
+    "overwrite": st.none() | st.tuples(st.integers(0, 76), st.binary(min_size=1, max_size=4)),
+    "insert": st.none() | st.tuples(st.integers(0, 3),
                                     st.sampled_from([b"LIST", b"JUNK", b"fact", b"abcd"]),
                                     st.binary(max_size=5)),
-       cut=st.none() | st.integers(0, 120))
-def test_read_wav_on_mutants_agrees_with_scipy(tmp_path_factory, base, frames, overwrite,
-                                               insert, cut):
-    """Mutants of valid files, each overwritten in its header, given one more
-    chunk, and cut, in that order, each step optional. read_wav returns
-    scipy's rate and samples under its conversion or raises ValueError
-    starting with the path, and never reads a file scipy refuses. A mutant
-    scipy reads without a warning, as int16 or float32 in 1 or 2 channels,
-    is read, unless it was cut or a field of _stricter_fields changed; a cut
-    mutant whose RIFF size is intact is refused, unless only the pad byte of
-    its last chunk was cut."""
+    "cut": st.none() | st.integers(0, 120),
+}
+
+
+def _mutant(base, frames, overwrite, insert, cut):
+    """A valid file of `frames` frames of `base`, overwritten in its header,
+    given one more chunk, and cut, in that order, each step optional. Returns
+    the bytes and four facts of them: whether it was cut or a field of
+    _stricter_fields changed, whether its RIFF size field was overwritten,
+    whether it was cut short, and whether only its last chunk's pad byte
+    was cut."""
     dtype, channels, extensible = base
     data = _samples(dtype, channels, frames)
     chunks = _wav_layout(data, extensible=extensible)
@@ -279,6 +276,23 @@ def test_read_wav_on_mutants_agrees_with_scipy(tmp_path_factory, base, frames, o
     if cut_short:
         del wav[cut:]
         stricter = True
+    return bytes(wav), stricter, riff_size_changed, cut_short, pad_only
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@seed(44100)
+@given(base=st.sampled_from(MUTANT_BASES), frames=st.integers(1, 6), **MUTATIONS)
+def test_read_wav_on_mutants_agrees_with_scipy(tmp_path_factory, base, frames, overwrite,
+                                               insert, cut):
+    """Mutants of valid files (_mutant). read_wav returns scipy's rate and
+    samples under its conversion or raises ValueError starting with the
+    path, and never reads a file scipy refuses. A mutant scipy reads without
+    a warning, as int16 or float32 in 1 or 2 channels, is read, unless it
+    was cut or a field of _stricter_fields changed; a cut mutant whose RIFF
+    size is intact is refused, unless only the pad byte of its last chunk
+    was cut."""
+    wav, stricter, riff_size_changed, cut_short, pad_only = _mutant(base, frames, overwrite,
+                                                                    insert, cut)
     path = tmp_path_factory.getbasetemp() / "mutant.wav"
     path.write_bytes(wav)
 

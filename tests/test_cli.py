@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -26,6 +27,7 @@ from eqrep.cli import build_parser, main
 from eqrep.eq import apply_eq, log_frequency_grid
 from eqrep.features import FEATURE_NAMES, StftConfig
 from eqrep.models import MODEL_KINDS, TrainConfig, load_model, save_model
+from test_audio import MUTANT_BASES, MUTATIONS, _mutant
 
 
 def run(*argv):
@@ -63,6 +65,17 @@ class TestSynth:
         captured = capsys.readouterr()
         assert captured.err.splitlines() == [
             "eqrep: C4: duration 1e-06 s rounds to 0 samples at 44100 Hz"]
+        assert captured.out == "" and list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("rate, duration", [("44100", "2e-5"), ("1073741823", "1e-9")])
+    def test_duration_of_one_silent_sample_is_runtime_error(self, tmp_path, capsys, rate,
+                                                            duration):
+        assert run("synth", "--pitches", "C4", "--sample-rate", rate, "--duration", duration,
+                   "--out", tmp_path) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            f"eqrep: C4: duration {float(duration)} s rounds to 1 silent sample(s) "
+            f"at {rate} Hz"]
         assert captured.out == "" and list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("duration", ["inf", "nan", "0", "-1", "long"])
@@ -631,6 +644,27 @@ def test_wav_parser_warnings_stay_off_stderr(tmp_path, name, code, lines):
         assert proc.stderr.startswith(f"eqrep: {wav}: ")
     else:
         assert read_wav(wav).samples.tolist() == [0.25] * 4096
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@seed(2048)
+@given(base=st.sampled_from(MUTANT_BASES), **MUTATIONS)
+def test_commands_on_mutant_wavs_exit_0_or_one_error_line(linear_artifact, tmp_path_factory,
+                                                          base, overwrite, insert, cut):
+    """extract and predict on a mutant (test_audio._mutant) of a valid
+    2 048-frame 44.1 kHz WAV exit 0 silently, or 2 with one `eqrep: ` line;
+    a warning counts as a stderr line, as it would outside pytest."""
+    wav = tmp_path_factory.getbasetemp() / "cli-mutant.wav"
+    wav.write_bytes(_mutant(base, 2048, overwrite, insert, cut)[0])
+    for command in ("extract", "predict"):
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = run(*_wav_argv(command, wav, linear_artifact, None))
+        lines = err.getvalue().splitlines() + [str(w.message) for w in caught]
+        assert (code, lines) == (0, []) or (
+            code == 2 and len(lines) == 1 and lines[0].startswith("eqrep: ")), (command, lines)
 
 
 class TestDatasetSampleRate:

@@ -68,6 +68,10 @@ def _scatter_import(path):
     return ids, np.array([preds[i] for i in ids]), np.array([trues[i] for i in ids])
 
 
+def _result(ids, predictions, targets):
+    return ev.ExperimentResult("exp", "linear", 1, "", ids, predictions, targets)
+
+
 class TestScatterExport:
     def test_row_count_and_round_trip(self, tmp_path):
         rng = np.random.default_rng(2)
@@ -77,7 +81,7 @@ class TestScatterExport:
         preds = rng.standard_normal((n, 5))
         targets = rng.standard_normal((n, 5))
         path = tmp_path / "scatter.csv"
-        ev.scatter_export(ids, preds, targets, path)
+        ev.scatter_export(_result(ids, preds, targets), path)
         with open(path, newline="") as fh:
             assert len(list(csv.reader(fh))) == 1 + n * 5
 
@@ -92,7 +96,7 @@ class TestScatterExport:
         ids = ["a", "b"]
         targets = np.arange(10.0).reshape(2, 5)
         path = tmp_path / "scatter.csv"
-        ev.scatter_export(ids, targets, targets, path)
+        ev.scatter_export(_result(ids, targets, targets), path)
         for line in path.read_text().strip().split("\n")[1:]:
             _, _, true_db, pred_db = line.split(",")
             assert true_db == pred_db
@@ -102,19 +106,21 @@ class TestReports:
     def test_report_fields(self):
         rng = np.random.default_rng(3)
         preds, targets = rng.standard_normal((6, 5)), rng.standard_normal((6, 5))
-        report = ev.make_report("exp", "linear", preds, targets, seed=1, config={"a": 1})
-        assert report.n_samples == 6
-        assert report.overall_mse == pytest.approx(report.per_band_mse.mean())
-        assert report.config_digest
-        doc = ev.report_to_dict(report)
+        result = ev.ExperimentResult("exp", "linear", 1, ev.digest({"a": 1}),
+                                     [f"s{i}" for i in range(6)], preds, targets)
+        doc = ev.report_to_dict(result)
+        assert doc["n_samples"] == 6
+        assert doc["overall_mse"] == result.overall_mse == ev.mse(preds, targets)[0]
+        assert doc["overall_mse"] == pytest.approx(np.mean(doc["per_band_mse"]))
+        assert doc["config_digest"] and doc["config_digest"] != ev.digest({"a": 2})
         assert doc["experiment_id"] == "exp" and doc["model_kind"] == "linear"
 
     def test_save_is_deterministic(self, tmp_path):
         preds = np.ones((3, 5))
         targets = np.zeros((3, 5))
-        report = ev.make_report("exp", "mlp", preds, targets, seed=7)
-        ev.save_report(report, tmp_path / "a.json")
-        ev.save_report(report, tmp_path / "b.json")
+        result = _result(["a", "b", "c"], preds, targets)
+        ev.save_report(result, tmp_path / "a.json")
+        ev.save_report(result, tmp_path / "b.json")
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
 
@@ -131,13 +137,13 @@ class TestExperimentShapes:
     def test_fine_dataset_size(self, small_sweep):
         result = ev.experiment_single_band_fine(small_sweep, seed=0)
         # 125 samples, 80/20 split: 25 held out
-        assert result.report.n_samples == 25
-        assert result.report.overall_mse >= 0
-        assert np.isfinite(result.report.overall_mse)
+        assert ev.report_to_dict(result)["n_samples"] == 25
+        assert result.overall_mse >= 0
+        assert np.isfinite(result.overall_mse)
 
     def test_interpolation_sizes(self, small_sweep):
         result = ev.experiment_interpolation(small_sweep, seed=0)
-        assert result.report.n_samples == 90
+        assert ev.report_to_dict(result)["n_samples"] == 90
         for target in result.targets:
             active = target[target != 0]
             assert active.size == 1 and active[0] % 4 != 0
@@ -145,8 +151,7 @@ class TestExperimentShapes:
     def test_coarse_determinism(self, small_sweep):
         a = ev.experiment_single_band_coarse(small_sweep, seed=3)
         b = ev.experiment_single_band_coarse(small_sweep, seed=3)
-        assert a.report.overall_mse == b.report.overall_mse
-        np.testing.assert_array_equal(a.report.per_band_mse, b.report.per_band_mse)
+        assert ev.report_to_dict(a) == ev.report_to_dict(b)
         np.testing.assert_array_equal(a.predictions, b.predictions)
 
     def test_coarse_ids_name_the_sweep_rows_of_their_targets(self, small_sweep):
@@ -180,7 +185,7 @@ def test_coarse_experiment_on_the_sweep_equals_one_on_a_coarse_build(pitches):
     np.testing.assert_array_equal(sweep.feature_matrix()[rows], coarse.feature_matrix())
     taken = ev.experiment_single_band_coarse(sweep, 42)
     built = ev.experiment_single_band_coarse(coarse, 42)
-    assert ev.report_to_dict(taken.report) == ev.report_to_dict(built.report)
+    assert ev.report_to_dict(taken) == ev.report_to_dict(built)
     np.testing.assert_array_equal(taken.predictions, built.predictions)
     np.testing.assert_array_equal(taken.targets, built.targets)
 
@@ -195,9 +200,9 @@ def test_multi_band_jobs_give_identical_results():
     manifest = ds.DatasetManifest(44100, StftConfig(), samples, 0)
     serial = ev.experiment_multi_band(manifest, 1, jobs=1)
     pooled = ev.experiment_multi_band(manifest, 1, jobs=2)
-    assert [r.report.model_kind for r in pooled] == ["linear", "forest", "mlp"]
+    assert [r.model_kind for r in pooled] == ["linear", "forest", "mlp"]
     for a, b in zip(serial, pooled):
-        assert ev.report_to_dict(a.report) == ev.report_to_dict(b.report)
+        assert ev.report_to_dict(a) == ev.report_to_dict(b)
         assert a.sample_ids == b.sample_ids
         np.testing.assert_array_equal(a.predictions, b.predictions)
         np.testing.assert_array_equal(a.targets, b.targets)
@@ -210,7 +215,7 @@ def test_evaluate_model_reports_the_model_kind(kind):
     samples = ds.sample_table([f"s{i}" for i in range(40)], ["x"] * 40, gains, feats)
     model = MODEL_KINDS[kind].fit(feats, gains, TrainConfig(epochs=2, hidden_dim=4, trees=2))
     result = ev.evaluate_model(model, ds.DatasetManifest(44100, StftConfig(), samples, 0), 7)
-    assert (result.report.model_kind, result.report.seed, result.report.n_samples) == \
+    assert (result.model_kind, result.seed, ev.report_to_dict(result)["n_samples"]) == \
         (kind, 7, 40)
 
 
@@ -236,9 +241,19 @@ def _results(**changed):
              "interpolation": ("interpolation", "linear"),
              "linear": ("multi_band", "linear"), "mlp": ("multi_band", "mlp")}
     mses = {**PASSING, **{names[k]: v for k, v in changed.items()}}
-    return [ev.ExperimentResult(ev.EvalReport(exp, kind, mse, np.full(5, mse), 1, 42),
-                                ["s0"], np.zeros((1, 5)), np.zeros((1, 5)))
-            for (exp, kind), mse in mses.items()]
+    results = []
+    for (exp, kind), mse in mses.items():
+        # errors of 2 dB in 100 * mse of the 400 cells: the MSE is exactly
+        # `mse` (a multiple of 0.01 up to 4), so a check at its bound sees it
+        errors = np.zeros(400)
+        if np.isnan(mse):
+            errors[0] = mse
+        else:
+            errors[:round(100 * mse)] = 2.0
+        results.append(ev.ExperimentResult(exp, kind, 42, "", [f"s{i}" for i in range(80)],
+                                           errors.reshape(80, 5), np.zeros((80, 5))))
+        assert results[-1].overall_mse == mse or np.isnan(mse)
+    return results
 
 
 class TestChecks:
