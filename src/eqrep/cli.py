@@ -23,7 +23,7 @@ from . import jsondoc
 from .audio import (DEFAULT_SAMPLE_RATE, MAX_SAMPLE_RATE, note_corpus, pitch_to_hz, read_wav,
                     write_wav)
 from .eq import BAND_COUNT, BAND_NAMES, eq_response, log_frequency_grid
-from .features import FEATURE_NAMES, StftConfig, extract_features
+from .features import FeatureContract, StftConfig
 from .models import MODEL_KINDS, TrainConfig, load_model, predict, save_model
 
 
@@ -65,16 +65,6 @@ def _load_corpus_dir(path):
     if not wavs:
         raise RuntimeError(f"no .wav files in {path}")
     return [(wav.stem, read_wav(wav)) for wav in wavs]
-
-
-def _wav_features(path, stft, sample_rate=None):
-    """The feature row of the WAV file `path`, refused with one line naming
-    it when too short for one frame or (if given) not at `sample_rate`."""
-    buf = read_wav(path)
-    if sample_rate is not None and buf.sample_rate != sample_rate:
-        raise RuntimeError(f"{path}: sample rate {buf.sample_rate} != model's {sample_rate}")
-    stft.check_length(len(buf), f"{path}: ")
-    return extract_features(buf, stft).to_array()
 
 
 def _stft_from_args(args) -> StftConfig:
@@ -135,9 +125,11 @@ def cmd_extract(args):
     stft = _stft_from_args(args)
     table = io.StringIO()
     writer = csv.writer(table, lineterminator="\n")
-    writer.writerow(["path", *FEATURE_NAMES])
+    writer.writerow(["path", *FeatureContract.names])
     for path in args.wavs:
-        writer.writerow([path, *_wav_features(path, stft).tolist()])
+        buf = read_wav(path)
+        row = FeatureContract(buf.sample_rate, stft).extract(buf, f"{path}: ")
+        writer.writerow([path, *row.tolist()])
     return _write_text(table.getvalue(), args.out)
 
 
@@ -151,8 +143,7 @@ def cmd_train(args):
 
     test_mse, per_band = ev.mse(predict(model, x[test_idx]), y[test_idx])
     train_mse, _ = ev.mse(predict(model, x[train_idx]), y[train_idx])
-    train_config = {"model": args.model, **asdict(cfg),
-                    "sample_rate": manifest.sample_rate, **asdict(manifest.stft)}
+    train_config = {"model": args.model, **asdict(cfg), **manifest.contract.to_dict()}
     metrics = {"train_mse": train_mse, "test_mse": test_mse,
                "per_band_test_mse": list(per_band)}
     save_model(model, args.outfile, train_config, metrics)
@@ -161,21 +152,14 @@ def cmd_train(args):
     return 0
 
 
-def _feature_contract(train_config: dict):
-    """(sample rate, StftConfig) of the feature contract `train` records in
-    an artifact; an artifact without it is refused."""
-    contract = jsondoc.JsonValue(train_config, "model artifact", "train_config")
-    return contract["sample_rate"].int(), StftConfig(contract["frame_size"].int(),
-                                                     contract["hop_size"].int())
-
-
 def cmd_predict(args):
     model, train_config, _ = load_model(args.model)
-    sample_rate, stft = _feature_contract(train_config)
+    contract = FeatureContract.from_doc(jsondoc.JsonValue(train_config, "model artifact",
+                                                          "train_config"))
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["path", *BAND_NAMES])
     for path in args.wavs:
-        gains = predict(model, _wav_features(path, stft, sample_rate))
+        gains = predict(model, contract.extract(read_wav(path), f"{path}: "))
         writer.writerow([path, *(f"{g:.3f}" for g in gains)])
     return 0
 
@@ -189,12 +173,10 @@ def _save_result(result, out, stem):
 def cmd_eval(args):
     out = _out_dir(args)
     model, train_config, _ = load_model(args.model)
-    contract = _feature_contract(train_config)
-    seed = jsondoc.JsonValue(train_config, "model artifact", "train_config")["seed"].int()
+    train_config = jsondoc.JsonValue(train_config, "model artifact", "train_config")
+    contract, seed = FeatureContract.from_doc(train_config), train_config["seed"].int()
     manifest = ds.load_manifest(args.manifest)
-    if (manifest.sample_rate, manifest.stft) != contract:
-        raise RuntimeError(f"{args.manifest}: features of {manifest.sample_rate} Hz, "
-                           f"{manifest.stft} != model's {contract[0]} Hz, {contract[1]}")
+    contract.require(manifest.contract, f"{args.manifest}: ")
     result = ev.evaluate_model(model, manifest, seed)
     _save_result(result, out, "eval")
     print(f"overall MSE {result.overall_mse:.6g} ({len(result.predictions)} samples)")

@@ -12,7 +12,7 @@ import numpy as np
 from . import jsondoc, rng
 from .audio import check_distinct_labels, write_wav
 from .eq import BAND_COUNT, BAND_NAMES, BANDS, apply_eq
-from .features import FEATURE_DIM, FEATURE_NAMES, StftConfig, extract_features
+from .features import FeatureContract, StftConfig
 from .pool import fork_map
 
 MANIFEST_SCHEMA_VERSION = 1
@@ -66,32 +66,33 @@ def multi_band_settings(grid) -> np.ndarray:
     return grid[np.indices((grid.size,) * BAND_COUNT).reshape(BAND_COUNT, -1).T]
 
 
-# One manifest row. Ids and labels are str objects: a fixed-width field drops a trailing NUL.
-SAMPLE_DTYPE = np.dtype([("sample_id", object), ("base_label", object),
-                         ("gains_db", np.float64, (BAND_COUNT,)),
-                         ("features", np.float64, (FEATURE_DIM,))])
-
-
 def sample_table(ids, labels, gains, features) -> np.recarray:
     """The read-only record array of n manifest rows: str ids and labels, the
-    applied gains (n, 5) and the features (n, 17)."""
-    table = np.recarray(len(ids), SAMPLE_DTYPE)
+    applied gains (n, 5) and the features (n, width), whose width it takes."""
+    features = np.asarray(features, dtype=np.float64)
+    # Ids and labels are str objects: a fixed-width field drops a trailing NUL.
+    table = np.recarray(len(ids), [("sample_id", object), ("base_label", object),
+                                   ("gains_db", np.float64, (BAND_COUNT,)),
+                                   ("features", np.float64, (features.shape[1],))])
     table.sample_id = ids
     table.base_label = labels
     table.gains_db = np.reshape(gains, (len(ids), BAND_COUNT))
-    table.features = np.reshape(features, (len(ids), FEATURE_DIM))
+    table.features = features
     table.flags.writeable = False
     return table
 
 
 @dataclass(frozen=True)
 class DatasetManifest:
-    sample_rate: int
-    stft: StftConfig
+    contract: FeatureContract  # of every row's features
     samples: np.recarray  # a `sample_table`; the matrices are its read-only column views
     # The seed build_dataset drew its subsample with. `train` splits by its
     # own --seed and `eval` scores every row, so neither reads this one.
     split_seed: int
+
+    @property
+    def stft(self) -> StftConfig:
+        return self.contract.stft
 
     def feature_matrix(self) -> np.ndarray:
         return self.samples.features
@@ -106,7 +107,7 @@ def build_dataset(corpus, settings, stft: StftConfig = StftConfig(),
     """EQ every (note, setting) pair with the five bands, extract features,
     assemble a manifest. Sample ids are `{label}-{setting index:05d}`, so the
     corpus labels must be distinct; the notes must share one sample rate,
-    which the manifest records.
+    which with `stft` makes the feature contract the manifest records.
 
     With `limit`, the pairs taken are those with the smallest outputs of
     their `seed`'s subsample stream; the manifest keeps settings order.
@@ -135,6 +136,7 @@ def build_dataset(corpus, settings, stft: StftConfig = StftConfig(),
         z = rng.splitmix64([rng.key(seed, "subsample")], total)[0]
         pair_indices = np.sort(np.argpartition(z, limit - 1)[:limit])
 
+    contract = FeatureContract(sample_rate, stft)
     note, setting = np.divmod(pair_indices, len(settings))
     ids = [f"{labels[n]}-{s:05d}" for n, s in zip(note.tolist(), setting.tolist())]
 
@@ -142,11 +144,12 @@ def build_dataset(corpus, settings, stft: StftConfig = StftConfig(),
         processed = apply_eq(corpus[note[k]][1], settings[setting[k]])
         if keep_audio_dir is not None:
             write_wav(processed, f"{keep_audio_dir}/{ids[k]}.wav")
-        return extract_features(processed, stft).to_array()
+        return contract.extract(processed)
 
     rows = fork_map(features_of, range(len(ids)), jobs)
-    samples = sample_table(ids, [labels[n] for n in note], settings[setting], rows)
-    return DatasetManifest(sample_rate, stft, samples, seed)
+    samples = sample_table(ids, [labels[n] for n in note], settings[setting],
+                           np.reshape(rows, (len(ids), contract.width)))
+    return DatasetManifest(contract, samples, seed)
 
 
 def split(manifest: DatasetManifest, seed: int):
@@ -196,8 +199,8 @@ def manifest_to_dict(manifest: DatasetManifest) -> dict:
     samples = manifest.samples
     return {
         "schema_version": MANIFEST_SCHEMA_VERSION,
-        "sample_rate": manifest.sample_rate,
-        "stft": {"frame_size": manifest.stft.frame_size, "hop_size": manifest.stft.hop_size},
+        "sample_rate": manifest.contract.sample_rate,
+        "stft": asdict(manifest.stft),
         "bands": [asdict(spec) for spec in BANDS],
         "split_seed": manifest.split_seed,
         "samples": [
@@ -217,15 +220,14 @@ def manifest_from_dict(doc: dict) -> DatasetManifest:
     if version != MANIFEST_SCHEMA_VERSION:
         raise ValueError(f"unsupported manifest schema_version {version}")
     rows = doc["samples"].elements()
+    width = FeatureContract.width
     samples = sample_table([s["sample_id"].str() for s in rows],
                            [s["base_label"].str() for s in rows],
                            [s["gains_db"].array((BAND_COUNT,)) for s in rows],
-                           [s["features"].array((FEATURE_DIM,)) for s in rows])
+                           np.reshape([s["features"].array((width,)) for s in rows], (-1, width)))
     _check_bands(doc["bands"])
-    stft = doc["stft"]
-    return DatasetManifest(doc["sample_rate"].int(),
-                           StftConfig(stft["frame_size"].int(), stft["hop_size"].int()),
-                           samples, doc["split_seed"].int())
+    return DatasetManifest(FeatureContract.from_doc(doc, doc["stft"]), samples,
+                           doc["split_seed"].int())
 
 
 def save_manifest(manifest: DatasetManifest, path) -> None:
@@ -238,9 +240,9 @@ def load_manifest(path) -> DatasetManifest:
 
 
 def export_csv(manifest: DatasetManifest, path) -> None:
-    """Flat per-sample view: id, label, five gains, then the 17 features."""
-    gain_cols = [name.lower() for name in BAND_NAMES]
-    header = ["sample_id", "base_label"] + gain_cols + FEATURE_NAMES
+    """Flat per-sample view: id, label, five gains, then the features."""
+    header = ["sample_id", "base_label", *(name.lower() for name in BAND_NAMES),
+              *manifest.contract.names]
     samples = manifest.samples
     rows = zip(samples.sample_id, samples.base_label,
                samples.gains_db.tolist(), samples.features.tolist())

@@ -18,12 +18,13 @@ spectra and return one value per frame.
 """
 
 import functools
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from typing import ClassVar
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .audio import AudioBuffer
+from .audio import DEFAULT_SAMPLE_RATE, AudioBuffer
 
 N_MFCC = 13
 N_MELS = 40
@@ -221,3 +222,40 @@ def extract_features(buffer: AudioBuffer, config: StftConfig = StftConfig()) -> 
         mfcc_mean=np.einsum("kj,j->k", MFCC_DCT, logmel_sum / count),
         rms=float(rms_sum / count),
     )
+
+
+
+@dataclass(frozen=True)
+class FeatureContract:
+    """What a feature row means: the sample rate of its audio and the STFT
+    that read it, under which the features are `names`, `width` of them.
+    Manifests and model artifacts record it; a model reads only its own."""
+    sample_rate: int = DEFAULT_SAMPLE_RATE
+    stft: StftConfig = StftConfig()
+    names: ClassVar[tuple] = tuple(FEATURE_NAMES)
+    width: ClassVar[int] = FEATURE_DIM
+
+    def __str__(self):
+        return f"{self.sample_rate} Hz, {self.stft}"
+
+    @classmethod
+    def from_doc(cls, doc, stft=None) -> "FeatureContract":
+        """The contract in a `jsondoc.JsonValue`, STFT in `stft` or as `to_dict` has it."""
+        stft = stft or doc
+        return cls(doc["sample_rate"].int(),
+                   StftConfig(stft["frame_size"].int(), stft["hop_size"].int()))
+
+    def to_dict(self) -> dict:
+        return {"sample_rate": self.sample_rate, **asdict(self.stft)}
+
+    def require(self, got: "FeatureContract", source: str = "") -> None:
+        """Refuse features of another contract with one line naming both."""
+        if got != self:
+            raise ValueError(f"{source}features of {got} != model's {self}")
+
+    def extract(self, buffer: AudioBuffer, source: str = "") -> np.ndarray:
+        """The feature row of `buffer`; one at another rate, or shorter than a
+        frame, is refused with one line after `source`."""
+        self.require(FeatureContract(buffer.sample_rate, self.stft), source)
+        self.stft.check_length(len(buffer), source)
+        return extract_features(buffer, self.stft).to_array()

@@ -1,6 +1,6 @@
 """The three gain predictors: closed-form linear regression, a two-hidden-layer
 MLP trained from scratch with backprop, and a bagged CART random forest.
-All map 17 features to the 5 band gains in dB.
+All map a feature row, as wide as their normalization, to the 5 band gains in dB.
 
 `MODEL_KINDS` is the one list of model kinds. Each model class carries its
 `kind`, its `fit`, its `forward` pass on normalized rows, and its artifact
@@ -16,7 +16,6 @@ import numpy as np
 
 from . import jsondoc, rng
 from .eq import BAND_COUNT
-from .features import FEATURE_DIM
 from .jsondoc import JsonValue
 
 MODEL_SCHEMA_VERSION = 1
@@ -29,6 +28,10 @@ VALIDATION_FRACTION = 0.1
 class Normalization:
     mean: np.ndarray
     std: np.ndarray
+
+    @property
+    def width(self) -> int:
+        return len(self.mean)
 
     def apply(self, features: np.ndarray) -> np.ndarray:
         return (features - self.mean) / self.std
@@ -83,7 +86,7 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class LinearModel:
-    weights: np.ndarray  # (5, 17)
+    weights: np.ndarray  # (5, width)
     bias: np.ndarray     # (5,)
     norm: Normalization
     kind: ClassVar[str] = "linear"
@@ -100,7 +103,7 @@ class LinearModel:
 
     @classmethod
     def from_params(cls, params: JsonValue, norm: Normalization) -> "LinearModel":
-        return cls(_finite(params["weights"], (BAND_COUNT, FEATURE_DIM)),
+        return cls(_finite(params["weights"], (BAND_COUNT, norm.width)),
                    _finite(params["bias"], (BAND_COUNT,)), norm)
 
 
@@ -113,7 +116,7 @@ def train_linear(features: np.ndarray, targets: np.ndarray) -> LinearModel:
         raise ValueError(f"need more rows ({n}) than features ({d})")
     x = np.hstack([x, np.ones((n, 1))])
     gram = x.T @ x + RIDGE_DAMPING * np.eye(d + 1)
-    coef = np.linalg.solve(gram, x.T @ targets)  # (18, 5)
+    coef = np.linalg.solve(gram, x.T @ targets)  # (width + 1, 5)
     return LinearModel(weights=coef[:-1].T.copy(), bias=coef[-1].copy(), norm=norm)
 
 
@@ -122,7 +125,7 @@ def train_linear(features: np.ndarray, targets: np.ndarray) -> LinearModel:
 
 @dataclass(frozen=True)
 class MlpModel:
-    params: dict  # W1,b1,W2,b2,W3,b3; W1 is (17, hidden width)
+    params: dict  # W1,b1,W2,b2,W3,b3; W1 is (width, hidden width)
     norm: Normalization
     kind: ClassVar[str] = "mlp"
 
@@ -143,7 +146,7 @@ class MlpModel:
         if hidden < 1:
             raise ValueError(f"{params.what} {params.path}.hidden_dim: expected a positive "
                              f"integer, got {hidden}")
-        shapes = {"W1": (FEATURE_DIM, hidden), "b1": (hidden,),
+        shapes = {"W1": (norm.width, hidden), "b1": (hidden,),
                   "W2": (hidden, hidden), "b2": (hidden,),
                   "W3": (hidden, BAND_COUNT), "b3": (BAND_COUNT,)}
         return cls({k: _finite(params[k], shape) for k, shape in shapes.items()}, norm)
@@ -341,7 +344,7 @@ class ForestModel:
 
     @classmethod
     def from_params(cls, params: JsonValue, norm: Normalization) -> "ForestModel":
-        return cls([_tree_from_doc(t) for t in params["trees"].elements()], norm)
+        return cls([_tree_from_doc(t, norm.width) for t in params["trees"].elements()], norm)
 
 
 # A node with at most this many rows is not split. It bounds the size of the
@@ -554,11 +557,12 @@ MODEL_KINDS = {cls.kind: cls for cls in (LinearModel, ForestModel, MlpModel)}
 
 
 def predict(model, features: np.ndarray) -> np.ndarray:
-    """Predict 5 band gains (dB, unclamped) for one (17,) feature vector or
-    an (n, 17) batch."""
+    """Predict 5 band gains (dB, unclamped) for one (width,) feature vector
+    or an (n, width) batch, at the model's width."""
     features = np.asarray(features, dtype=np.float64)
-    if features.ndim not in (1, 2) or features.shape[-1] != FEATURE_DIM:
-        raise ValueError(f"expected a ({FEATURE_DIM},) or (n, {FEATURE_DIM}) feature "
+    width = model.norm.width
+    if features.ndim not in (1, 2) or features.shape[-1] != width:
+        raise ValueError(f"expected a ({width},) or (n, {width}) feature "
                          f"array, got shape {features.shape}")
     if not np.all(np.isfinite(features)):
         raise ValueError("non-finite feature input")
@@ -584,7 +588,8 @@ def _finite(doc: JsonValue, shape: tuple) -> np.ndarray:
 
 
 def _norm_from_doc(doc: JsonValue) -> Normalization:
-    norm = Normalization(_finite(doc["mean"], (FEATURE_DIM,)), _finite(doc["std"], (FEATURE_DIM,)))
+    mean = _finite(doc["mean"], (None,))
+    norm = Normalization(mean, _finite(doc["std"], mean.shape))
     if np.any(norm.std <= 0):
         raise ValueError(f"{doc.what} {doc.path}.std: expected positive numbers, "
                          f"got {float(norm.std[norm.std <= 0][0])}")
@@ -603,9 +608,9 @@ def model_to_dict(model, train_config: dict | None = None,
     }
 
 
-def _tree_from_doc(doc: JsonValue) -> dict:
+def _tree_from_doc(doc: JsonValue, width: int) -> dict:
     """One tree's node arrays, checked so that a prediction can walk them:
-    equal lengths, feature -1 (a leaf) or a feature index, children -1 on a
+    equal lengths, feature -1 (a leaf) or an index below `width`, children -1 on a
     leaf and otherwise after the node and within the tree, (nodes, 5) values."""
     tree = {
         "feature": doc["feature"].array((None,), int),
@@ -621,8 +626,8 @@ def _tree_from_doc(doc: JsonValue) -> dict:
         raise ValueError(f"forest tree values have shape {tree['value'].shape}, "
                          f"expected {(nodes, BAND_COUNT)}")
     leaf = tree["feature"] == -1
-    if np.any(~leaf & ((tree["feature"] < 0) | (tree["feature"] >= FEATURE_DIM))):
-        raise ValueError(f"forest tree feature index outside [0, {FEATURE_DIM})")
+    if np.any(~leaf & ((tree["feature"] < 0) | (tree["feature"] >= width))):
+        raise ValueError(f"forest tree feature index outside [0, {width})")
     ids = np.arange(nodes)
     for key in ("left", "right"):
         child = tree[key]

@@ -25,7 +25,7 @@ from eqrep import models
 from eqrep.audio import MAX_SAMPLE_RATE, read_wav
 from eqrep.cli import build_parser, main
 from eqrep.eq import apply_eq, log_frequency_grid
-from eqrep.features import FEATURE_NAMES, StftConfig
+from eqrep.features import FEATURE_NAMES, FeatureContract, StftConfig
 from eqrep.models import MODEL_KINDS, TrainConfig, load_model, save_model
 from test_audio import MUTANT_BASES, MUTATIONS, _mutant
 
@@ -393,7 +393,7 @@ class TestMalformedArtifacts:
         (lambda doc: dict(doc, params=[]),
          "model artifact params: expected an object, got an array"),
         (lambda doc: dict(doc, normalization=dict(doc["normalization"], mean="a")),
-         "model artifact normalization.mean: expected a (17,) array of numbers, got a string"),
+         "model artifact normalization.mean: expected a (n,) array of numbers, got a string"),
         (lambda doc: dict(doc, normalization=dict(doc["normalization"], std=[1.0] * 16)),
          "model artifact normalization.std: expected a (17,) array of numbers, got shape (16,)"),
         (lambda doc: dict(doc, train_config=[]),
@@ -1136,7 +1136,7 @@ def test_mlp_error_in_a_worker_is_raised_in_the_caller(monkeypatch, tmp_path, ca
                               rng.choice(ds.COARSE_GRID, size=(n, 5)),
                               rng.standard_normal((n, len(FEATURE_NAMES))))
     with pytest.raises(RuntimeError) as excinfo:
-        ev.experiment_multi_band(ds.DatasetManifest(44100, StftConfig(), samples, 0), 42,
+        ev.experiment_multi_band(ds.DatasetManifest(FeatureContract(), samples, 0), 42,
                                  jobs=2)
     assert excinfo.type is RuntimeError and str(excinfo.value) == diverged
     assert run("reproduce", "--sample-rate", 22050, "--limit", n, "--jobs", "2",

@@ -7,7 +7,7 @@ import pytest
 from eqrep import dataset as ds
 from eqrep.audio import NoteSpec, synthesize_note
 from eqrep.eq import apply_eq
-from eqrep.features import FEATURE_DIM, StftConfig, extract_features
+from eqrep.features import FEATURE_DIM, FeatureContract, StftConfig, extract_features
 
 SR = 44100
 STFT = StftConfig(2048, 512)
@@ -132,7 +132,7 @@ class TestSplit:
     def _manifest(self, n):
         samples = ds.sample_table([f"s{i}" for i in range(n)], ["x"] * n,
                                   np.zeros((n, 5)), np.zeros((n, FEATURE_DIM)))
-        return ds.DatasetManifest(SR, STFT, samples, 0)
+        return ds.DatasetManifest(FeatureContract(SR, STFT), samples, 0)
 
     def test_sizes(self):
         train, test = ds.split(self._manifest(10), 1)
@@ -160,7 +160,7 @@ class TestInterpolationSplit:
         n = len(settings)
         samples = ds.sample_table([f"s{i}" for i in range(n)], ["x"] * n, settings,
                                   np.zeros((n, FEATURE_DIM)))
-        return ds.DatasetManifest(SR, STFT, samples, 0)
+        return ds.DatasetManifest(FeatureContract(SR, STFT), samples, 0)
 
     def test_35_train_90_validation(self):
         train, val = ds.interpolation_split(self._sweep_manifest(), ds.COARSE_GRID)
@@ -191,7 +191,7 @@ class TestSampleTable:
         ds.save_manifest(built, path)
         subset = built.samples[ds.on_grid(built, ds.COARSE_GRID)]
         return {"built": built, "loaded": ds.load_manifest(path),
-                "subset": ds.DatasetManifest(SR, STFT, subset, built.split_seed)}
+                "subset": ds.DatasetManifest(FeatureContract(SR, STFT), subset, built.split_seed)}
 
     @pytest.mark.parametrize("kind", ["built", "loaded", "subset"])
     def test_rows_and_columns(self, manifests, kind):

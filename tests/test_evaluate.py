@@ -7,7 +7,7 @@ from eqrep import dataset as ds
 from eqrep import evaluate as ev
 from eqrep.audio import note_corpus
 from eqrep.eq import BAND_NAMES
-from eqrep.features import FEATURE_DIM, StftConfig
+from eqrep.features import FEATURE_DIM, FeatureContract, StftConfig
 from eqrep.models import MODEL_KINDS, TrainConfig
 
 
@@ -166,7 +166,7 @@ class TestExperimentShapes:
     def test_multi_band_limit_guard(self):
         samples = ds.sample_table([f"s{i}" for i in range(100)], ["x"] * 100,
                                   np.zeros((100, 5)), np.zeros((100, FEATURE_DIM)))
-        manifest = ds.DatasetManifest(44100, StftConfig(), samples, 0)
+        manifest = ds.DatasetManifest(FeatureContract(), samples, 0)
         with pytest.raises(ValueError):
             ev.experiment_multi_band(manifest, seed=0)
 
@@ -197,7 +197,7 @@ def test_multi_band_jobs_give_identical_results():
     mixing = rng.standard_normal((5, FEATURE_DIM))
     feats = gains @ mixing + 0.1 * rng.standard_normal((600, FEATURE_DIM))
     samples = ds.sample_table([f"s{i}" for i in range(600)], ["x"] * 600, gains, feats)
-    manifest = ds.DatasetManifest(44100, StftConfig(), samples, 0)
+    manifest = ds.DatasetManifest(FeatureContract(), samples, 0)
     serial = ev.experiment_multi_band(manifest, 1, jobs=1)
     pooled = ev.experiment_multi_band(manifest, 1, jobs=2)
     assert [r.model_kind for r in pooled] == ["linear", "forest", "mlp"]
@@ -214,7 +214,7 @@ def test_evaluate_model_reports_the_model_kind(kind):
     gains, feats = rng.standard_normal((40, 5)), rng.standard_normal((40, FEATURE_DIM))
     samples = ds.sample_table([f"s{i}" for i in range(40)], ["x"] * 40, gains, feats)
     model = MODEL_KINDS[kind].fit(feats, gains, TrainConfig(epochs=2, hidden_dim=4, trees=2))
-    result = ev.evaluate_model(model, ds.DatasetManifest(44100, StftConfig(), samples, 0), 7)
+    result = ev.evaluate_model(model, ds.DatasetManifest(FeatureContract(), samples, 0), 7)
     assert (result.model_kind, result.seed, ev.report_to_dict(result)["n_samples"]) == \
         (kind, 7, 40)
 

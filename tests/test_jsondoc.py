@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eqrep import dataset as ds
-from eqrep.features import FEATURE_DIM, StftConfig
+from eqrep.features import FEATURE_DIM, FeatureContract
 from eqrep.jsondoc import JsonValue
 from eqrep.models import (TrainConfig, load_model, model_to_dict, train_forest,
                           train_linear, train_mlp)
@@ -82,7 +82,7 @@ def _valid_documents():
     models = [train_linear(x, y), train_mlp(x, y, TrainConfig(epochs=2, hidden_dim=3)),
               train_forest(x[:12], y[:12], tree_count=2, seed=0)]
     samples = ds.sample_table([f"C2-{i:05d}" for i in range(3)], ["C2"] * 3, y[:3], x[:3])
-    manifest = ds.DatasetManifest(44100, StftConfig(), samples, 42)
+    manifest = ds.DatasetManifest(FeatureContract(), samples, 42)
     return {
         **{kind: _parsed(model_to_dict(m, contract, {"test_mse": 0.1}))
            for kind, m in zip(("linear", "mlp", "forest"), models)},

@@ -8,7 +8,7 @@ import oracles
 from eqrep import dataset as ds
 from eqrep import rng
 from eqrep.audio import NoteSpec, synthesize_note
-from eqrep.features import FEATURE_DIM, StftConfig
+from eqrep.features import FEATURE_DIM, FeatureContract
 from eqrep.models import VALIDATION_FRACTION, TrainConfig, _node_draws, init_mlp_params
 from eqrep.rng import splitmix64
 
@@ -88,7 +88,7 @@ def _sha256(*arrays, dtype="<i8"):
 def _split_of(n, seed):
     samples = ds.sample_table([f"s{i}" for i in range(n)], ["x"] * n,
                               np.zeros((n, 5)), np.zeros((n, FEATURE_DIM)))
-    return ds.split(ds.DatasetManifest(44100, StftConfig(), samples, 0), seed)
+    return ds.split(ds.DatasetManifest(FeatureContract(), samples, 0), seed)
 
 
 # Rows of the multi-band set at --limit 2000: 1 600 train, of which the MLP
