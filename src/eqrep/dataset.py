@@ -11,7 +11,7 @@ import numpy as np
 
 from . import jsondoc, rng
 from .audio import check_distinct_labels, write_wav
-from .eq import BAND_COUNT, BAND_NAMES, BANDS, apply_eq
+from .eq import BAND_COUNT, BAND_NAMES, BANDS, GAIN_LIMIT_DB, apply_eq
 from .features import FeatureContract, StftConfig
 from .pool import fork_map
 
@@ -214,7 +214,8 @@ def manifest_to_dict(manifest: DatasetManifest) -> dict:
 
 def manifest_from_dict(doc: dict) -> DatasetManifest:
     """The manifest of a JSON dict. A missing key, a value of the wrong JSON
-    type or shape, or bands other than BANDS raise ValueError naming the path."""
+    type or shape, a gain outside the EQ's range, or bands other than BANDS
+    raise ValueError naming the path."""
     doc = jsondoc.JsonValue(doc, "manifest")
     version = doc["schema_version"].int()
     if version != MANIFEST_SCHEMA_VERSION:
@@ -225,6 +226,11 @@ def manifest_from_dict(doc: dict) -> DatasetManifest:
                            [s["base_label"].str() for s in rows],
                            [s["gains_db"].array((BAND_COUNT,)) for s in rows],
                            np.reshape([s["features"].array((width,)) for s in rows], (-1, width)))
+    outside = ~(np.abs(samples.gains_db) <= GAIN_LIMIT_DB)  # true for NaN too
+    if outside.any():
+        row, band = np.argwhere(outside)[0]
+        raise ValueError(f"manifest samples[{row}].gains_db[{band}]: expected a gain within "
+                         f"+/-{GAIN_LIMIT_DB:g} dB, got {float(samples.gains_db[row, band])}")
     _check_bands(doc["bands"])
     return DatasetManifest(FeatureContract.from_doc(doc, doc["stft"]), samples,
                            doc["split_seed"].int())

@@ -38,14 +38,17 @@ class Normalization:
 
 
 def fit_normalization(features: np.ndarray) -> Normalization:
-    """Column mean and population std; zero-variance columns get std 1."""
+    """Column mean and population std; zero-variance columns get std 1, and
+    a column whose mean or std overflows a float is refused."""
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2 or len(features) < 2:
         raise ValueError("need a matrix with at least 2 rows")
     if not np.all(np.isfinite(features)):
         raise ValueError("non-finite feature in the training set")
-    mean = features.mean(axis=0)
-    std = features.std(axis=0)
+    with np.errstate(over="ignore"):
+        mean, std = features.mean(axis=0), features.std(axis=0)
+    if not np.all(np.isfinite(mean) & np.isfinite(std)):
+        raise ValueError("a feature column of the training set overflows its mean or std")
     std = np.where(std > 0, std, 1.0)
     return Normalization(mean, std)
 
@@ -566,7 +569,11 @@ def predict(model, features: np.ndarray) -> np.ndarray:
                          f"array, got shape {features.shape}")
     if not np.all(np.isfinite(features)):
         raise ValueError("non-finite feature input")
-    out = model.forward(model.norm.apply(np.atleast_2d(features)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = model.forward(model.norm.apply(np.atleast_2d(features)))
+    if not np.all(np.isfinite(out)):
+        raise ValueError("prediction overflows a float: the features lie far outside "
+                         "the model's training range")
     return out[0] if features.ndim == 1 else out
 
 

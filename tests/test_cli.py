@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import copy
 import csv
 import faulthandler
 import io
@@ -26,8 +27,10 @@ from eqrep.audio import MAX_SAMPLE_RATE, read_wav
 from eqrep.cli import build_parser, main
 from eqrep.eq import apply_eq, log_frequency_grid
 from eqrep.features import FEATURE_NAMES, FeatureContract, StftConfig
+from eqrep.jsondoc import JsonValue
 from eqrep.models import MODEL_KINDS, TrainConfig, load_model, save_model
 from test_audio import MUTANT_BASES, MUTATIONS, _mutant
+from test_jsondoc import _paths, json_values
 
 
 def run(*argv):
@@ -454,6 +457,42 @@ class TestMalformedArtifacts:
         assert _one_error_line(capsys) == f"eqrep: {message}"
         assert not (tmp_path / "model.json").exists()
 
+    @pytest.mark.parametrize("column, value, message", [
+        ("features", 1e308, "a feature column of the training set overflows its mean or std"),
+        ("gains_db", 1e308, "manifest samples[0].gains_db[1]: expected a gain within "
+                            "+/-24 dB, got 1e+308"),
+        ("gains_db", -24.5, "manifest samples[0].gains_db[1]: expected a gain within "
+                            "+/-24 dB, got -24.5"),
+        ("gains_db", float("nan"), "manifest samples[0].gains_db[1]: expected a gain within "
+                                   "+/-24 dB, got nan"),
+    ], ids=["feature-overflow", "gain-huge", "gain-outside", "gain-nan"])
+    def test_train_manifest_of_numbers_out_of_range(self, workspace, tmp_path, capsys,
+                                                    column, value, message):
+        """Numbers that overflowed with a numpy warning, or trained on gains
+        no EQ setting holds, end in one line."""
+        doc = json.loads((workspace / "manifest.json").read_text())
+        for i, sample in enumerate(doc["samples"]):
+            sample[column][1] = value * (-1) ** i if column == "features" else value
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run("train", "--manifest", manifest, "--model", "linear",
+                   "--outfile", tmp_path / "model.json") == 2
+        assert _one_error_line(capsys) == f"eqrep: {message}"
+        assert not (tmp_path / "model.json").exists()
+
+    def test_predict_that_overflows_is_one_line(self, workspace, linear_artifact, tmp_path,
+                                                capsys):
+        doc = json.loads(linear_artifact.read_text())
+        doc["normalization"]["mean"][0] = -1.7e308
+        doc["params"]["weights"][0][0] = 1.7e308
+        model = tmp_path / "m.json"
+        model.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run("predict", "--model", model, workspace / "corpus" / "C2.wav") == 2
+        assert _one_error_line(capsys) == ("eqrep: prediction overflows a float: the features "
+                                           "lie far outside the model's training range")
+
     @pytest.mark.parametrize("key", ["sample_rate", "frame_size", "hop_size"])
     def test_predict_needs_the_feature_contract(self, workspace, linear_artifact, tmp_path,
                                                 capsys, key):
@@ -529,6 +568,61 @@ class TestMalformedArtifacts:
                    "--out", tmp_path) == 2
         assert _one_error_line(capsys) == f"eqrep: {OTHER_BANDS_ERROR}"
         assert not (tmp_path / "eval_report.json").exists()
+
+
+# A manifest and a linear artifact in the layout eqrep wrote before the
+# feature contract was one class, inlined so that no writer can change them.
+OLD_MANIFEST = {
+    "schema_version": 1, "sample_rate": 44100, "split_seed": 42,
+    "stft": {"frame_size": 2048, "hop_size": 512},
+    "bands": [{"center_hz": 80.0, "filter_kind": "low_shelf", "q": 0.707},
+              {"center_hz": 240.0, "filter_kind": "bell", "q": 1.0},
+              {"center_hz": 2500.0, "filter_kind": "bell", "q": 1.0},
+              {"center_hz": 4000.0, "filter_kind": "bell", "q": 1.0},
+              {"center_hz": 10000.0, "filter_kind": "high_shelf", "q": 0.707}],
+    "samples": [
+        {"sample_id": "C2-00000", "base_label": "C2", "gains_db": [-12.0, 0.0, 0.0, 0.0, 0.0],
+         "features": [-11.0, 1.5, 0.5, 1.0, 1.0] + [0.0] * 12},
+        {"sample_id": "C2-00001", "base_label": "C2", "gains_db": [0.0, 4.0, 0.0, 0.0, -8.0],
+         "features": [1.0, 5.0, 1.0, 1.0, -7.0] + [3.0] * 12},
+    ],
+}
+OLD_LINEAR = {
+    "schema_version": 1, "kind": "linear",
+    "params": {"weights": [[2.0 * (col == row) for col in range(17)] for row in range(5)],
+               "bias": [0.0] * 5},
+    "normalization": {"mean": [1.0] * 17, "std": [2.0] * 17},
+    "train_config": {"model": "linear", "learning_rate": 0.001, "epochs": 500,
+                     "batch_size": 64, "hidden_dim": 64, "seed": 42, "trees": 50,
+                     "sample_rate": 44100, "frame_size": 2048, "hop_size": 512},
+    "metrics": {"train_mse": 0.25, "test_mse": 0.5, "per_band_test_mse": [0.5] * 5},
+}
+# The gains OLD_LINEAR predicts for the two OLD_MANIFEST rows: (feature - 1) per band.
+OLD_PREDICTIONS = [[-12.0, 0.5, -0.5, 0.0, 0.0], [0.0, 4.0, 0.0, 0.0, -8.0]]
+
+
+class TestFilesWrittenBeforeTheContract:
+    def test_they_load_as_the_default_contract(self):
+        manifest = ds.manifest_from_dict(copy.deepcopy(OLD_MANIFEST))
+        model, train_config, metrics = models.model_from_dict(copy.deepcopy(OLD_LINEAR))
+        contract = FeatureContract.from_doc(JsonValue(train_config, "model artifact",
+                                                      "train_config"))
+        assert manifest.contract == contract == FeatureContract()
+        assert manifest.stft == StftConfig() and model.norm.width == contract.width
+        np.testing.assert_array_equal(models.predict(model, manifest.feature_matrix()),
+                                      OLD_PREDICTIONS)
+        assert ds.manifest_to_dict(manifest) == OLD_MANIFEST
+        assert models.model_to_dict(model, train_config, metrics) == OLD_LINEAR
+
+    def test_eval_scores_them_as_before(self, tmp_path, capsys):
+        for name, doc in (("manifest", OLD_MANIFEST), ("linear", OLD_LINEAR)):
+            (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+        assert run("eval", "--model", tmp_path / "linear.json",
+                   "--manifest", tmp_path / "manifest.json", "--out", tmp_path) == 0
+        report = json.loads((tmp_path / "eval_report.json").read_text())
+        assert (report["overall_mse"], report["per_band_mse"], report["n_samples"],
+                report["seed"]) == (0.05, [0.0, 0.125, 0.125, 0.0, 0.0], 2, 42)
+        assert capsys.readouterr().out == "overall MSE 0.05 (2 samples)\n"
 
 
 def _nan_wav(directory):
@@ -665,6 +759,69 @@ def test_commands_on_mutant_wavs_exit_0_or_one_error_line(linear_artifact, tmp_p
         lines = err.getvalue().splitlines() + [str(w.message) for w in caught]
         assert (code, lines) == (0, []) or (
             code == 2 and len(lines) == 1 and lines[0].startswith("eqrep: ")), (command, lines)
+
+
+@pytest.fixture(scope="module")
+def json_documents(workspace, linear_artifact, forest_artifact):
+    """The parsed manifest and linear, forest and MLP artifacts that
+    `test_commands_on_mutant_json_exit_0_or_one_error_line` mutates."""
+    mlp = workspace / "mlp.json"
+    assert run("train", "--manifest", workspace / "manifest.json", "--model", "mlp",
+               "--epochs", "2", "--hidden-dim", "4", "--outfile", mlp) == 0
+    paths = {"manifest": workspace / "manifest.json", "linear": linear_artifact,
+             "forest": forest_artifact, "mlp": mlp}
+    return {name: json.loads(path.read_text()) for name, path in paths.items()}
+
+
+# The key paths of each document's feature contract, drawn as often as all
+# its other key paths together.
+CONTRACT_PATHS = {
+    "manifest": [("sample_rate",), ("stft",), ("stft", "frame_size"), ("stft", "hop_size")],
+    **{kind: [("train_config",), *(("train_config", key)
+                                   for key in ("sample_rate", "frame_size", "hop_size"))]
+       for kind in MODEL_KINDS},
+}
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@seed(36)
+@given(data=st.data(), name=st.sampled_from(["manifest", *MODEL_KINDS]))
+def test_commands_on_mutant_json_exit_0_or_one_error_line(json_documents, workspace,
+                                                          linear_artifact, tmp_path_factory,
+                                                          data, name):
+    """train and eval on a mutant manifest, and predict and eval on a mutant
+    model artifact, exit 0 silently or 2 with one `eqrep: ` line. A mutant
+    deletes the value at one key path, often the contract's, or replaces it
+    with any JSON value; a warning counts as a stderr line."""
+    doc = copy.deepcopy(json_documents[name])
+    paths = st.sampled_from(CONTRACT_PATHS[name]) | st.sampled_from(list(_paths(doc)))
+    *parents, key = data.draw(paths)
+    owner = doc
+    for parent in parents:
+        owner = owner[parent]
+    if data.draw(st.booleans()):
+        del owner[key]
+    else:
+        owner[key] = data.draw(json_values | st.integers())
+    work = tmp_path_factory.getbasetemp() / "cli-json"
+    work.mkdir(exist_ok=True)
+    mutant = work / f"{name}.json"
+    mutant.write_text(json.dumps(doc))
+    manifest, wav = workspace / "manifest.json", workspace / "corpus" / "C2.wav"
+    runs = ([["train", "--manifest", mutant, "--model", "linear", "--outfile", work / "m.json"],
+             ["eval", "--model", linear_artifact, "--manifest", mutant, "--out", work]]
+            if name == "manifest" else
+            [["predict", "--model", mutant, wav],
+             ["eval", "--model", mutant, "--manifest", manifest, "--out", work]])
+    for argv in runs:
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = run(*argv)
+        lines = err.getvalue().splitlines() + [str(w.message) for w in caught]
+        assert (code, lines) == (0, []) or (
+            code == 2 and len(lines) == 1 and lines[0].startswith("eqrep: ")), (argv[0], lines)
 
 
 class TestDatasetSampleRate:

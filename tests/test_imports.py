@@ -81,3 +81,17 @@ def test_loader_refuses_a_directory_without_the_file(tmp_path):
     assert str(tmp_path) in message and "_sosfilt" in message and "\n" not in message
     assert exc.value.name == "scipy.signal._sosfilt"
     assert exc.value.__context__ is None and exc.value.__cause__ is None
+
+
+def test_feature_width_has_one_source():
+    """`models.py` imports nothing from `features`: a model takes its input
+    width from its normalization. `FEATURE_DIM` is read only in `features.py`."""
+    tree = ast.parse((SRC / "models.py").read_text())
+    imported = {name for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                for name in [getattr(node, "module", None) or ""]
+                + [alias.name for alias in node.names]}
+    assert imported and not any(name.split(".")[-1] == "features" for name in imported)
+    readers = [path.name for path in sorted(SRC.glob("*.py"))
+               if "FEATURE_DIM" in path.read_text()]
+    assert readers == ["features.py"]

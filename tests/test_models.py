@@ -495,6 +495,24 @@ class TestSerialization:
         assert metrics == {"test_mse": 0.1}
 
     @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_model_of_another_width_round_trips(self, kind, tmp_path):
+        """A model takes its input width from its normalization: fitted on 40
+        features, it saves, loads and predicts with the same bytes."""
+        rng = np.random.default_rng(40)
+        x, y = rng.standard_normal((80, 40)), rng.standard_normal((80, 5))
+        model = MODEL_KINDS[kind].fit(x, y, TrainConfig(epochs=3, hidden_dim=8, trees=3))
+        save_model(model, tmp_path / "a.json")
+        back = load_model(tmp_path / "a.json")[0]
+        save_model(back, tmp_path / "b.json")
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+        assert back.norm.width == 40
+        queries = rng.standard_normal((7, 40))
+        for rows in (queries, queries[0]):
+            assert predict(back, rows).tobytes() == predict(model, rows).tobytes()
+        with pytest.raises(ValueError, match=r"expected a \(40,\) or \(n, 40\) feature array"):
+            predict(back, queries[:, :17])
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
     def test_loaded_artifact_serialises_back_to_its_dict(self, kind, tmp_path):
         model = _fitted(kind)
         assert type(model).kind == kind
