@@ -173,8 +173,8 @@ def _save_result(result, out, stem):
 def cmd_eval(args):
     out = _out_dir(args)
     model, train_config, _ = load_model(args.model)
-    train_config = jsondoc.JsonValue(train_config, "model artifact", "train_config")
-    contract, seed = FeatureContract.from_doc(train_config), train_config["seed"].int()
+    recorded = jsondoc.JsonValue(train_config, "model artifact", "train_config")
+    contract, seed = FeatureContract.from_doc(recorded), recorded["seed"].int()
     manifest = ds.load_manifest(args.manifest)
     contract.require(manifest.contract, f"{args.manifest}: ")
     result = ev.evaluate_model(model, manifest, seed)

@@ -122,8 +122,8 @@ def _fit_and_report(manifest, split, experiment_id, kinds, seed, config,
 
 def _sweep_experiment(sweep, grid, experiment_id, seed) -> ExperimentResult:
     """Leave-one-out: each row is predicted by a linear fit on all the other
-    rows, so the result is every row's and does not depend on `seed`, which
-    the report only records."""
+    rows. Every row is scored, and the result does not depend on `seed`,
+    which the report only records."""
     config = {"grid": list(np.asarray(grid, dtype=float)), "scoring": "leave_one_out"}
     x, y = sweep.feature_matrix(), sweep.target_matrix()
     rest = ~np.eye(len(x), dtype=bool)

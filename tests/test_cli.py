@@ -312,12 +312,16 @@ class TestPipeline:
         assert err == ["eqrep: non-finite feature in the training set"]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.json"]
 
-    def test_predict_sample_rate_mismatch(self, workspace, tmp_path):
+    def test_predict_sample_rate_mismatch(self, linear_artifact, tmp_path, capsys):
         other = tmp_path / "sr"
         run("synth", "--pitches", "C2", "--duration", "0.3",
             "--sample-rate", "22050", "--out", other)
-        assert run("predict", "--model", workspace / "linear.json",
-                   other / "C2.wav") == 2
+        capsys.readouterr()
+        assert run("predict", "--model", linear_artifact, other / "C2.wav") == 2
+        stft = StftConfig(2048, 512)
+        assert capsys.readouterr().err.splitlines() == [
+            f"eqrep: {other / 'C2.wav'}: features of 22050 Hz, {stft} != model's 44100 Hz, "
+            f"{stft}"]
 
     def test_predict_missing_file(self, workspace):
         assert run("predict", "--model", workspace / "linear.json", "missing.wav") == 2
