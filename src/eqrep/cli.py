@@ -174,7 +174,7 @@ def cmd_eval(args):
     out = _out_dir(args)
     model, train_config, _ = load_model(args.model)
     recorded = jsondoc.JsonValue(train_config, "model artifact", "train_config")
-    contract, seed = FeatureContract.from_doc(recorded), recorded["seed"].int()
+    contract, seed = FeatureContract.from_doc(recorded), recorded["seed"].int(low=0)
     manifest = ds.load_manifest(args.manifest)
     contract.require(manifest.contract, f"{args.manifest}: ")
     result = ev.evaluate_model(model, manifest, seed)

@@ -24,7 +24,7 @@ from typing import ClassVar
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .audio import DEFAULT_SAMPLE_RATE, AudioBuffer
+from .audio import DEFAULT_SAMPLE_RATE, MAX_SAMPLE_RATE, AudioBuffer
 
 N_MFCC = 13
 N_MELS = 40
@@ -242,8 +242,12 @@ class FeatureContract:
     def from_doc(cls, doc, stft=None) -> "FeatureContract":
         """The contract in a `jsondoc.JsonValue`, STFT in `stft` or as `to_dict` has it."""
         stft = stft or doc
-        return cls(doc["sample_rate"].int(),
-                   StftConfig(stft["frame_size"].int(), stft["hop_size"].int()))
+        rate, frame = doc["sample_rate"].int(1, MAX_SAMPLE_RATE), stft["frame_size"].int()
+        try:
+            StftConfig(frame, 1)
+        except ValueError as exc:
+            raise ValueError(f"{doc.what} {stft['frame_size'].path}: {exc}, got {frame}") from None
+        return cls(rate, StftConfig(frame, stft["hop_size"].int(1, frame)))
 
     def to_dict(self) -> dict:
         return {"sample_rate": self.sample_rate, **asdict(self.stft)}

@@ -106,8 +106,8 @@ class LinearModel:
 
     @classmethod
     def from_params(cls, params: JsonValue, norm: Normalization) -> "LinearModel":
-        return cls(_finite(params["weights"], (BAND_COUNT, norm.width)),
-                   _finite(params["bias"], (BAND_COUNT,)), norm)
+        return cls(params["weights"].array((BAND_COUNT, norm.width)),
+                   params["bias"].array((BAND_COUNT,)), norm)
 
 
 def train_linear(features: np.ndarray, targets: np.ndarray) -> LinearModel:
@@ -145,14 +145,11 @@ class MlpModel:
 
     @classmethod
     def from_params(cls, params: JsonValue, norm: Normalization) -> "MlpModel":
-        hidden = params["hidden_dim"].int()
-        if hidden < 1:
-            raise ValueError(f"{params.what} {params.path}.hidden_dim: expected a positive "
-                             f"integer, got {hidden}")
+        hidden = params["hidden_dim"].int(low=1)
         shapes = {"W1": (norm.width, hidden), "b1": (hidden,),
                   "W2": (hidden, hidden), "b2": (hidden,),
                   "W3": (hidden, BAND_COUNT), "b3": (BAND_COUNT,)}
-        return cls({k: _finite(params[k], shape) for k, shape in shapes.items()}, norm)
+        return cls({k: params[k].array(shape) for k, shape in shapes.items()}, norm)
 
 
 def init_mlp_params(input_dim: int, hidden_dim: int, output_dim: int, seed: int) -> dict:
@@ -580,83 +577,49 @@ def predict(model, features: np.ndarray) -> np.ndarray:
 # -------------------------------------------------------- serialization
 
 
-def _norm_to_dict(norm: Normalization) -> dict:
-    return {"mean": list(norm.mean), "std": list(norm.std)}
-
-
-def _finite(doc: JsonValue, shape: tuple) -> np.ndarray:
-    """A float array of a model: a NaN or infinity in it would reach the
-    predictions, so it is refused."""
-    arr = doc.array(shape)
-    bad = arr[~np.isfinite(arr)]
-    if bad.size:
-        raise ValueError(f"{doc.what} {doc.path}: expected finite numbers, got {float(bad[0])}")
-    return arr
-
-
-def _norm_from_doc(doc: JsonValue) -> Normalization:
-    mean = _finite(doc["mean"], (None,))
-    norm = Normalization(mean, _finite(doc["std"], mean.shape))
-    if np.any(norm.std <= 0):
-        raise ValueError(f"{doc.what} {doc.path}.std: expected positive numbers, "
-                         f"got {float(norm.std[norm.std <= 0][0])}")
-    return norm
-
-
 def model_to_dict(model, train_config: dict | None = None,
                   metrics: dict | None = None) -> dict:
     return {
         "schema_version": MODEL_SCHEMA_VERSION,
         "kind": model.kind,
         "params": model.params_doc(),
-        "normalization": _norm_to_dict(model.norm),
+        "normalization": {"mean": list(model.norm.mean), "std": list(model.norm.std)},
         "train_config": train_config or {},
         "metrics": metrics or {},
     }
 
 
 def _tree_from_doc(doc: JsonValue, width: int) -> dict:
-    """One tree's node arrays, checked so that a prediction can walk them:
-    equal lengths, feature -1 (a leaf) or an index below `width`, children -1 on a
-    leaf and otherwise after the node and within the tree, (nodes, 5) values."""
-    tree = {
-        "feature": doc["feature"].array((None,), int),
-        "threshold": _finite(doc["threshold"], (None,)),
-        "left": doc["left"].array((None,), int),
-        "right": doc["right"].array((None,), int),
-    }
+    """One tree's node arrays, checked so that a prediction can walk them: equal
+    lengths, children -1 on a leaf, else after the node within the tree, (nodes, 5) values."""
+    tree = {"feature": doc["feature"].array((None,), int, low=-1, high=width - 1),
+            "threshold": doc["threshold"].array((None,)),
+            **{key: doc[key].array((None,), int) for key in ("left", "right")}}
     nodes = len(tree["feature"])
     if nodes == 0 or any(a.shape != (nodes,) for a in tree.values()):
         raise ValueError("forest tree node arrays are empty or differ in length")
-    tree["value"] = _finite(doc["value"], (None, None))
+    tree["value"] = doc["value"].array((None, None))
     if tree["value"].shape != (nodes, BAND_COUNT):
         raise ValueError(f"forest tree values have shape {tree['value'].shape}, "
                          f"expected {(nodes, BAND_COUNT)}")
-    leaf = tree["feature"] == -1
-    if np.any(~leaf & ((tree["feature"] < 0) | (tree["feature"] >= width))):
-        raise ValueError(f"forest tree feature index outside [0, {width})")
-    ids = np.arange(nodes)
+    leaf, ids = tree["feature"] == -1, np.arange(nodes)
     for key in ("left", "right"):
-        child = tree[key]
-        if np.any(np.where(leaf, child != -1, (child <= ids) | (child >= nodes))):
+        if np.any(np.where(leaf, tree[key] != -1, (tree[key] <= ids) | (tree[key] >= nodes))):
             raise ValueError(f"forest tree {key} child out of range")
     return tree
 
 
 def model_from_dict(doc: dict):
-    """(model, train_config, metrics) of an artifact dict. A missing key, a
-    value of the wrong JSON type or shape, a NaN or infinite number, a
-    nonpositive normalization std, or malformed forest trees raise ValueError."""
+    """(model, train_config, metrics) of an artifact dict, or a ValueError."""
     doc = JsonValue(doc, "model artifact")
-    version = doc["schema_version"].int()
-    if version != MODEL_SCHEMA_VERSION:
-        raise ValueError(f"unsupported model schema_version {version}")
+    doc["schema_version"].int(MODEL_SCHEMA_VERSION, MODEL_SCHEMA_VERSION)
     kind = doc["kind"].str()
-    norm = _norm_from_doc(doc["normalization"])
-    params = doc["params"]
     if kind not in MODEL_KINDS:
         raise ValueError(f"unknown model kind {kind!r}")
-    model = MODEL_KINDS[kind].from_params(params, norm)
+    mean = doc["normalization"]["mean"].array((None,))
+    # a positive std: 5e-324 is the smallest float above 0
+    std = doc["normalization"]["std"].array(mean.shape, low=5e-324)
+    model = MODEL_KINDS[kind].from_params(doc["params"], Normalization(mean, std))
     return model, doc.get("train_config", {}).obj(), doc.get("metrics", {}).obj()
 
 

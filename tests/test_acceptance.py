@@ -5,7 +5,6 @@ run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines and MSE values.
 """
 
-import json
 import time
 
 import numpy as np
@@ -22,6 +21,7 @@ from eqrep.features import StftConfig, extract_features
 from eqrep.models import (TrainConfig, load_model, predict, save_model,
                           train_forest, train_linear, train_mlp)
 from test_evaluate import _scatter_import
+from test_jsondoc import strict_json
 from test_models import _grad_check
 
 SR = 44100
@@ -44,7 +44,7 @@ def repro_dirs(tmp_path_factory):
 
 
 def _report(out_dir, stem):
-    return json.loads((out_dir / f"{stem}_report.json").read_text())
+    return strict_json(out_dir / f"{stem}_report.json")
 
 
 def test_criterion_1_filter_correctness():
@@ -143,13 +143,14 @@ def test_criterion_7_reproduce_determinism(repro_dirs):
     assert any(n.endswith("_scatter.csv") for n in names)
     for name in names:
         assert (run1 / name).read_bytes() == (run2 / name).read_bytes(), name
-    # summary.json is the six reports in print order, and each report's
-    # numbers recompute bit for bit from the rows of its scatter CSV
+    # the reports and summary.json are strict JSON; summary.json is the six
+    # reports in print order, and each report's numbers recompute bit for bit
+    # from the rows of its scatter CSV
     stems = [f"{exp}_linear" for exp in ("single_band_fine", "single_band_coarse",
                                          "interpolation")]
     stems += [f"multi_band_{kind}" for kind in ("linear", "forest", "mlp")]
     reports = [_report(run1, stem) for stem in stems]
-    assert json.loads((run1 / "summary.json").read_text()) == reports
+    assert strict_json(run1 / "summary.json") == reports
     for stem, doc in zip(stems, reports):
         ids, preds, targets = _scatter_import(run1 / f"{stem}_scatter.csv")
         result = ev.ExperimentResult(doc["experiment_id"], doc["model_kind"], doc["seed"],

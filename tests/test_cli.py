@@ -30,7 +30,7 @@ from eqrep.features import FEATURE_NAMES, FeatureContract, StftConfig
 from eqrep.jsondoc import JsonValue
 from eqrep.models import MODEL_KINDS, TrainConfig, load_model, save_model
 from test_audio import MUTANT_BASES, MUTATIONS, _mutant
-from test_jsondoc import _paths, json_values
+from test_jsondoc import CONTRACT_PATHS, _paths, json_values, strict_json
 
 
 def run(*argv):
@@ -41,7 +41,7 @@ class TestSynth:
     def test_single_pitch(self, tmp_path):
         assert run("synth", "--pitches", "A4", "--duration", "0.1", "--out", tmp_path) == 0
         assert (tmp_path / "A4.wav").exists()
-        index = json.loads((tmp_path / "corpus_index.json").read_text())
+        index = strict_json(tmp_path / "corpus_index.json")
         assert index["A4"]["fundamental_hz"] == 440.0
 
     def test_default_corpus_has_16(self, tmp_path):
@@ -263,7 +263,7 @@ class TestPipeline:
     """synth -> dataset -> train -> predict -> eval on a miniature corpus."""
 
     def test_manifest_counts(self, workspace):
-        doc = json.loads((workspace / "manifest.json").read_text())
+        doc = strict_json(workspace / "manifest.json")
         assert len(doc["samples"]) == 5 * 13  # 2 dB grid has 13 values
         assert (workspace / "manifest.csv").exists()
 
@@ -277,7 +277,7 @@ class TestPipeline:
         model_path = workspace / "linear.json"
         assert run("train", "--manifest", workspace / "manifest.json",
                    "--model", "linear", "--outfile", model_path) == 0
-        doc = json.loads(model_path.read_text())
+        doc = strict_json(model_path)
         assert doc["kind"] == "linear"
         assert "test_mse" in doc["metrics"]
 
@@ -287,7 +287,7 @@ class TestPipeline:
 
         assert run("eval", "--model", model_path,
                    "--manifest", workspace / "manifest.json", "--out", workspace) == 0
-        report = json.loads((workspace / "eval_report.json").read_text())
+        report = strict_json(workspace / "eval_report.json")
         assert report["n_samples"] == 65
         assert (workspace / "eval_scatter.csv").exists()
 
@@ -309,7 +309,8 @@ class TestPipeline:
         assert run("train", "--manifest", manifest, "--model", model, "--trees", "2",
                    "--epochs", "2", "--outfile", tmp_path / "model.json") == 2
         err = capsys.readouterr().err.splitlines()
-        assert err == ["eqrep: non-finite feature in the training set"]
+        assert err == ["eqrep: manifest samples[0].features[4]: expected a finite number, "
+                       "got nan"]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.json"]
 
     def test_predict_sample_rate_mismatch(self, linear_artifact, tmp_path, capsys):
@@ -349,6 +350,14 @@ def forest_artifact(workspace):
     return path
 
 
+@pytest.fixture(scope="module")
+def mlp_artifact(workspace):
+    path = workspace / "mlp_artifact.json"
+    assert run("train", "--manifest", workspace / "manifest.json", "--model", "mlp",
+               "--epochs", "2", "--hidden-dim", "4", "--outfile", path) == 0
+    return path
+
+
 def _other_bands(doc):
     """A copy of manifest `doc` whose band 2 has q 2.0, not the 1.0 of eq.BANDS."""
     bands = [dict(band) for band in doc["bands"]]
@@ -379,7 +388,6 @@ class TestMalformedArtifacts:
     @pytest.mark.parametrize("field, value, message", [
         ("left", 999, "left child out of range"),
         ("right", 999, "right child out of range"),
-        ("feature", 40, "feature index outside [0, 17)"),
     ])
     def test_predict_forest_with_bad_node(self, workspace, forest_artifact, tmp_path, capsys,
                                           field, value, message):
@@ -391,6 +399,18 @@ class TestMalformedArtifacts:
         capsys.readouterr()
         assert run("predict", "--model", model, workspace / "corpus" / "C2.wav") == 2
         assert _one_error_line(capsys) == f"eqrep: forest tree {message}"
+
+    def test_predict_forest_with_feature_outside_the_width(self, workspace, forest_artifact,
+                                                           tmp_path, capsys):
+        doc = json.loads(forest_artifact.read_text())
+        assert doc["params"]["trees"][0]["feature"][0] >= 0  # the root splits
+        doc["params"]["trees"][0]["feature"][0] = 40
+        model = tmp_path / "forest.json"
+        model.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run("predict", "--model", model, workspace / "corpus" / "C2.wav") == 2
+        assert _one_error_line(capsys) == ("eqrep: model artifact params.trees[0].feature[0]: "
+                                           "expected an integer from -1 to 16, got 40")
 
     @pytest.mark.parametrize("edit, message", [
         (lambda doc: [], "model artifact: expected an object, got an array"),
@@ -410,10 +430,10 @@ class TestMalformedArtifacts:
         # numbers that would print inf or nan gains with exit 0
         (lambda doc: dict(doc, normalization=dict(doc["normalization"],
                                                   std=[0.0] + doc["normalization"]["std"][1:])),
-         "model artifact normalization.std: expected positive numbers, got 0.0"),
+         "model artifact normalization.std[0]: expected a number >= 5e-324, got 0.0"),
         (lambda doc: dict(doc, params=dict(doc["params"],
                                            bias=[float("nan")] + doc["params"]["bias"][1:])),
-         "model artifact params.bias: expected finite numbers, got nan"),
+         "model artifact params.bias[0]: expected a finite number, got nan"),
     ], ids=["list", "string", "normalization-list", "params-list", "mean-string",
             "std-short", "train-config-list", "version-boolean", "std-zero", "bias-nan"])
     def test_predict_model_of_wrong_json_type(self, workspace, linear_artifact, tmp_path,
@@ -463,12 +483,12 @@ class TestMalformedArtifacts:
 
     @pytest.mark.parametrize("column, value, message", [
         ("features", 1e308, "a feature column of the training set overflows its mean or std"),
-        ("gains_db", 1e308, "manifest samples[0].gains_db[1]: expected a gain within "
-                            "+/-24 dB, got 1e+308"),
-        ("gains_db", -24.5, "manifest samples[0].gains_db[1]: expected a gain within "
-                            "+/-24 dB, got -24.5"),
-        ("gains_db", float("nan"), "manifest samples[0].gains_db[1]: expected a gain within "
-                                   "+/-24 dB, got nan"),
+        ("gains_db", 1e308, "manifest samples[0].gains_db[1]: expected a number from -24.0 "
+                            "to 24.0, got 1e+308"),
+        ("gains_db", -24.5, "manifest samples[0].gains_db[1]: expected a number from -24.0 "
+                            "to 24.0, got -24.5"),
+        ("gains_db", float("nan"), "manifest samples[0].gains_db[1]: expected a number from "
+                                   "-24.0 to 24.0, got nan"),
     ], ids=["feature-overflow", "gain-huge", "gain-outside", "gain-nan"])
     def test_train_manifest_of_numbers_out_of_range(self, workspace, tmp_path, capsys,
                                                     column, value, message):
@@ -484,6 +504,64 @@ class TestMalformedArtifacts:
                    "--outfile", tmp_path / "model.json") == 2
         assert _one_error_line(capsys) == f"eqrep: {message}"
         assert not (tmp_path / "model.json").exists()
+
+    @pytest.mark.parametrize("kind", ["linear", "mlp"])
+    def test_eval_whose_mse_overflows_is_one_line(self, workspace, linear_artifact,
+                                                  mlp_artifact, tmp_path, capsys, kind):
+        """A feature far outside the training range gives a finite prediction
+        whose squared error overflows: strict JSON cannot hold the report, so
+        no file is written."""
+        doc = json.loads((workspace / "manifest.json").read_text())
+        doc["samples"][0]["features"][1] = 1e200
+        manifest, out = tmp_path / "m.json", tmp_path / "out"
+        manifest.write_text(json.dumps(doc))
+        model = {"linear": linear_artifact, "mlp": mlp_artifact}[kind]
+        capsys.readouterr()
+        assert run("eval", "--model", model, "--manifest", manifest, "--out", out) == 2
+        assert _one_error_line(capsys) == (f"eqrep: {out / 'eval_report.json'} overall_mse: "
+                                           "expected a finite number, got inf")
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: doc["stft"].update(frame_size=3),
+         "manifest stft.frame_size: frame_size must be a power of two, got 3"),
+        (lambda doc: doc.update(sample_rate=0),
+         f"manifest sample_rate: expected an integer from 1 to {MAX_SAMPLE_RATE}, got 0"),
+        (lambda doc: doc["stft"].update(hop_size=4096),
+         "manifest stft.hop_size: expected an integer from 1 to 2048, got 4096"),
+    ], ids=["frame-3", "rate-0", "hop-above-frame"])
+    def test_train_manifest_of_contract_out_of_range(self, workspace, tmp_path, capsys, edit,
+                                                      message):
+        doc = json.loads((workspace / "manifest.json").read_text())
+        edit(doc)
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run("train", "--manifest", manifest, "--model", "linear",
+                   "--outfile", tmp_path / "model.json") == 2
+        assert _one_error_line(capsys) == f"eqrep: {message}"
+        assert not (tmp_path / "model.json").exists()
+
+    @pytest.mark.parametrize("command", ["predict", "eval"])
+    @pytest.mark.parametrize("key, value, message", [
+        ("sample_rate", 0, f"sample_rate: expected an integer from 1 to {MAX_SAMPLE_RATE}, "
+                           "got 0"),
+        ("hop_size", 4096, "hop_size: expected an integer from 1 to 2048, got 4096"),
+        ("frame_size", 1000, "frame_size: frame_size must be a power of two, got 1000"),
+    ], ids=["rate-0", "hop-above-frame", "frame-1000"])
+    def test_artifact_of_contract_out_of_range(self, workspace, linear_artifact, tmp_path,
+                                               capsys, command, key, value, message):
+        doc = json.loads(linear_artifact.read_text())
+        doc["train_config"][key] = value
+        model, out = tmp_path / "m.json", tmp_path / "out"
+        model.write_text(json.dumps(doc))
+        argv = {"predict": ["predict", "--model", model, workspace / "corpus" / "C2.wav"],
+                "eval": ["eval", "--model", model, "--manifest", workspace / "manifest.json",
+                         "--out", out]}[command]
+        capsys.readouterr()
+        assert run(*argv) == 2
+        assert _one_error_line(capsys) == f"eqrep: model artifact train_config.{message}"
+        assert not out.exists() or list(out.iterdir()) == []
 
     def test_predict_that_overflows_is_one_line(self, workspace, linear_artifact, tmp_path,
                                                 capsys):
@@ -532,6 +610,14 @@ class TestMalformedArtifacts:
         assert run("eval", "--model", model, "--manifest", workspace / "manifest.json",
                    "--out", tmp_path) == 2
         assert _one_error_line(capsys) == "eqrep: model artifact lacks key 'seed' in train_config"
+        assert not (tmp_path / "eval_report.json").exists()
+
+        doc["train_config"]["seed"] = -5  # no `train --seed` made it
+        model.write_text(json.dumps(doc))
+        assert run("eval", "--model", model, "--manifest", workspace / "manifest.json",
+                   "--out", tmp_path) == 2
+        assert _one_error_line(capsys) == \
+            "eqrep: model artifact train_config.seed: expected an integer >= 0, got -5"
         assert not (tmp_path / "eval_report.json").exists()
 
     def test_eval_needs_the_feature_contract(self, workspace, linear_artifact, tmp_path,
@@ -766,25 +852,12 @@ def test_commands_on_mutant_wavs_exit_0_or_one_error_line(linear_artifact, tmp_p
 
 
 @pytest.fixture(scope="module")
-def json_documents(workspace, linear_artifact, forest_artifact):
+def json_documents(workspace, linear_artifact, forest_artifact, mlp_artifact):
     """The parsed manifest and linear, forest and MLP artifacts that
     `test_commands_on_mutant_json_exit_0_or_one_error_line` mutates."""
-    mlp = workspace / "mlp.json"
-    assert run("train", "--manifest", workspace / "manifest.json", "--model", "mlp",
-               "--epochs", "2", "--hidden-dim", "4", "--outfile", mlp) == 0
     paths = {"manifest": workspace / "manifest.json", "linear": linear_artifact,
-             "forest": forest_artifact, "mlp": mlp}
+             "forest": forest_artifact, "mlp": mlp_artifact}
     return {name: json.loads(path.read_text()) for name, path in paths.items()}
-
-
-# The key paths of each document's feature contract, drawn as often as all
-# its other key paths together.
-CONTRACT_PATHS = {
-    "manifest": [("sample_rate",), ("stft",), ("stft", "frame_size"), ("stft", "hop_size")],
-    **{kind: [("train_config",), *(("train_config", key)
-                                   for key in ("sample_rate", "frame_size", "hop_size"))]
-       for kind in MODEL_KINDS},
-}
 
 
 @settings(max_examples=60, deadline=None, database=None)

@@ -1,19 +1,35 @@
-"""The type-checked JSON reader and the two loaders built on it: whatever the
-JSON, `load_model` and `load_manifest` return or raise ValueError."""
+"""The strict JSON writer, the type-checked JSON reader and the two loaders
+built on it: whatever the JSON, `load_model` and `load_manifest` return or
+raise ValueError, and what they return obeys every rule on its numbers."""
 
 import copy
 import json
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from eqrep import dataset as ds
+from eqrep import jsondoc
+from eqrep.audio import MAX_SAMPLE_RATE
+from eqrep.eq import GAIN_LIMIT_DB
 from eqrep.features import FEATURE_DIM, FeatureContract
 from eqrep.jsondoc import JsonValue
-from eqrep.models import (TrainConfig, load_model, model_to_dict, train_forest,
+from eqrep.models import (MODEL_KINDS, TrainConfig, load_model, model_to_dict, train_forest,
                           train_linear, train_mlp)
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+def strict_json(path):
+    """The JSON file `path` parsed as strict JSON: NaN, Infinity and
+    -Infinity are refused."""
+    return json.loads(Path(path).read_text(), parse_constant=_refuse_constant)
 
 
 class TestJsonValue:
@@ -66,6 +82,84 @@ class TestJsonValue:
             JsonValue({"x": value}, "doc")["x"].array(shape, dtype)
 
 
+class TestRules:
+    """The rule a number reader is given: a float is finite, and a number
+    lies within the bounds. A refusal names the element and the value."""
+
+    @pytest.mark.parametrize("value, read, message", [
+        ([1.0, math.nan], lambda v: v.array((None,)), "x[1]: expected a finite number, got nan"),
+        ([[1.0], [-math.inf]], lambda v: v.array((2, 1)),
+         "x[1][0]: expected a finite number, got -inf"),
+        ([[0, 1], [2, 40]], lambda v: v.array((None, 2), int, low=-1, high=16),
+         "x[1][1]: expected an integer from -1 to 16, got 40"),
+        ([24.0, -24.5], lambda v: v.array((2,), low=-24.0, high=24.0),
+         "x[1]: expected a number from -24.0 to 24.0, got -24.5"),
+        ([1.0, 0.0], lambda v: v.array((2,), low=5e-324),
+         "x[1]: expected a number >= 5e-324, got 0.0"),
+        (0, lambda v: v.int(1), "x: expected an integer >= 1, got 0"),
+        (3, lambda v: v.int(1, 2), "x: expected an integer from 1 to 2, got 3"),
+        (2, lambda v: v.int(1, 1), "x: expected 1, got 2"),
+        (2 ** 70, lambda v: v.int(0, 10), f"x: expected an integer from 0 to 10, got {2 ** 70}"),
+        (math.inf, lambda v: v.number(), "x: expected a finite number, got inf"),
+        (1.5, lambda v: v.number(2, 3), "x: expected a number from 2 to 3, got 1.5"),
+        (10 ** 400, lambda v: v.number(), f"x: expected a finite number, got {10 ** 400}"),
+    ])
+    def test_first_number_that_breaks_the_rule_is_named(self, value, read, message):
+        with pytest.raises(ValueError) as excinfo:
+            read(JsonValue({"x": value}, "doc")["x"])
+        assert str(excinfo.value) == f"doc {message}"
+
+    @pytest.mark.parametrize("value, read", [
+        ([-24.0, 24.0], lambda v: v.array((2,), low=-24.0, high=24.0)),
+        ([[-1, 16]], lambda v: v.array((1, 2), int, low=-1, high=16)),
+        (2 ** 70, lambda v: v.int(2 ** 70, 2 ** 70)),
+        (2 ** 70, lambda v: v.number()),
+        (5e-324, lambda v: v.number(low=5e-324)),
+    ])
+    def test_bounds_are_inclusive(self, value, read):
+        read(JsonValue({"x": value}, "doc")["x"])
+
+
+class TestWrite:
+    def test_layout(self, tmp_path):
+        doc = {"b": [1.5, 2], "a": {"z": None, "y": "s"}}
+        jsondoc.write(doc, tmp_path / "doc.json")
+        assert (tmp_path / "doc.json").read_text() == \
+            json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["doc.json"]
+
+    @pytest.mark.parametrize("doc, where, value", [
+        ({"b": {"c": [0.0, np.float64(np.inf)]}, "a": math.nan}, "a", "nan"),
+        ({"b": {"c": [0.0, np.float64(np.inf)]}}, "b.c[1]", "inf"),
+        ([{"mse": 1.0}, {"mse": -math.inf}], "[1].mse", "-inf"),
+    ])
+    def test_non_finite_number_is_refused_and_leaves_no_file(self, tmp_path, doc, where, value):
+        path = tmp_path / "doc.json"
+        with pytest.raises(ValueError) as excinfo:
+            jsondoc.write(doc, path)
+        assert str(excinfo.value) == f"{path} {where}: expected a finite number, got {value}"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_refused_document_leaves_the_old_file(self, tmp_path):
+        path = tmp_path / "doc.json"
+        jsondoc.write({"mse": 1.0}, path)
+        with pytest.raises(ValueError):
+            jsondoc.write({"mse": math.inf}, path)
+        assert strict_json(path) == {"mse": 1.0}
+        assert [p.name for p in tmp_path.iterdir()] == ["doc.json"]
+
+    def test_a_symlink_is_written_through(self, tmp_path):
+        (tmp_path / "link.json").symlink_to("doc.json")
+        jsondoc.write({"mse": 1.0}, tmp_path / "link.json")
+        assert (tmp_path / "link.json").is_symlink()
+        assert strict_json(tmp_path / "doc.json") == {"mse": 1.0}
+
+    def test_other_errors_pass_through_and_leave_no_file(self, tmp_path):
+        with pytest.raises(TypeError):
+            jsondoc.write({"x": object()}, tmp_path / "doc.json")
+        assert list(tmp_path.iterdir()) == []
+
+
 # ---------------------------------------------------------------- loaders
 
 
@@ -103,6 +197,14 @@ def _paths(doc, prefix=()):
 
 
 PATHS = {name: list(_paths(doc)) for name, doc in VALID.items()}
+# The key paths of each document's feature contract, which the mutant
+# documents replace as often as all their other key paths together.
+CONTRACT_PATHS = {
+    "manifest": [("sample_rate",), ("stft",), ("stft", "frame_size"), ("stft", "hop_size")],
+    **{kind: [("train_config",), *(("train_config", key)
+                                   for key in ("sample_rate", "frame_size", "hop_size"))]
+       for kind in MODEL_KINDS},
+}
 
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
@@ -118,16 +220,47 @@ def artifact_path(tmp_path_factory):
 
 
 def _load(name, doc, path):
-    """Load `doc` from a file as `name` ("manifest" or a model kind); a
-    ValueError is an accepted outcome, any other exception fails the test."""
+    """What `doc`, written to a file, loads as: the manifest, or for a model
+    kind (model, feature contract) as `predict` reads them. A ValueError is
+    an accepted outcome and gives None; any other exception fails the test."""
     path.write_text(json.dumps(doc))
     try:
         if name == "manifest":
-            ds.load_manifest(path)
-        else:
-            load_model(path)
+            return ds.load_manifest(path)
+        model, train_config, _ = load_model(path)
+        return model, FeatureContract.from_doc(JsonValue(train_config, "model artifact",
+                                                         "train_config"))
     except ValueError:
-        pass
+        return None
+
+
+def _mutant(data, name, paths, values):
+    """A copy of VALID[name] whose value at a key path drawn from `paths` is
+    replaced by a draw from `values(old value)`."""
+    doc = copy.deepcopy(VALID[name])
+    *parents, key = data.draw(paths)
+    owner = doc
+    for parent in parents:
+        owner = owner[parent]
+    owner[key] = data.draw(values(owner[key]))
+    return doc
+
+
+def _assert_obeys_every_rule(loaded):
+    """What a loader returned holds only finite floats, gains within
+    +/-GAIN_LIMIT_DB and a feature contract in range."""
+    if isinstance(loaded, ds.DatasetManifest):
+        contract, doc = loaded.contract, ds.manifest_to_dict(loaded)
+        assert np.all(np.abs(loaded.samples.gains_db) <= GAIN_LIMIT_DB)
+    else:
+        (model, contract), doc = loaded, model_to_dict(loaded[0])
+    try:
+        json.dumps(doc, allow_nan=False)
+    except ValueError:
+        pytest.fail("a NaN or infinity loaded")
+    frame, hop = contract.stft.frame_size, contract.stft.hop_size
+    assert 1 <= contract.sample_rate <= MAX_SAMPLE_RATE, contract
+    assert frame >= 2 and frame & (frame - 1) == 0 and 1 <= hop <= frame, contract
 
 
 def test_valid_documents_load(artifact_path):
@@ -150,11 +283,20 @@ def test_any_json_value_loads_or_raises_value_error(artifact_path, name, doc):
 @LOADER_SETTINGS
 @given(data=st.data(), name=st.sampled_from(sorted(VALID)))
 def test_one_value_of_another_type_loads_or_raises_value_error(artifact_path, data, name):
-    doc = copy.deepcopy(VALID[name])
-    *parents, key = data.draw(st.sampled_from(PATHS[name]))
-    owner = doc
-    for parent in parents:
-        owner = owner[parent]
-    old = owner[key]
-    owner[key] = data.draw(json_values.filter(lambda v: type(v) is not type(old)))
+    doc = _mutant(data, name, st.sampled_from(PATHS[name]),
+                  lambda old: json_values.filter(lambda v: type(v) is not type(old)))
     _load(name, doc, artifact_path)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@seed(37)
+@given(data=st.data(), name=st.sampled_from(sorted(VALID)))
+def test_a_mutant_that_loads_obeys_every_rule(artifact_path, data, name):
+    """One value of a valid document, often of its feature contract, replaced
+    by any JSON value or integer: the document is refused, or what loads
+    obeys every rule on its numbers."""
+    paths = st.sampled_from(CONTRACT_PATHS[name]) | st.sampled_from(PATHS[name])
+    loaded = _load(name, _mutant(data, name, paths, lambda old: json_values | st.integers()),
+                   artifact_path)
+    if loaded is not None:
+        _assert_obeys_every_rule(loaded)

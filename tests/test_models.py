@@ -525,8 +525,8 @@ class TestSerialization:
     def test_nonpositive_hidden_dim_is_named(self, hidden_dim):
         doc = model_to_dict(_fitted("mlp"))
         doc["params"]["hidden_dim"] = hidden_dim
-        with pytest.raises(ValueError, match=f"params.hidden_dim: expected a positive "
-                                             f"integer, got {hidden_dim}"):
+        with pytest.raises(ValueError, match=f"params.hidden_dim: expected an integer "
+                                             f">= 1, got {hidden_dim}$"):
             model_from_dict(doc)
 
     def test_hidden_dim_shape_mismatch(self):
@@ -551,8 +551,6 @@ class TestSerialization:
     @pytest.mark.parametrize("edit, message", [
         (lambda t, leaf: t.update(threshold=t["threshold"][:-1]), "differ in length"),
         (lambda t, leaf: t.update({k: [] for k in t}), "empty"),
-        (lambda t, leaf: t["feature"].__setitem__(0, 17), "feature index"),
-        (lambda t, leaf: t["feature"].__setitem__(leaf, -2), "feature index"),
         (lambda t, leaf: t["left"].__setitem__(0, 0), "left child"),      # a cycle
         (lambda t, leaf: t["right"].__setitem__(0, len(t["right"])), "right child"),
         (lambda t, leaf: t["left"].__setitem__(leaf, leaf + 1), "left child"),
@@ -565,6 +563,20 @@ class TestSerialization:
         assert tree["feature"][0] >= 0
         edit(tree, tree["feature"].index(-1))
         with pytest.raises(ValueError, match=message):
+            model_from_dict(doc)
+
+    @pytest.mark.parametrize("node, feature", [("root", 17), ("leaf", -2)])
+    def test_forest_feature_outside_the_width_is_named(self, node, feature):
+        """A node's feature is -1 (a leaf) or a column of the normalization."""
+        x, y = _random_instance(60, seed=22)
+        doc = model_to_dict(train_forest(x, y, tree_count=2, seed=0))
+        tree = doc["params"]["trees"][1]
+        assert tree["feature"][0] >= 0
+        at = 0 if node == "root" else tree["feature"].index(-1)
+        tree["feature"][at] = feature
+        with pytest.raises(ValueError, match=rf"^model artifact params\.trees\[1\]\.feature"
+                                             rf"\[{at}\]: expected an integer from -1 to 16, "
+                                             rf"got {feature}$"):
             model_from_dict(doc)
 
     def test_unknown_kind(self):
