@@ -56,7 +56,7 @@ class NoteSpec:
     partial_count: int = 20
 
     def __post_init__(self):
-        if self.fundamental_hz <= 0:
+        if not self.fundamental_hz > 0:  # false for NaN too
             raise ValueError("fundamental_hz must be positive")
         if not (math.isfinite(self.duration_s) and self.duration_s > 0):
             raise ValueError(f"duration_s must be positive and finite, got {self.duration_s}")

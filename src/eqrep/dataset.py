@@ -45,7 +45,7 @@ def validate_grid(values_db) -> np.ndarray:
         raise ValueError("gain grid must be nonempty")
     if grid.size > 1 and np.any(np.diff(grid) <= 0):
         raise ValueError("gain grid must be strictly ascending")
-    if np.any(np.abs(grid) > GRID_LIMIT_DB):
+    if not np.all(np.abs(grid) <= GRID_LIMIT_DB):  # false for NaN too
         raise ValueError("gain grid values must lie within [-12, +12] dB")
     return grid
 

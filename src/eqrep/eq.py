@@ -55,9 +55,9 @@ class EqBandSpec:
     q: float
 
     def __post_init__(self):
-        if self.center_hz <= 0:
+        if not self.center_hz > 0:  # false for NaN too
             raise ValueError("center_hz must be positive")
-        if self.q <= 0:
+        if not self.q > 0:
             raise ValueError("q must be positive")
         if self.filter_kind not in (LOW_SHELF, BELL, HIGH_SHELF):
             raise ValueError(f"unknown filter kind {self.filter_kind!r}")
@@ -104,22 +104,16 @@ def design_biquad(spec: EqBandSpec, gain_db: float, sample_rate: int) -> np.ndar
         a0 = 1.0 + alpha / big_a
         a1 = -2.0 * cw
         a2 = 1.0 - alpha / big_a
-    elif spec.filter_kind == LOW_SHELF:
+    else:  # RBJ shelves: the high shelf is the low one with cos(w0), b1 and a1 negated
+        s = 1.0 if spec.filter_kind == LOW_SHELF else -1.0
+        c = s * cw
         sq = 2.0 * np.sqrt(big_a) * alpha
-        b0 = big_a * ((big_a + 1) - (big_a - 1) * cw + sq)
-        b1 = 2 * big_a * ((big_a - 1) - (big_a + 1) * cw)
-        b2 = big_a * ((big_a + 1) - (big_a - 1) * cw - sq)
-        a0 = (big_a + 1) + (big_a - 1) * cw + sq
-        a1 = -2 * ((big_a - 1) + (big_a + 1) * cw)
-        a2 = (big_a + 1) + (big_a - 1) * cw - sq
-    else:  # high shelf
-        sq = 2.0 * np.sqrt(big_a) * alpha
-        b0 = big_a * ((big_a + 1) + (big_a - 1) * cw + sq)
-        b1 = -2 * big_a * ((big_a - 1) + (big_a + 1) * cw)
-        b2 = big_a * ((big_a + 1) + (big_a - 1) * cw - sq)
-        a0 = (big_a + 1) - (big_a - 1) * cw + sq
-        a1 = 2 * ((big_a - 1) - (big_a + 1) * cw)
-        a2 = (big_a + 1) - (big_a - 1) * cw - sq
+        b0 = big_a * ((big_a + 1) - (big_a - 1) * c + sq)
+        b1 = 2 * s * big_a * ((big_a - 1) - (big_a + 1) * c)
+        b2 = big_a * ((big_a + 1) - (big_a - 1) * c - sq)
+        a0 = (big_a + 1) + (big_a - 1) * c + sq
+        a1 = -2 * s * ((big_a - 1) + (big_a + 1) * c)
+        a2 = (big_a + 1) + (big_a - 1) * c - sq
 
     return np.array([b0 / a0, b1 / a0, b2 / a0, 1.0, a1 / a0, a2 / a0])
 

@@ -182,14 +182,11 @@ def mlp_forward(params: dict, x: np.ndarray):
 
 
 def mlp_loss_and_grads(params: dict, x: np.ndarray, targets: np.ndarray,
-                       grads: dict | None = None):
-    """Mean squared error over all (sample, output) pairs, with backprop grads.
-    The gradients are written into `grads`, arrays shaped like `params`, when
-    it is given, and into new arrays otherwise; the bytes are the same. The
+                       grads: dict) -> float:
+    """Mean squared error over all (sample, output) pairs. The backprop
+    gradients are written into `grads`, arrays shaped like `params`. The
     backward pass takes the forward pass's activations as its buffers."""
     y, (x, z1, a1, z2, a2) = mlp_forward(params, x)
-    if grads is None:
-        grads = {k: np.empty_like(v) for k, v in params.items()}
     dy = np.subtract(y, targets, out=y)
     loss = float(np.square(dy).mean())
     dy *= 2.0
@@ -205,7 +202,7 @@ def mlp_loss_and_grads(params: dict, x: np.ndarray, targets: np.ndarray,
     dz1 *= np.greater(z1, 0.0, out=z1)
     np.matmul(x.T, dz1, out=grads["W1"])
     np.add.reduce(dz1, axis=0, out=grads["b1"])
-    return loss, grads
+    return loss
 
 
 def _unflatten(flat: np.ndarray, like: dict) -> dict:
@@ -227,11 +224,10 @@ def train_mlp(features: np.ndarray, targets: np.ndarray,
     One flat vector holds every parameter and another every gradient;
     params[k] and grads[k] are reshaped views into them. Each step has
     `mlp_loss_and_grads` write its gradients into the views, and Adam
-    then updates every parameter in place, in one elementwise
-    pass of the per-parameter update's operations, in its order. Each epoch
+    (Kingma & Ba, 2015, Algorithm 1) then updates the whole parameter vector
+    in place, in the per-parameter update's operations and order. Each epoch
     gathers its shuffled training rows once, and its batches are slices of
-    that copy. Past set-up, the forward activations are a step's only sizeable
-    allocations."""
+    that copy."""
     norm, x_all, targets = _training_set(features, targets)
 
     n = len(x_all)
@@ -249,7 +245,6 @@ def train_mlp(features: np.ndarray, targets: np.ndarray,
     grads = _unflatten(grad, init)
     state = np.zeros_like(theta)
     state2 = np.zeros_like(theta)
-    scratch = np.empty_like(theta)
     step = 0
 
     def val_mse(p):
@@ -264,27 +259,14 @@ def train_mlp(features: np.ndarray, targets: np.ndarray,
         x_epoch, y_epoch = x_train[batch_order], y_train[batch_order]
         for start in range(0, len(x_train), config.batch_size):
             batch = slice(start, start + config.batch_size)
-            loss, _ = mlp_loss_and_grads(params, x_epoch[batch], y_epoch[batch], grads)
+            loss = mlp_loss_and_grads(params, x_epoch[batch], y_epoch[batch], grads)
             if not np.isfinite(loss):
                 raise RuntimeError(f"training diverged: non-finite loss at step {step}")
             step += 1
-            # state = 0.9 * state + 0.1 * grad
-            state *= 0.9
-            state += np.multiply(grad, 0.1, out=scratch)
-            # state2 = 0.999 * state2 + 0.001 * grad ** 2
-            state2 *= 0.999
-            np.square(grad, out=scratch)
-            scratch *= 0.001
-            state2 += scratch
-            # theta -= learning_rate * m_hat / (sqrt(v_hat) + 1e-8); the
-            # gradient is spent, so its vector holds v_hat
-            m_hat = np.divide(state, 1 - 0.9 ** step, out=scratch)
-            v_hat = np.divide(state2, 1 - 0.999 ** step, out=grad)
-            np.sqrt(v_hat, out=v_hat)
-            v_hat += 1e-8
-            m_hat *= config.learning_rate
-            m_hat /= v_hat
-            theta -= m_hat
+            state = 0.9 * state + 0.1 * grad
+            state2 = 0.999 * state2 + 0.001 * np.square(grad)
+            theta -= config.learning_rate * (state / (1 - 0.9 ** step)) / (
+                np.sqrt(state2 / (1 - 0.999 ** step)) + 1e-8)
         mse = val_mse(params)
         if mse < best_mse:
             best_mse = mse

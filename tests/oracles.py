@@ -340,7 +340,8 @@ def train_mlp_params(features, targets, config):
         batch_order = rng.permutation(epoch_key, len(x_train))
         for start in range(0, len(x_train), config.batch_size):
             idx = batch_order[start:start + config.batch_size]
-            _, grads = mlp_loss_and_grads(params, x_train[idx], y_train[idx])
+            grads = {k: np.empty_like(v) for k, v in params.items()}
+            mlp_loss_and_grads(params, x_train[idx], y_train[idx], grads)
             step += 1
             for k in params:
                 state[k] = 0.9 * state[k] + 0.1 * grads[k]

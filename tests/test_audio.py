@@ -408,6 +408,11 @@ class TestSynthesizeNote:
         with pytest.raises(ValueError, match="duration_s"):
             NoteSpec("X", 1000.0, duration)
 
+    @pytest.mark.parametrize("fundamental", [0.0, -1.0, float("nan")])
+    def test_bad_fundamental_rejected(self, fundamental):
+        with pytest.raises(ValueError, match="fundamental_hz"):
+            NoteSpec("X", fundamental, 0.01, 3)
+
     def test_aliasing_rejected(self):
         with pytest.raises(ValueError, match="Nyquist"):
             synthesize_note(NoteSpec("X", 15000.0, 0.1, 2), SR)

@@ -62,6 +62,11 @@ class TestSettingEnumeration:
             ds.validate_grid([3.0, 1.0])
         with pytest.raises(ValueError):
             ds.validate_grid([-13.0, 0.0])
+        for grid in ([np.nan], [-4.0, np.nan, 4.0]):
+            with pytest.raises(ValueError, match="within"):
+                ds.validate_grid(grid)
+            with pytest.raises(ValueError, match="within"):
+                ds.single_band_settings(grid)
 
 
 class TestBuildDataset:

@@ -44,6 +44,18 @@ class TestDesignBiquad:
         dc = 20 * np.log10(abs(row[:3].sum() / row[3:].sum()))
         assert dc == pytest.approx(-12.0, abs=1e-9)
 
+    def test_high_shelf_nyquist_gain(self):
+        # at z = -1, H = (b0 - b1 + b2) / (1 - a1 + a2)
+        b0, b1, b2, _, a1, a2 = design_biquad(EqBandSpec(10000.0, HIGH_SHELF, 0.707), 9.0, SR)
+        nyquist = 20 * np.log10(abs((b0 - b1 + b2) / (1 - a1 + a2)))
+        assert nyquist == pytest.approx(9.0, abs=1e-9)
+
+    @pytest.mark.parametrize("center, q", [(0.0, 1.0), (np.nan, 1.0), (100.0, -1.0),
+                                           (100.0, np.nan), (np.nan, np.nan)])
+    def test_band_spec_refuses_non_positive(self, center, q):
+        with pytest.raises(ValueError, match="must be positive"):
+            EqBandSpec(center, BELL, q)
+
     def test_center_above_nyquist(self):
         with pytest.raises(ValueError):
             design_biquad(EqBandSpec(30000.0, BELL, 1.0), 3.0, SR)
