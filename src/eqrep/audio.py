@@ -199,14 +199,19 @@ def write_wav(buffer: AudioBuffer, path) -> None:
 def synthesize_note(spec: NoteSpec, sample_rate: int = DEFAULT_SAMPLE_RATE) -> AudioBuffer:
     """Render sum_k (1/k) exp(-DECAY_RATE*t) sin(2*pi*k*f0*t), peak-normalized to 0.9.
 
-    Deterministic; raises if any partial would alias.
+    Deterministic; raises if a partial would alias or a WAV could not hold the note.
     """
     if spec.fundamental_hz * spec.partial_count >= sample_rate / 2:
         raise ValueError(
             f"{spec.pitch_name}: partial {spec.partial_count} at "
             f"{spec.fundamental_hz * spec.partial_count:.1f} Hz reaches Nyquist"
         )
-    n = int(round(spec.duration_s * sample_rate))
+    samples = spec.duration_s * sample_rate
+    if samples > MAX_WAV_DATA_BYTES // 4:
+        raise ValueError(f"{spec.pitch_name}: duration {spec.duration_s} s is {samples:.4g} "
+                         f"samples at {sample_rate} Hz; a WAV holds at most "
+                         f"{MAX_WAV_DATA_BYTES // 4}")
+    n = int(round(samples))
     if n == 0:
         raise ValueError(f"{spec.pitch_name}: duration {spec.duration_s} s rounds to 0 "
                          f"samples at {sample_rate} Hz")

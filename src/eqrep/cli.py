@@ -174,7 +174,7 @@ def cmd_eval(args):
     out = _out_dir(args)
     model, train_config, _ = load_model(args.model)
     recorded = jsondoc.JsonValue(train_config, "model artifact", "train_config")
-    contract, seed = FeatureContract.from_doc(recorded), recorded["seed"].int(low=0)
+    contract, seed = FeatureContract.from_doc(recorded), recorded["seed"].int(0, 2 ** 64 - 1)
     manifest = ds.load_manifest(args.manifest)
     contract.require(manifest.contract, f"{args.manifest}: ")
     result = ev.evaluate_model(model, manifest, seed)
@@ -254,6 +254,7 @@ _positive_float = _checked(float, lambda v: math.isfinite(v) and v > 0,
                            "a positive finite number")
 _jobs = _int_range(1, os.cpu_count() or 1, " (the CPU count)")
 _sample_rate = _int_range(1, MAX_SAMPLE_RATE, " (the most a WAV header holds)")
+_seed = _int_range(0, 2 ** 64 - 1, " (seeds are read mod 2**64)")
 # The cores this process may run on: the default worker count.
 USABLE_CORES = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                 else os.cpu_count() or 1)
@@ -269,7 +270,7 @@ def _add_stft(parser):
 
 def _add_build(parser):
     """The options of the commands that build datasets: dataset, reproduce."""
-    parser.add_argument("--seed", type=_int_range(0), default=42)
+    parser.add_argument("--seed", type=_seed, default=42)
     _add_stft(parser)
     parser.add_argument("--out", default=".", help="output directory")
 
@@ -309,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--model", choices=list(MODEL_KINDS), required=True)
     p.add_argument("--outfile", required=True, help="model artifact path")
-    p.add_argument("--seed", type=_int_range(0), default=TrainConfig.seed)
+    p.add_argument("--seed", type=_seed, default=TrainConfig.seed)
     p.add_argument("--hidden-dim", type=_int_range(1), default=TrainConfig.hidden_dim)
     p.add_argument("--epochs", type=_int_range(1), default=TrainConfig.epochs)
     p.add_argument("--batch-size", type=_int_range(1), default=TrainConfig.batch_size)

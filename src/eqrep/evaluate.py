@@ -1,14 +1,14 @@
 """Evaluation harness: MSE reports, true-vs-predicted scatter export, the
-four named experiments, each a function of the manifest it runs on (the fine
-sweep, coarse sweep and interpolation all take one 1 dB single-band sweep),
-and the reproduction: the run of all four on one corpus and the checks that
-judge it.
+four named experiments and the reproduction, which runs all four on one
+corpus and judges them. Each experiment is a list of (train, test) row folds
+of its manifest and a list of model kinds, scored by one routine; the fine
+sweep, coarse sweep and interpolation all take one 1 dB single-band sweep.
 """
 
 import csv
 import hashlib
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,7 +17,7 @@ from . import jsondoc
 from .audio import DEFAULT_SAMPLE_RATE, note_corpus
 from .eq import BAND_NAMES
 from .features import StftConfig
-from .models import MODEL_KINDS, LinearModel, TrainConfig, predict, train_linear
+from .models import MODEL_KINDS, LinearModel, TrainConfig, predict
 from .pool import fork_map
 
 # Default note for the reproduction runs: low fundamental with enough partials
@@ -100,57 +100,50 @@ def scatter_export(result: ExperimentResult, path) -> None:
             writer.writerows([sid, name, t, p] for name, t, p in zip(BAND_NAMES, true, pred))
 
 
-def _fit_and_report(manifest, split, experiment_id, kinds, seed, config,
-                    jobs: int = 1) -> list:
-    """Fit each model kind with `TrainConfig(seed=seed)` on the train rows of
-    `split`, report it on the test rows; one ExperimentResult per kind, in
-    order. With `jobs` > 1 the kinds fit on worker processes, which send
-    back only their test-row predictions."""
-    train_idx, test_idx = split
+def _experiment(manifest, folds, experiment_id, kinds, seed, config, jobs: int = 1) -> list:
+    """Fit each model kind with `TrainConfig(seed=seed)` on every fold's
+    train rows and predict that fold's test rows; one ExperimentResult per
+    kind, in order, over the folds' test rows in fold order. With `jobs` > 1
+    the kinds fit on worker processes, which send back only their predictions."""
     x, y = manifest.feature_matrix(), manifest.target_matrix()
-    ids = manifest.samples.sample_id[test_idx].tolist()
+    test = np.concatenate([rows for _, rows in folds])
+    ids = manifest.samples.sample_id[test].tolist()
     cfg = TrainConfig(seed=seed)
 
     def fit_predict(kind):
-        model = MODEL_KINDS[kind].fit(x[train_idx], y[train_idx], cfg)
-        return predict(model, x[test_idx])
+        return np.concatenate([predict(MODEL_KINDS[kind].fit(x[train], y[train], cfg), x[rows])
+                               for train, rows in folds])
 
-    all_preds = fork_map(fit_predict, kinds, jobs)
-    return [ExperimentResult(experiment_id, kind, seed, digest(config), ids, preds, y[test_idx])
-            for kind, preds in zip(kinds, all_preds)]
+    return [ExperimentResult(experiment_id, kind, seed, digest(config), ids, preds, y[test])
+            for kind, preds in zip(kinds, fork_map(fit_predict, kinds, jobs))]
 
 
-def _sweep_experiment(sweep, grid, experiment_id, seed) -> ExperimentResult:
-    """Leave-one-out: each row is predicted by a linear fit on all the other
-    rows. Every row is scored, and the result does not depend on `seed`,
-    which the report only records."""
+def _leave_one_out(rows, grid) -> tuple:
+    """(folds, config) of a sweep scored leave-one-out over `rows`: each row is
+    tested by a fit on the other rows, so the seed is only recorded."""
     config = {"grid": list(np.asarray(grid, dtype=float)), "scoring": "leave_one_out"}
-    x, y = sweep.feature_matrix(), sweep.target_matrix()
-    rest = ~np.eye(len(x), dtype=bool)
-    preds = np.array([predict(train_linear(x[others], y[others]), row)
-                      for row, others in zip(x, rest)])
-    return ExperimentResult(experiment_id, LinearModel.kind, seed, digest(config),
-                            sweep.samples.sample_id.tolist(), preds, y)
+    return [(np.delete(rows, i), rows[i:i + 1]) for i in range(len(rows))], config
 
 
 def experiment_single_band_fine(sweep, seed: int) -> ExperimentResult:
     """1 dB single-band sweep, linear regression, leave-one-out MSE."""
-    return _sweep_experiment(sweep, ds.FINE_GRID, "single_band_fine", seed)
+    folds, config = _leave_one_out(np.arange(len(sweep.samples)), ds.FINE_GRID)
+    return _experiment(sweep, folds, "single_band_fine", [LinearModel.kind], seed, config)[0]
 
 
 def experiment_single_band_coarse(sweep, seed: int) -> ExperimentResult:
-    """The 4 dB rows of the 1 dB sweep, ids kept; the fewer fitting rows degrade the MSE."""
-    coarse = sweep.samples[ds.on_grid(sweep, ds.COARSE_GRID)]
-    coarse.flags.writeable = False
-    return _sweep_experiment(replace(sweep, samples=coarse), ds.COARSE_GRID,
-                             "single_band_coarse", seed)
+    """Leave-one-out over the sweep's own 4 dB rows, ids kept; the fewer
+    fitting rows degrade the MSE."""
+    rows = np.flatnonzero(ds.on_grid(sweep, ds.COARSE_GRID))
+    folds, config = _leave_one_out(rows, ds.COARSE_GRID)
+    return _experiment(sweep, folds, "single_band_coarse", [LinearModel.kind], seed, config)[0]
 
 
 def experiment_interpolation(sweep, seed: int) -> ExperimentResult:
     """Train on the 4 dB grid points of the 1 dB sweep, validate in between."""
-    split = ds.interpolation_split(sweep, ds.COARSE_GRID)
+    folds = [ds.interpolation_split(sweep, ds.COARSE_GRID)]
     config = {"coarse_grid": list(ds.COARSE_GRID)}
-    return _fit_and_report(sweep, split, "interpolation", [LinearModel.kind], seed, config)[0]
+    return _experiment(sweep, folds, "interpolation", [LinearModel.kind], seed, config)[0]
 
 
 def experiment_multi_band(manifest, seed: int, jobs: int = 1):
@@ -162,8 +155,8 @@ def experiment_multi_band(manifest, seed: int, jobs: int = 1):
         raise ValueError(f"multi-band experiment needs >= {MULTI_BAND_MIN_SAMPLES} samples")
     config = {"limit": len(manifest.samples), "hidden_dim": TrainConfig.hidden_dim,
               "epochs": TrainConfig.epochs, "tree_count": TrainConfig.trees}
-    split = ds.split(manifest, seed)
-    return _fit_and_report(manifest, split, "multi_band", list(MODEL_KINDS), seed, config, jobs)
+    folds = [ds.split(manifest, seed)]
+    return _experiment(manifest, folds, "multi_band", list(MODEL_KINDS), seed, config, jobs)
 
 
 def evaluate_model(model, manifest, seed: int) -> ExperimentResult:

@@ -81,6 +81,17 @@ class TestSynth:
             f"at {rate} Hz"]
         assert captured.out == "" and list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("duration, samples", [("1e300", "4.41e+304"), ("1e308", "inf")])
+    def test_duration_beyond_a_wav_is_runtime_error(self, tmp_path, capsys, duration,
+                                                    samples):
+        """Refused before the buffer is allocated, naming the note."""
+        assert run("synth", "--pitches", "C2", "--duration", duration, "--out", tmp_path) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            f"eqrep: C2: duration {float(duration)} s is {samples} samples at 44100 Hz; "
+            "a WAV holds at most 1073741811"]
+        assert captured.out == "" and list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("duration", ["inf", "nan", "0", "-1", "long"])
     def test_bad_duration_is_usage_error(self, tmp_path, capsys, duration):
         with pytest.raises(SystemExit) as exc:
@@ -616,8 +627,16 @@ class TestMalformedArtifacts:
         model.write_text(json.dumps(doc))
         assert run("eval", "--model", model, "--manifest", workspace / "manifest.json",
                    "--out", tmp_path) == 2
-        assert _one_error_line(capsys) == \
-            "eqrep: model artifact train_config.seed: expected an integer >= 0, got -5"
+        assert _one_error_line(capsys) == ("eqrep: model artifact train_config.seed: expected "
+                                           f"an integer from 0 to {2 ** 64 - 1}, got -5")
+        assert not (tmp_path / "eval_report.json").exists()
+
+        doc["train_config"]["seed"] = 2 ** 64  # read mod 2**64, it would alias seed 0
+        model.write_text(json.dumps(doc))
+        assert run("eval", "--model", model, "--manifest", workspace / "manifest.json",
+                   "--out", tmp_path) == 2
+        assert _one_error_line(capsys) == ("eqrep: model artifact train_config.seed: expected "
+                                           f"an integer from 0 to {2 ** 64 - 1}, got {2 ** 64}")
         assert not (tmp_path / "eval_report.json").exists()
 
     def test_eval_needs_the_feature_contract(self, workspace, linear_artifact, tmp_path,
@@ -1135,7 +1154,7 @@ class TestSeedBound:
     """Parsed only: no dataset is built and no model is trained."""
 
     @pytest.mark.parametrize("command", ["dataset", "train", "reproduce"])
-    @pytest.mark.parametrize("seed", ["-1", "-5", "1.5", "x"])
+    @pytest.mark.parametrize("seed", ["-1", "-5", "1.5", "x", str(2 ** 64)])
     def test_bad_value_is_usage_error(self, command, seed, capsys):
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(_seed_argv(command, seed))
@@ -1145,10 +1164,22 @@ class TestSeedBound:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("command, seed", [
-        ("dataset", 0), ("train", 0), ("reproduce", 0), ("train", 2 ** 64 - 1),
+        ("dataset", 0), ("train", 0), ("reproduce", 0), ("dataset", 2 ** 64 - 1),
+        ("train", 2 ** 64 - 1), ("reproduce", 2 ** 64 - 1),
     ])
     def test_range_ends_are_accepted(self, command, seed):
         assert build_parser().parse_args(_seed_argv(command, seed)).seed == seed
+
+    def test_largest_seed_round_trips(self, tmp_path):
+        """The manifest and the artifact a seed of 2**64 - 1 writes read back."""
+        seed, manifest, model = str(2 ** 64 - 1), tmp_path / "manifest.json", tmp_path / "m.json"
+        assert run("synth", "--pitches", "C2", "--duration", "0.3", "--out", tmp_path) == 0
+        assert run("dataset", "--corpus", tmp_path, "--mode", "multi", "--limit", "60",
+                   "--jobs", "1", "--seed", seed, "--out", tmp_path) == 0
+        assert run("train", "--manifest", manifest, "--model", "linear", "--seed", seed,
+                   "--outfile", model) == 0
+        assert run("eval", "--model", model, "--manifest", manifest, "--out", tmp_path) == 0
+        assert json.loads((tmp_path / "eval_report.json").read_text())["seed"] == 2 ** 64 - 1
 
 
 def _sample_rate_argv(command, rate):

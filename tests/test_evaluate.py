@@ -9,7 +9,7 @@ from eqrep import evaluate as ev
 from eqrep.audio import note_corpus
 from eqrep.eq import BAND_NAMES
 from eqrep.features import FEATURE_DIM, FeatureContract, StftConfig
-from eqrep.models import MODEL_KINDS, TrainConfig
+from eqrep.models import MODEL_KINDS, TrainConfig, predict, train_linear
 
 
 class TestMse:
@@ -220,12 +220,7 @@ def test_sweep_results_do_not_depend_on_the_seed(sample_rate):
 
 def test_multi_band_jobs_give_identical_results():
     """Fits on worker processes send back the same predictions and reports."""
-    rng = np.random.default_rng(4)
-    gains = rng.choice(ds.COARSE_GRID, size=(600, 5))
-    mixing = rng.standard_normal((5, FEATURE_DIM))
-    feats = gains @ mixing + 0.1 * rng.standard_normal((600, FEATURE_DIM))
-    samples = ds.sample_table([f"s{i}" for i in range(600)], ["x"] * 600, gains, feats)
-    manifest = ds.DatasetManifest(FeatureContract(), samples, 0)
+    manifest = _synthetic_multi_band()
     serial = ev.experiment_multi_band(manifest, 1, jobs=1)
     pooled = ev.experiment_multi_band(manifest, 1, jobs=2)
     assert [r.model_kind for r in pooled] == ["linear", "forest", "mlp"]
@@ -234,6 +229,49 @@ def test_multi_band_jobs_give_identical_results():
         assert a.sample_ids == b.sample_ids
         np.testing.assert_array_equal(a.predictions, b.predictions)
         np.testing.assert_array_equal(a.targets, b.targets)
+
+
+def _synthetic_multi_band():
+    """600 rows of 4 dB grid gains, features a noisy linear mix of them."""
+    rng = np.random.default_rng(4)
+    gains = rng.choice(ds.COARSE_GRID, size=(600, 5))
+    mixing = rng.standard_normal((5, FEATURE_DIM))
+    feats = gains @ mixing + 0.1 * rng.standard_normal((600, FEATURE_DIM))
+    samples = ds.sample_table([f"s{i}" for i in range(600)], ["x"] * 600, gains, feats)
+    return ds.DatasetManifest(FeatureContract(), samples, 0)
+
+
+def test_each_experiment_equals_its_definition(small_sweep):
+    """Each experiment's predictions, bit for bit, are the fits its folds
+    name; the config digests are the same on every machine."""
+    x, y = small_sweep.feature_matrix(), small_sweep.target_matrix()
+    ids = small_sweep.samples.sample_id
+    for run, rows, digest in [
+            (ev.experiment_single_band_fine, np.arange(len(x)), "349819b862f1ddca"),
+            (ev.experiment_single_band_coarse,
+             np.flatnonzero(ds.on_grid(small_sweep, ds.COARSE_GRID)), "3bcc51efb56ff970")]:
+        result = run(small_sweep, 0)
+        expected = [predict(train_linear(x[rows[rows != row]], y[rows[rows != row]]), x[row])
+                    for row in rows]
+        np.testing.assert_array_equal(result.predictions, expected)
+        np.testing.assert_array_equal(result.targets, y[rows])
+        assert result.sample_ids == ids[rows].tolist() and result.config_digest == digest
+
+    train, test = ds.interpolation_split(small_sweep, ds.COARSE_GRID)
+    result = ev.experiment_interpolation(small_sweep, 0)
+    np.testing.assert_array_equal(result.predictions,
+                                  predict(train_linear(x[train], y[train]), x[test]))
+    assert result.sample_ids == ids[test].tolist()
+    assert result.config_digest == "e0ca23b228a2d511"
+
+    manifest = _synthetic_multi_band()
+    x, y = manifest.feature_matrix(), manifest.target_matrix()
+    train, test = ds.split(manifest, 1)
+    for kind, result in zip(MODEL_KINDS, ev.experiment_multi_band(manifest, 1)):
+        model = MODEL_KINDS[kind].fit(x[train], y[train], TrainConfig(seed=1))
+        np.testing.assert_array_equal(result.predictions, predict(model, x[test]))
+        np.testing.assert_array_equal(result.targets, y[test])
+        assert (result.model_kind, result.config_digest) == (kind, "5c343cb925ef2f0e")
 
 
 @pytest.mark.parametrize("kind", MODEL_KINDS)
