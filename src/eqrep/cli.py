@@ -24,7 +24,7 @@ from .audio import (DEFAULT_SAMPLE_RATE, MAX_SAMPLE_RATE, note_corpus, pitch_to_
                     write_wav)
 from .eq import BAND_COUNT, BAND_NAMES, eq_response, log_frequency_grid
 from .features import FeatureContract, StftConfig
-from .models import MODEL_KINDS, TrainConfig, load_model, predict, save_model
+from .models import MODEL_KINDS, TrainConfig, load_model, predict, save_model, target_count
 
 
 # The options of `dataset` that only one --mode reads, with their defaults;
@@ -152,10 +152,18 @@ def cmd_train(args):
     return 0
 
 
+def _load_gain_model(path):
+    """(model, recorded train_config) of an artifact that predicts the EQ's band gains."""
+    model, train_config, _ = load_model(path)
+    if (count := target_count(model)) != len(BAND_NAMES):
+        raise ValueError(f"{path}: the model predicts {count} values per row, not the "
+                         f"{len(BAND_NAMES)} band gains")
+    return model, jsondoc.JsonValue(train_config, "model artifact", "train_config")
+
+
 def cmd_predict(args):
-    model, train_config, _ = load_model(args.model)
-    contract = FeatureContract.from_doc(jsondoc.JsonValue(train_config, "model artifact",
-                                                          "train_config"))
+    model, recorded = _load_gain_model(args.model)
+    contract = FeatureContract.from_doc(recorded)
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["path", *BAND_NAMES])
     for path in args.wavs:
@@ -172,8 +180,7 @@ def _save_result(result, out, stem):
 
 def cmd_eval(args):
     out = _out_dir(args)
-    model, train_config, _ = load_model(args.model)
-    recorded = jsondoc.JsonValue(train_config, "model artifact", "train_config")
+    model, recorded = _load_gain_model(args.model)
     contract, seed = FeatureContract.from_doc(recorded), recorded["seed"].int(0, 2 ** 64 - 1)
     manifest = ds.load_manifest(args.manifest)
     contract.require(manifest.contract, f"{args.manifest}: ")

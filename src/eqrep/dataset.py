@@ -68,15 +68,17 @@ def multi_band_settings(grid) -> np.ndarray:
 
 def sample_table(ids, labels, gains, features) -> np.recarray:
     """The read-only record array of n manifest rows: str ids and labels, the
-    applied gains (n, 5) and the features (n, width), whose width it takes."""
-    features = np.asarray(features, dtype=np.float64)
+    applied gains (n, targets) and the features (n, width), whose widths it takes."""
+    gains, features = (np.asarray(a, dtype=np.float64) for a in (gains, features))
+    if not len(ids) == len(gains) == len(features):
+        raise ValueError(f"{len(ids)} ids, {len(gains)} gain rows and {len(features)} feature rows")
     # Ids and labels are str objects: a fixed-width field drops a trailing NUL.
     table = np.recarray(len(ids), [("sample_id", object), ("base_label", object),
-                                   ("gains_db", np.float64, (BAND_COUNT,)),
+                                   ("gains_db", np.float64, (gains.shape[1],)),
                                    ("features", np.float64, (features.shape[1],))])
     table.sample_id = ids
     table.base_label = labels
-    table.gains_db = np.reshape(gains, (len(ids), BAND_COUNT))
+    table.gains_db = gains
     table.features = features
     table.flags.writeable = False
     return table
@@ -220,8 +222,9 @@ def manifest_from_dict(doc: dict) -> DatasetManifest:
     width = FeatureContract.width
     samples = sample_table([s["sample_id"].str() for s in rows],
                            [s["base_label"].str() for s in rows],
-                           [s["gains_db"].array((BAND_COUNT,), low=-GAIN_LIMIT_DB,
-                                                high=GAIN_LIMIT_DB) for s in rows],
+                           np.reshape([s["gains_db"].array((BAND_COUNT,), low=-GAIN_LIMIT_DB,
+                                                           high=GAIN_LIMIT_DB) for s in rows],
+                                      (-1, BAND_COUNT)),
                            np.reshape([s["features"].array((width,)) for s in rows], (-1, width)))
     _check_bands(doc["bands"])
     return DatasetManifest(FeatureContract.from_doc(doc, doc["stft"]), samples,

@@ -1,6 +1,7 @@
 """The three gain predictors: closed-form linear regression, a two-hidden-layer
 MLP trained from scratch with backprop, and a bagged CART random forest.
-All map a feature row, as wide as their normalization, to the 5 band gains in dB.
+All map a feature row, as wide as their normalization, to one value per target,
+as many as their params hold: for eqrep's datasets, the band gains in dB.
 
 `MODEL_KINDS` is the one list of model kinds. Each model class carries its
 `kind`, its `fit`, its `forward` pass on normalized rows, and its artifact
@@ -15,7 +16,6 @@ from typing import ClassVar
 import numpy as np
 
 from . import jsondoc, rng
-from .eq import BAND_COUNT
 from .jsondoc import JsonValue
 
 MODEL_SCHEMA_VERSION = 1
@@ -89,8 +89,8 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class LinearModel:
-    weights: np.ndarray  # (5, width)
-    bias: np.ndarray     # (5,)
+    weights: np.ndarray  # (targets, width): one row per target
+    bias: np.ndarray     # (targets,)
     norm: Normalization
     kind: ClassVar[str] = "linear"
 
@@ -106,8 +106,9 @@ class LinearModel:
 
     @classmethod
     def from_params(cls, params: JsonValue, norm: Normalization) -> "LinearModel":
-        return cls(params["weights"].array((BAND_COUNT, norm.width)),
-                   params["bias"].array((BAND_COUNT,)), norm)
+        # `[]` parses as one axis, so a read matrix has at least one row
+        weights = params["weights"].array((None, norm.width))
+        return cls(weights, params["bias"].array((len(weights),)), norm)
 
 
 def train_linear(features: np.ndarray, targets: np.ndarray) -> LinearModel:
@@ -146,9 +147,10 @@ class MlpModel:
     @classmethod
     def from_params(cls, params: JsonValue, norm: Normalization) -> "MlpModel":
         hidden = params["hidden_dim"].int(low=1)
+        targets = _target_columns(params["W3"], hidden)
         shapes = {"W1": (norm.width, hidden), "b1": (hidden,),
                   "W2": (hidden, hidden), "b2": (hidden,),
-                  "W3": (hidden, BAND_COUNT), "b3": (BAND_COUNT,)}
+                  "W3": (hidden, targets), "b3": (targets,)}
         return cls({k: params[k].array(shape) for k, shape in shapes.items()}, norm)
 
 
@@ -326,7 +328,9 @@ class ForestModel:
 
     @classmethod
     def from_params(cls, params: JsonValue, norm: Normalization) -> "ForestModel":
-        return cls([_tree_from_doc(t, norm.width) for t in params["trees"].elements()], norm)
+        docs = params["trees"].elements()  # every tree has the first one's targets
+        targets = _target_columns(docs[0]["value"], None) if docs else 0
+        return cls([_tree_from_doc(doc, norm.width, targets) for doc in docs], norm)
 
 
 # A node with at most this many rows is not split. It bounds the size of the
@@ -539,8 +543,8 @@ MODEL_KINDS = {cls.kind: cls for cls in (LinearModel, ForestModel, MlpModel)}
 
 
 def predict(model, features: np.ndarray) -> np.ndarray:
-    """Predict 5 band gains (dB, unclamped) for one (width,) feature vector
-    or an (n, width) batch, at the model's width."""
+    """Predict one value per target (unclamped) for one (width,) feature
+    vector or an (n, width) batch, at the model's width."""
     features = np.asarray(features, dtype=np.float64)
     width = model.norm.width
     if features.ndim not in (1, 2) or features.shape[-1] != width:
@@ -554,6 +558,11 @@ def predict(model, features: np.ndarray) -> np.ndarray:
         raise ValueError("prediction overflows a float: the features lie far outside "
                          "the model's training range")
     return out[0] if features.ndim == 1 else out
+
+
+def target_count(model) -> int:
+    """The number of values the model predicts per row, set by its params."""
+    return model.forward(np.empty((0, model.norm.width))).shape[1]
 
 
 # -------------------------------------------------------- serialization
@@ -571,9 +580,18 @@ def model_to_dict(model, train_config: dict | None = None,
     }
 
 
-def _tree_from_doc(doc: JsonValue, width: int) -> dict:
+def _target_columns(value: JsonValue, rows) -> int:
+    """The columns of the (rows, targets) array `value`: a model has at least one target."""
+    shape = value.array((rows, None)).shape
+    if shape[1] < 1:
+        raise ValueError(f"{value.what} {value.path}: expected at least one target column, "
+                         f"got shape {shape}")
+    return shape[1]
+
+
+def _tree_from_doc(doc: JsonValue, width: int, targets: int) -> dict:
     """One tree's node arrays, checked so that a prediction can walk them: equal
-    lengths, children -1 on a leaf, else after the node within the tree, (nodes, 5) values."""
+    lengths, children -1 on a leaf, else after the node within the tree, (nodes, targets) values."""
     tree = {"feature": doc["feature"].array((None,), int, low=-1, high=width - 1),
             "threshold": doc["threshold"].array((None,)),
             **{key: doc[key].array((None,), int) for key in ("left", "right")}}
@@ -581,9 +599,9 @@ def _tree_from_doc(doc: JsonValue, width: int) -> dict:
     if nodes == 0 or any(a.shape != (nodes,) for a in tree.values()):
         raise ValueError("forest tree node arrays are empty or differ in length")
     tree["value"] = doc["value"].array((None, None))
-    if tree["value"].shape != (nodes, BAND_COUNT):
-        raise ValueError(f"forest tree values have shape {tree['value'].shape}, "
-                         f"expected {(nodes, BAND_COUNT)}")
+    if tree["value"].shape != (nodes, targets):
+        raise ValueError(f"{doc.what} {doc.path}.value: forest tree values have shape "
+                         f"{tree['value'].shape}, expected {(nodes, targets)}")
     leaf, ids = tree["feature"] == -1, np.arange(nodes)
     for key in ("left", "right"):
         if np.any(np.where(leaf, tree[key] != -1, (tree[key] <= ids) | (tree[key] >= nodes))):

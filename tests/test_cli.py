@@ -678,6 +678,27 @@ class TestMalformedArtifacts:
         assert _one_error_line(capsys) == f"eqrep: {OTHER_BANDS_ERROR}"
         assert not (tmp_path / "eval_report.json").exists()
 
+    @pytest.mark.parametrize("command", ["predict", "eval"])
+    def test_model_of_other_targets_is_refused(self, workspace, linear_artifact, tmp_path,
+                                               capsys, command):
+        """A model loads at any output width, but `predict` prints and `eval`
+        scores the EQ's five band gains, so a 3-target artifact is refused."""
+        manifest = ds.load_manifest(workspace / "manifest.json")
+        model, out = tmp_path / "m.json", tmp_path / "out"
+        save_model(MODEL_KINDS["linear"].fit(manifest.feature_matrix(),
+                                             manifest.target_matrix()[:, :3], TrainConfig()),
+                   model, load_model(linear_artifact)[1])
+        argv = {"predict": ["predict", "--model", model, workspace / "corpus" / "C2.wav"],
+                "eval": ["eval", "--model", model, "--manifest", workspace / "manifest.json",
+                         "--out", out]}[command]
+        capsys.readouterr()
+        assert run(*argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"eqrep: {model}: the model predicts 3 values "
+                                             f"per row, not the 5 band gains"]
+        assert not out.exists() or list(out.iterdir()) == []
+
 
 # A manifest and a linear artifact in the layout eqrep wrote before the
 # feature contract was one class, inlined so that no writer can change them.

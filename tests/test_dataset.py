@@ -227,6 +227,16 @@ class TestSampleTable:
                 column[0] = 0
         assert np.shares_memory(manifest.feature_matrix(), manifest.samples)
 
+    def test_widths_come_from_the_rows(self):
+        """`sample_table` takes its target width from its gains, as its feature
+        width from its features, and refuses rows that do not match the ids."""
+        table = ds.sample_table(["a", "b"], ["x", "x"], np.ones((2, 3)), np.zeros((2, 4)))
+        assert table.gains_db.shape == (2, 3) and table.features.shape == (2, 4)
+        for gains, features in [((1, 3), (2, 4)), ((2, 3), (1, 4))]:
+            with pytest.raises(ValueError, match=f"^2 ids, {gains[0]} gain rows and "
+                                                 f"{features[0]} feature rows$"):
+                ds.sample_table(["a", "b"], ["x", "x"], np.ones(gains), np.zeros(features))
+
     def test_empty_manifest_loads_and_saves(self, manifests, tmp_path):
         doc = dict(ds.manifest_to_dict(manifests["built"]), samples=[])
         empty = ds.manifest_from_dict(json.loads(json.dumps(doc)))

@@ -83,15 +83,31 @@ def test_loader_refuses_a_directory_without_the_file(tmp_path):
     assert exc.value.__context__ is None and exc.value.__cause__ is None
 
 
-def test_feature_width_has_one_source():
-    """`models.py` imports nothing from `features`: a model takes its input
-    width from its normalization. `FEATURE_DIM` is read only in `features.py`."""
+def _models_imports_from(module):
+    """Whether `models.py` imports `module` or anything from it."""
     tree = ast.parse((SRC / "models.py").read_text())
     imported = {name for node in ast.walk(tree)
                 if isinstance(node, (ast.Import, ast.ImportFrom))
                 for name in [getattr(node, "module", None) or ""]
                 + [alias.name for alias in node.names]}
-    assert imported and not any(name.split(".")[-1] == "features" for name in imported)
-    readers = [path.name for path in sorted(SRC.glob("*.py"))
-               if "FEATURE_DIM" in path.read_text()]
-    assert readers == ["features.py"]
+    assert imported
+    return any(name.split(".")[-1] == module for name in imported)
+
+
+def _readers(name):
+    return [path.name for path in sorted(SRC.glob("*.py")) if name in path.read_text()]
+
+
+def test_feature_width_has_one_source():
+    """`models.py` imports nothing from `features`: a model takes its input
+    width from its normalization. `FEATURE_DIM` is read only in `features.py`."""
+    assert not _models_imports_from("features")
+    assert _readers("FEATURE_DIM") == ["features.py"]
+
+
+def test_target_width_has_one_source():
+    """`models.py` imports nothing from `eq`: a model takes its output width
+    from its params. `BAND_COUNT` is read only where EQ settings are made or
+    checked: in `eq.py`, `dataset.py` and `cli.py`."""
+    assert not _models_imports_from("eq")
+    assert _readers("BAND_COUNT") == ["cli.py", "dataset.py", "eq.py"]

@@ -12,7 +12,7 @@ from eqrep.models import (MODEL_KINDS, ForestModel, LinearModel, MlpModel, Norma
                           TrainConfig, fit_normalization, init_mlp_params,
                           load_model, mlp_forward, mlp_loss_and_grads,
                           model_from_dict, model_to_dict, predict, save_model,
-                          train_forest, train_linear, train_mlp, RIDGE_DAMPING,
+                          target_count, train_forest, train_linear, train_mlp, RIDGE_DAMPING,
                           _grow_trees)
 
 
@@ -485,17 +485,19 @@ class TestSerialization:
 
     @pytest.mark.parametrize("kind", MODEL_KINDS)
     def test_model_of_another_width_round_trips(self, kind, tmp_path):
-        """A model takes its input width from its normalization: fitted on 40
-        features, it saves, loads and predicts with the same bytes."""
+        """A model takes its input width from its normalization and its output
+        width from its params: fitted on 40 features and 3 targets, it saves,
+        loads, re-saves and predicts with the same bytes."""
         rng = np.random.default_rng(40)
-        x, y = rng.standard_normal((80, 40)), rng.standard_normal((80, 5))
+        x, y = rng.standard_normal((80, 40)), rng.standard_normal((80, 3))
         model = MODEL_KINDS[kind].fit(x, y, TrainConfig(epochs=3, hidden_dim=8, trees=3))
         save_model(model, tmp_path / "a.json")
         back = load_model(tmp_path / "a.json")[0]
         save_model(back, tmp_path / "b.json")
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
-        assert back.norm.width == 40
+        assert back.norm.width == 40 and target_count(back) == target_count(model) == 3
         queries = rng.standard_normal((7, 40))
+        assert predict(back, queries).shape == (7, 3)
         for rows in (queries, queries[0]):
             assert predict(back, rows).tobytes() == predict(model, rows).tobytes()
         with pytest.raises(ValueError, match=r"expected a \(40,\) or \(n, 40\) feature array"):
@@ -567,6 +569,29 @@ class TestSerialization:
                                              rf"\[{at}\]: expected an integer from -1 to 16, "
                                              rf"got {feature}$"):
             model_from_dict(doc)
+
+    @pytest.mark.parametrize("kind, edit, message", [
+        ("mlp", lambda p: p.update(W3=[[] for _ in p["W3"]], b3=[]),
+         r"params.W3: expected at least one target column, got shape \(4, 0\)"),
+        ("linear", lambda p: p.update(bias=p["bias"][:3]),
+         r"params.bias: expected a \(5,\) array of numbers, got shape \(3,\)"),
+        ("linear", lambda p: p.update(weights=[]),
+         r"params.weights: expected a \(n, 17\) array of numbers, got shape \(0,\)"),
+        ("forest", lambda p: p["trees"][0].update(value=[[] for _ in p["trees"][0]["value"]]),
+         r"params.trees\[0\].value: expected at least one target column, got shape \(\d+, 0\)"),
+        ("forest", lambda p: p["trees"][0].update(value=[v[:3] for v in p["trees"][0]["value"]]),
+         r"params.trees\[1\].value: forest tree values have shape \(\d+, 5\), "
+         r"expected \(\d+, 3\)"),
+    ], ids=["mlp-no-target", "linear-short-bias", "linear-no-target", "forest-no-target",
+            "forest-unequal-trees"])
+    def test_target_width_is_checked_on_load(self, kind, edit, message):
+        """A model's output width comes from its params: at least one target,
+        the bias as long as the weights' rows, every tree as wide as the first.
+        Each refusal is one line naming the key."""
+        doc = model_to_dict(_fitted(kind))
+        edit(doc["params"])
+        with pytest.raises(ValueError, match=f"^model artifact {message}$"):
+            model_from_dict(json.loads(json.dumps(doc)))
 
     def test_unknown_kind(self):
         doc = model_to_dict(train_linear(*_random_instance(40, seed=21)))
