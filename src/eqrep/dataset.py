@@ -11,7 +11,7 @@ import numpy as np
 
 from . import jsondoc, rng
 from .audio import check_distinct_labels, write_wav
-from .eq import BAND_COUNT, BAND_NAMES, BANDS, GAIN_LIMIT_DB, apply_eq
+from .eq import BAND_COUNT, BANDS, GAIN_LIMIT_DB, apply_eq, band_labels
 from .features import FeatureContract, StftConfig
 from .pool import fork_map
 
@@ -242,9 +242,10 @@ def load_manifest(path) -> DatasetManifest:
 
 def export_csv(manifest: DatasetManifest, path) -> None:
     """Flat per-sample view: id, label, five gains, then the features."""
-    header = ["sample_id", "base_label", *(name.lower() for name in BAND_NAMES),
-              *manifest.contract.names]
     samples = manifest.samples
+    header = ["sample_id", "base_label",
+              *(name.lower() for name in band_labels(samples.gains_db.shape[1])),
+              *manifest.contract.names]
     rows = zip(samples.sample_id, samples.base_label,
                samples.gains_db.tolist(), samples.features.tolist())
     with open(path, "w", newline="") as fh:

@@ -75,6 +75,15 @@ BAND_COUNT = len(BANDS)
 BAND_NAMES = [f"EQ_{band.center_hz:g}" for band in BANDS]
 
 
+def band_labels(width: int) -> list:
+    """BAND_NAMES, as the labels of `width` target columns; a table of any
+    other width is refused, since its columns have no band to be named by."""
+    if width != BAND_COUNT:
+        raise ValueError(f"{width} target columns cannot be labelled by the "
+                         f"{BAND_COUNT} band names")
+    return BAND_NAMES
+
+
 def validate_setting(gains_db) -> np.ndarray:
     """Check one gain in dB per band against the safety envelope; NaN lies outside it."""
     gains = np.asarray(gains_db, dtype=np.float64)

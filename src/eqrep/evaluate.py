@@ -15,7 +15,7 @@ import numpy as np
 from . import dataset as ds
 from . import jsondoc
 from .audio import DEFAULT_SAMPLE_RATE, note_corpus
-from .eq import BAND_NAMES
+from .eq import band_labels
 from .features import StftConfig
 from .models import MODEL_KINDS, LinearModel, TrainConfig, predict
 from .pool import fork_map
@@ -93,11 +93,12 @@ def scatter_export(result: ExperimentResult, path) -> None:
     targets = np.asarray(result.targets, dtype=np.float64)
     if not (len(result.sample_ids) == len(predictions) == len(targets)):
         raise ValueError("length mismatch")
+    names = band_labels(targets.shape[1])
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["sample_id", "band_name", "true_db", "predicted_db"])
         for sid, pred, true in zip(result.sample_ids, predictions.tolist(), targets.tolist()):
-            writer.writerows([sid, name, t, p] for name, t, p in zip(BAND_NAMES, true, pred))
+            writer.writerows([sid, name, t, p] for name, t, p in zip(names, true, pred))
 
 
 def _experiment(manifest, folds, experiment_id, kinds, seed, config, jobs: int = 1) -> list:

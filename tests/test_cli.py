@@ -25,7 +25,7 @@ from eqrep import evaluate as ev
 from eqrep import models
 from eqrep.audio import MAX_SAMPLE_RATE, read_wav
 from eqrep.cli import build_parser, main
-from eqrep.eq import apply_eq, log_frequency_grid
+from eqrep.eq import BAND_NAMES, apply_eq, log_frequency_grid
 from eqrep.features import FEATURE_NAMES, FeatureContract, StftConfig
 from eqrep.jsondoc import JsonValue
 from eqrep.models import MODEL_KINDS, TrainConfig, load_model, save_model
@@ -781,7 +781,7 @@ def test_non_finite_wav_sample_is_runtime_error(command, linear_artifact, tmp_pa
     captured = capsys.readouterr()
     assert captured.err.splitlines() == [
         f"eqrep: {wav}: sample 1000 is nan; samples must be finite"]
-    header = "path," + ",".join(ev.BAND_NAMES) + "\n"  # predict prints it first
+    header = "path," + ",".join(BAND_NAMES) + "\n"  # predict prints it first
     assert captured.out == (header if command == "predict" else "")
     assert not (tmp_path / "data" / "manifest.json").exists()
 

@@ -314,3 +314,15 @@ class TestManifestPersistence:
         first = lines[1].split(",")
         np.testing.assert_array_equal(
             np.array([float(v) for v in first[7:]]), manifest.samples[0].features)
+
+    @pytest.mark.parametrize("width", [3, 7])
+    def test_csv_export_refuses_other_target_widths(self, tmp_path, width):
+        """The gain columns are named by band, so a table of three or seven
+        targets is refused, naming both widths, and nothing is written."""
+        samples = ds.sample_table(["a", "b"], ["x", "x"], np.zeros((2, width)),
+                                  np.zeros((2, FEATURE_DIM)))
+        path = tmp_path / "m.csv"
+        with pytest.raises(ValueError, match=rf"^{width} target columns cannot be labelled "
+                                             r"by the 5 band names$"):
+            ds.export_csv(ds.DatasetManifest(FeatureContract(), samples, 0), path)
+        assert not path.exists()

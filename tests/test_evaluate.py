@@ -107,6 +107,17 @@ class TestScatterExport:
             _, _, true_db, pred_db = line.split(",")
             assert true_db == pred_db
 
+    @pytest.mark.parametrize("width", [3, 7])
+    def test_other_target_widths_are_refused(self, tmp_path, width):
+        """Columns are labelled by band, so a width other than five has no
+        labels: the writer refuses it, naming both widths, and writes nothing."""
+        targets = np.zeros((2, width))
+        path = tmp_path / "scatter.csv"
+        with pytest.raises(ValueError, match=rf"^{width} target columns cannot be labelled "
+                                             r"by the 5 band names$"):
+            ev.scatter_export(_result(["a", "b"], targets, targets), path)
+        assert not path.exists()
+
 
 class TestReports:
     def test_report_fields(self):
