@@ -22,7 +22,7 @@ from . import evaluate as ev
 from . import jsondoc
 from .audio import (DEFAULT_SAMPLE_RATE, MAX_SAMPLE_RATE, note_corpus, pitch_to_hz, read_wav,
                     write_wav)
-from .eq import BAND_COUNT, BAND_NAMES, eq_response, log_frequency_grid
+from .eq import BAND_COUNT, band_labels, eq_response, log_frequency_grid
 from .features import FeatureContract, StftConfig
 from .models import MODEL_KINDS, TrainConfig, load_model, predict, save_model, target_count
 
@@ -153,19 +153,21 @@ def cmd_train(args):
 
 
 def _load_gain_model(path):
-    """(model, recorded train_config) of an artifact that predicts the EQ's band gains."""
+    """(model, its band labels, recorded train_config) of an artifact that
+    predicts the EQ's band gains."""
     model, train_config, _ = load_model(path)
-    if (count := target_count(model)) != len(BAND_NAMES):
-        raise ValueError(f"{path}: the model predicts {count} values per row, not the "
-                         f"{len(BAND_NAMES)} band gains")
-    return model, jsondoc.JsonValue(train_config, "model artifact", "train_config")
+    try:
+        labels = band_labels(target_count(model))
+    except ValueError as error:
+        raise ValueError(f"{path}: {error}") from None
+    return model, labels, jsondoc.JsonValue(train_config, "model artifact", "train_config")
 
 
 def cmd_predict(args):
-    model, recorded = _load_gain_model(args.model)
+    model, labels, recorded = _load_gain_model(args.model)
     contract = FeatureContract.from_doc(recorded)
     writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(["path", *BAND_NAMES])
+    writer.writerow(["path", *labels])
     for path in args.wavs:
         gains = predict(model, contract.extract(read_wav(path), f"{path}: "))
         writer.writerow([path, *(f"{g:.3f}" for g in gains)])
@@ -180,7 +182,7 @@ def _save_result(result, out, stem):
 
 def cmd_eval(args):
     out = _out_dir(args)
-    model, recorded = _load_gain_model(args.model)
+    model, _, recorded = _load_gain_model(args.model)
     contract, seed = FeatureContract.from_doc(recorded), recorded["seed"].int(0, 2 ** 64 - 1)
     manifest = ds.load_manifest(args.manifest)
     contract.require(manifest.contract, f"{args.manifest}: ")

@@ -37,3 +37,9 @@ def test_higher_is_better_counts_the_other_way():
 def test_pairs_must_be_positive():
     with pytest.raises(SystemExit):
         bench_record.parse_args(["--parent", "HEAD", "--pairs", "0", "--out", "x.json"])
+
+
+def test_machine_facts_leave_out_the_commit_and_a_failed_run():
+    facts = {"nproc": 2, "git_commit": None, "src_sha256": "ab"}
+    assert bench_record.machine_facts({"machine": facts}) == {"nproc": 2, "src_sha256": "ab"}
+    assert bench_record.machine_facts({"error": "Traceback"}) is None

@@ -695,8 +695,8 @@ class TestMalformedArtifacts:
         assert run(*argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.splitlines() == [f"eqrep: {model}: the model predicts 3 values "
-                                             f"per row, not the 5 band gains"]
+        assert captured.err.splitlines() == [f"eqrep: {model}: 3 target columns cannot be "
+                                             f"labelled by the 5 band names"]
         assert not out.exists() or list(out.iterdir()) == []
 
 

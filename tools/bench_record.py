@@ -1,23 +1,24 @@
 """Record paired benchmark runs of a parent revision and the working tree.
 
     python3 tools/bench_record.py --parent REV --pairs N --out BENCH_<n>.json
-                                  [--first-seed K]
 
 The parent's committed files are unpacked with `git archive` into a
 temporary directory, as the benchmark gate checks out each side, and the
 working tree runs from the repository root. For each of the N pairs and each
 workload of BENCHMARK.json, `perfbench/run.py --trace 0` runs once on each
-side for the benchmark's `run_seconds`, with the same seed (pair i uses
-seed K + i, K = 1 by default), in one process per run; the side that runs
+side for the benchmark's `run_seconds`, with the same seed (pair i, counted
+from 0, uses seed i + 1), in one process per run; the side that runs
 first alternates from pair to pair, so a drift of the machine's speed falls
 on both sides alike. Nothing is written under `perfbench/`; the harness
 itself writes only its `.perfbench/` work directory in each tree.
 
 The output holds every run (its end-to-end metrics, operation quantiles,
-set-up times, `correct` flag and exit code), the machine facts of each
-side's first run, and per workload and metric: each side's median, the
-parent's interquartile range, and in how many pairs the working tree was
-better.
+set-up times, `correct` flag and exit code), the parent's commit id, each
+side's machine facts from its first run that printed them, and per workload
+and metric: each side's median, the parent's interquartile range, and in how
+many pairs the working tree was better. The harness's own `git_commit` fact
+is left out: the parent's unpacked files are no repository, and the working
+tree may differ from its HEAD; `src_sha256` tells the two sources apart.
 """
 
 import argparse
@@ -36,7 +37,6 @@ def parse_args(argv):
     parser.add_argument("--parent", required=True, help="git revision to compare against")
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--out", required=True, type=Path)
-    parser.add_argument("--first-seed", type=int, default=1)
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
@@ -68,6 +68,13 @@ def run_once(tree, workload, seed, seconds):
         tail = (proc.stderr.strip().splitlines() or [""])[-1]
         return {"error": tail}, None, proc.returncode
     return details, result, proc.returncode
+
+
+def machine_facts(details):
+    """The machine facts of one run's details line without its `git_commit`,
+    or None if the run printed none."""
+    facts = details.get("machine")
+    return facts and {fact: value for fact, value in facts.items() if fact != "git_commit"}
 
 
 def _quartiles(values):
@@ -117,12 +124,13 @@ def main(argv=None):
         commit = unpack(args.parent, parent_dir)
         trees = {"parent": Path(parent_dir), "change": ROOT}
         for pair in range(args.pairs):
-            seed = args.first_seed + pair
+            seed = pair + 1
             order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
             for workload in workloads:
                 for position, side in enumerate(order):
                     details, result, code = run_once(trees[side], workload, seed, seconds)
-                    machine.setdefault(side, details.get("machine"))
+                    if side not in machine and (facts := machine_facts(details)):
+                        machine[side] = facts
                     runs.append({
                         "workload": workload, "pair": pair, "seed": seed, "side": side,
                         "position": position, "exit_code": code,
@@ -138,6 +146,7 @@ def main(argv=None):
                           f"{runs[-1]['metrics']}", file=sys.stderr, flush=True)
     record = {
         "parent": {"revision": args.parent, "commit": commit},
+        "change": "working tree",
         "seconds": seconds,
         "machine": machine,
         "summary": summarize(runs, better),
