@@ -113,8 +113,8 @@ def build_dataset(corpus, settings, stft: StftConfig = StftConfig(),
 
     With `limit`, the pairs taken are those with the smallest outputs of
     their `seed`'s subsample stream; the manifest keeps settings order.
-    With `jobs` > 1 the pairs are processed on that many fork-started worker
-    processes (`pool.fork_map`); the manifest is the same for any `jobs`."""
+    The pairs are processed on `jobs` fork-started worker processes
+    (`pool.fork_map`); the manifest is the same for any `jobs`."""
     corpus = list(corpus)
     settings = np.asarray(settings, dtype=np.float64)
     if not corpus:

@@ -104,8 +104,8 @@ def scatter_export(result: ExperimentResult, path) -> None:
 def _experiment(manifest, folds, experiment_id, kinds, seed, config, jobs: int = 1) -> list:
     """Fit each model kind with `TrainConfig(seed=seed)` on every fold's
     train rows and predict that fold's test rows; one ExperimentResult per
-    kind, in order, over the folds' test rows in fold order. With `jobs` > 1
-    the kinds fit on worker processes, which send back only their predictions."""
+    kind, in order, over the folds' test rows in fold order. The kinds fit on
+    up to `jobs` worker processes, which send back only their predictions."""
     x, y = manifest.feature_matrix(), manifest.target_matrix()
     test = np.concatenate([rows for _, rows in folds])
     ids = manifest.samples.sample_id[test].tolist()
@@ -149,9 +149,9 @@ def experiment_interpolation(sweep, seed: int) -> ExperimentResult:
 
 def experiment_multi_band(manifest, seed: int, jobs: int = 1):
     """Multi-band 4 dB grid comparison of every model kind on one shared
-    80/20 split, with results in MODEL_KINDS order: linear, forest, MLP. With
-    `jobs` > 1 the three fit on worker processes, so the forest trains
-    beside the MLP; the results are the same for any `jobs`."""
+    80/20 split, with results in MODEL_KINDS order: linear, forest, MLP. The
+    three fit on up to `jobs` worker processes, so with two or more the forest
+    trains beside the MLP; the results are the same for any `jobs`."""
     if len(manifest.samples) < MULTI_BAND_MIN_SAMPLES:
         raise ValueError(f"multi-band experiment needs >= {MULTI_BAND_MIN_SAMPLES} samples")
     config = {"limit": len(manifest.samples), "hidden_dim": TrainConfig.hidden_dim,

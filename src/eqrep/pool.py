@@ -12,7 +12,8 @@ dynamic thresholds the allocator then trims the heap top and the next sample
 faults the same pages in again, some 300 minor faults and about 1 ms of system
 time per sample. The worker initializer therefore fixes glibc's mmap and trim
 thresholds (`mallopt`), so freed memory stays in the worker's heap and is
-reused. Only worker processes change; the calling process keeps its settings.
+reused. Every item runs on a worker, even at one job, so every build keeps its
+heap, and the calling process keeps its settings.
 """
 
 import ctypes
@@ -61,14 +62,13 @@ def _run(item):
 
 
 def fork_map(task, items, jobs: int) -> list:
-    """[task(item) for item in items], run on up to `jobs` worker processes;
-    the results come back in item order. With one job, or fewer than two
-    items, the items run in this process. An exception raised by an item
-    cancels the items no worker has started."""
+    """[task(item) for item in items], run on max(1, min(jobs, len(items)))
+    worker processes, even for one job or one item; the results come back in
+    item order. No item runs in this process, and with no items no process
+    starts. An exception raised by an item cancels the items no worker has
+    started."""
     items = list(items)
-    workers = min(jobs, len(items))
-    if workers <= 1:
-        return [task(item) for item in items]
+    workers = max(1, min(jobs, len(items)))
     chunksize = max(1, len(items) // (workers * CHUNKS_PER_WORKER))
     with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
                              initializer=_install, initargs=(task,)) as pool:

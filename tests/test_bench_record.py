@@ -1,4 +1,4 @@
-"""The benchmark recorder's pairing and summary, on made-up runs."""
+"""The benchmark recorder's pairing, summary and Tier-1 line parsing, on made-up input."""
 
 import importlib.util
 from pathlib import Path
@@ -43,3 +43,14 @@ def test_machine_facts_leave_out_the_commit_and_a_failed_run():
     facts = {"nproc": 2, "git_commit": None, "src_sha256": "ab"}
     assert bench_record.machine_facts({"machine": facts}) == {"nproc": 2, "src_sha256": "ab"}
     assert bench_record.machine_facts({"error": "Traceback"}) is None
+
+
+@pytest.mark.parametrize("line, passed, failed", [
+    ("847 passed in 70.24s (0:01:10)", 847, 0),
+    ("2 failed, 845 passed, 1 warning in 71.03s (0:01:11)", 845, 2),
+    ("1 failed, 3 passed, 2 errors in 1.20s", 3, 1),
+    ("no tests ran in 0.01s", 0, 0),
+    ("", 0, 0),
+])
+def test_tier1_counts_read_pytests_last_line(line, passed, failed):
+    assert bench_record.tier1_counts(line) == {"passed": passed, "failed": failed}

@@ -1431,8 +1431,8 @@ def test_mlp_error_in_a_worker_is_raised_in_the_caller(monkeypatch, tmp_path, ca
 
 
 def test_reproduce_bytes_do_not_depend_on_blas_threads_or_jobs(tmp_path):
-    """The same run with one BLAS thread in process and with two BLAS threads
-    on two workers: same exit code, byte-identical output files."""
+    """The same run with one BLAS thread on one worker and with two BLAS
+    threads on two workers: same exit code, byte-identical output files."""
     src = str(Path(eqrep.__file__).resolve().parents[1])
     runs = []
     for threads, jobs in (("1", "1"), ("2", POOL_JOBS)):

@@ -9,24 +9,31 @@ workload of BENCHMARK.json, `perfbench/run.py --trace 0` runs once on each
 side for the benchmark's `run_seconds`, with the same seed (pair i, counted
 from 0, uses seed i + 1), in one process per run; the side that runs
 first alternates from pair to pair, so a drift of the machine's speed falls
-on both sides alike. Nothing is written under `perfbench/`; the harness
-itself writes only its `.perfbench/` work directory in each tree.
+on both sides alike. After the pairs, the Tier-1 suite (ROADMAP's verify
+command, `PYTHONPATH=src python -m pytest -q --continue-on-collection-errors`)
+runs once in each tree; a side whose suite fails is recorded as it is. Nothing
+is written under `perfbench/`; the harness itself writes only its
+`.perfbench/` work directory in each tree.
 
 The output holds every run (its end-to-end metrics, operation quantiles,
 set-up times, `correct` flag and exit code), the parent's commit id, each
 side's machine facts from its first run that printed them, and per workload
 and metric: each side's median, the parent's interquartile range, and in how
-many pairs the working tree was better. The harness's own `git_commit` fact
+many pairs the working tree was better; and each side's Tier-1 wall seconds,
+passed and failed counts and exit code. The harness's own `git_commit` fact
 is left out: the parent's unpacked files are no repository, and the working
 tree may differ from its HEAD; `src_sha256` tells the two sources apart.
 """
 
 import argparse
 import json
+import os
+import re
 import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -75,6 +82,25 @@ def machine_facts(details):
     or None if the run printed none."""
     facts = details.get("machine")
     return facts and {fact: value for fact, value in facts.items() if fact != "git_commit"}
+
+
+def tier1_counts(line):
+    """{"passed": n, "failed": n} from pytest's last line; a count the line
+    does not name is 0."""
+    counts = {word: int(n) for n, word in re.findall(r"(\d+) (\w+)", line)}
+    return {key: counts.get(key, 0) for key in ("passed", "failed")}
+
+
+def run_tier1(tree):
+    """One Tier-1 run in `tree`: its wall seconds, counts and exit code."""
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(["src", path]) if path else "src")
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"],
+                          cwd=tree, env=env, capture_output=True, text=True)
+    seconds = time.perf_counter() - start
+    last = (proc.stdout.strip().splitlines() or [""])[-1]
+    return {"seconds": round(seconds, 1), **tier1_counts(last), "exit_code": proc.returncode}
 
 
 def _quartiles(values):
@@ -144,12 +170,15 @@ def main(argv=None):
                     })
                     print(f"pair {pair} {workload} {side}: exit {code}, "
                           f"{runs[-1]['metrics']}", file=sys.stderr, flush=True)
+        tier1 = {side: run_tier1(tree) for side, tree in trees.items()}
+        print(f"tier-1: {tier1}", file=sys.stderr, flush=True)
     record = {
         "parent": {"revision": args.parent, "commit": commit},
         "change": "working tree",
         "seconds": seconds,
         "machine": machine,
         "summary": summarize(runs, better),
+        "tier1": tier1,
         "runs": runs,
     }
     args.out.write_text(json.dumps(record, indent=1) + "\n")
