@@ -1403,7 +1403,7 @@ def test_reproduce_dead_worker_is_one_line(monkeypatch, tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("eqrep: ")
-    assert "terminated abruptly" in err[0]
+    assert "terminated abruptly" in err[0] and "exit code 3" in err[0]
 
 
 @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="--jobs 2 needs two CPUs")

@@ -29,6 +29,16 @@ def test_cli_import_loads_only_allowed_scipy_modules():
     assert sorted(loaded - ALLOWED_SCIPY_MODULES) == []
 
 
+def test_pool_loads_no_executor():
+    """A map forks its workers itself: neither the CLI's imports nor a map
+    load `concurrent.futures`."""
+    code = ("import sys, eqrep.cli\n"
+            "from eqrep.pool import fork_map\n"
+            "assert fork_map(abs, [-1, 2], 2) == [1, 2]\n"
+            "print(*(m for m in sys.modules if m.partition('.')[0] == 'concurrent'))")
+    assert run_fresh(code).split() == []
+
+
 def test_one_source_of_randomness():
     """Every draw comes from `rng.splitmix64`: no eqrep module reaches for
     numpy's generators or Python's `random`."""

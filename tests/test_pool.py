@@ -1,8 +1,11 @@
 import ctypes
+import faulthandler
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -10,6 +13,7 @@ import pytest
 import eqrep
 from eqrep import pool
 from eqrep.pool import fork_map
+from fresh import run_fresh
 
 MAX_FAULTS_PER_SAMPLE = 8
 
@@ -69,12 +73,24 @@ def _square_unless_seven(item):
     return item * item
 
 
+def _hundred_kb(item):
+    return bytes([item]) * 100_000
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_results_come_back_in_item_order(jobs):
-    # 40 items at jobs=2 make 40 one-item chunks, many per worker; the items
-    # are not sorted, so the result order is the item order, not the value order.
-    items = [(17 * k) % 40 + 10 for k in range(40)]
-    assert fork_map(_square_unless_seven, items, jobs) == [k * k for k in items]
+    # The first items are not sorted, so the result order is the item order,
+    # not the value order. The 100 KB results, 4 MB in all, make each
+    # worker's payload many times a pipe's buffer.
+    for task, items in [(_square_unless_seven, [(17 * k) % 40 + 10 for k in range(40)]),
+                        (_hundred_kb, range(40))]:
+        assert fork_map(task, items, jobs) == [task(item) for item in items]
+    _assert_no_child_left()
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -96,3 +112,91 @@ def test_an_items_exception_is_raised_in_the_caller(jobs):
     with pytest.raises(ValueError) as excinfo:
         fork_map(_square_unless_seven, range(40), jobs)
     assert excinfo.type is ValueError and str(excinfo.value) == "item 7"
+    assert "_square_unless_seven" in str(excinfo.value.__cause__)  # the worker's traceback
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_no_item_starts_after_an_exception(tmp_path, jobs):
+    started = tmp_path / "started"
+
+    def task(item):
+        with open(started, "a") as fh:
+            fh.write(f"{item}\n")
+        if item == 0:
+            raise ValueError("item 0")
+        time.sleep(0.05)
+
+    items = range(20)
+    with pytest.raises(ValueError, match="item 0"):
+        fork_map(task, items, jobs)
+    assert len(started.read_text().split()) < len(items)
+    _assert_no_child_left()
+
+
+def test_every_item_runs_once_on_more_workers_than_cores(tmp_path):
+    # Two workers that read the counter before either moves it would run
+    # one item twice.
+    ran = tmp_path / "ran"
+
+    def task(item):
+        with open(ran, "a") as fh:
+            fh.write(f"{item}\n")
+        return item
+
+    items = range(2000)
+    assert fork_map(task, items, 4 * (os.cpu_count() or 1)) == list(items)
+    assert sorted(map(int, ran.read_text().split())) == list(items)
+    _assert_no_child_left()
+
+
+def _exit_3():
+    os._exit(3)
+
+
+def _kill_self():
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("die, how", [(_exit_3, "exit code 3"),
+                                      (_kill_self, f"signal {signal.SIGKILL.value}")])
+def test_a_dead_worker_is_an_error(die, how, jobs):
+    def task(item):
+        if item == 0:
+            die()
+        time.sleep(60)  # a map that waited for this worker would time out
+
+    # A map that waited forever would hang the suite: end the test run with
+    # a traceback instead.
+    faulthandler.dump_traceback_later(30, exit=True, file=sys.__stderr__)
+    try:
+        with pytest.raises(RuntimeError) as excinfo:
+            fork_map(task, range(4), jobs)
+    finally:
+        faulthandler.cancel_dump_traceback_later()
+    assert str(excinfo.value) == f"a worker process terminated abruptly ({how})"
+    _assert_no_child_left()
+
+
+# Printed lines, each once, from the caller before and after a map and from
+# every item, on a stdout that is a pipe and so block-buffered.
+STD_STREAMS = """
+import sys
+from eqrep.pool import fork_map
+
+print("before")
+
+def task(item):
+    print(f"item {item}")
+
+fork_map(task, range(4), int(sys.argv[1]))
+print("after")
+"""
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_printed_lines_appear_once(jobs):
+    lines = run_fresh(STD_STREAMS, jobs, env={"PYTHONUNBUFFERED": ""}).splitlines()
+    assert lines[0] == "before" and lines[-1] == "after"
+    assert sorted(lines[1:-1]) == [f"item {k}" for k in range(4)]
