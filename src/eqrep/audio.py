@@ -4,6 +4,10 @@
 and numpy. They read what `scipy.io.wavfile.read` reads in 16-bit PCM or
 32-bit float, in 1 or 2 channels, and write the bytes `scipy.io.wavfile.write`
 writes for a mono float32 array; the tests hold both to the public module.
+
+`synthesize_note` renders its note BLOCK_SAMPLES samples at a time straight
+into the array it returns, so its peak memory is the note's samples plus two
+blocks, whatever the note's length.
 """
 
 import math
@@ -18,6 +22,9 @@ MAX_SAMPLE_RATE = 0xFFFFFFFF // 4
 # The most sample bytes write_wav can store: the RIFF size, 50 + data bytes, is a uint32.
 MAX_WAV_DATA_BYTES = 0xFFFFFFFF - 50
 DECAY_RATE = 1.5  # 1/s, the amplitude envelope of every note
+# Samples per block of synthesis: a block's time axis and its partial take
+# 128 kB each, whatever the note's length.
+BLOCK_SAMPLES = 1 << 14
 
 # Default pitch set: alternating C and G across octaves 0..7.
 DEFAULT_PITCHES = [f"{letter}{octave}" for octave in range(8) for letter in ("C", "G")]
@@ -174,8 +181,11 @@ def read_wav(path) -> AudioBuffer:
                              "samples must be finite")
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    samples = data / 32768.0 if data.dtype == np.int16 else data.astype(np.float64)
-    return AudioBuffer(samples.mean(axis=1) if samples.ndim == 2 else samples, sample_rate)
+    # The float64 mean converts as it sums, so no float64 copy of both channels is made.
+    samples = data.mean(axis=1, dtype=np.float64) if data.ndim == 2 else data.astype(np.float64)
+    if data.dtype == np.int16:
+        samples /= 32768.0  # a power of two: the same bytes as scaling before the mean
+    return AudioBuffer(samples, sample_rate)
 
 
 def write_wav(buffer: AudioBuffer, path) -> None:
@@ -199,7 +209,11 @@ def write_wav(buffer: AudioBuffer, path) -> None:
 def synthesize_note(spec: NoteSpec, sample_rate: int = DEFAULT_SAMPLE_RATE) -> AudioBuffer:
     """Render sum_k (1/k) exp(-DECAY_RATE*t) sin(2*pi*k*f0*t), peak-normalized to 0.9.
 
-    Deterministic; raises if a partial would alias or a WAV could not hold the note.
+    Each block of BLOCK_SAMPLES samples is summed partial by partial into the
+    output, then scaled by its envelope; one final scale normalizes the whole
+    note. Every sample sees the arithmetic of a whole-note render, so the
+    bytes do not depend on the block size. Deterministic; raises if a partial
+    would alias or a WAV could not hold the note.
     """
     if spec.fundamental_hz * spec.partial_count >= sample_rate / 2:
         raise ValueError(
@@ -215,19 +229,26 @@ def synthesize_note(spec: NoteSpec, sample_rate: int = DEFAULT_SAMPLE_RATE) -> A
     if n == 0:
         raise ValueError(f"{spec.pitch_name}: duration {spec.duration_s} s rounds to 0 "
                          f"samples at {sample_rate} Hz")
-    t = np.arange(n) / sample_rate
     out = np.zeros(n)
-    partial = np.empty(n)  # each partial in turn, then the envelope
-    for k in range(1, spec.partial_count + 1):
-        np.sin(np.multiply(2.0 * np.pi * k * spec.fundamental_hz, t, out=partial), out=partial)
-        out += np.multiply(partial, 1.0 / k, out=partial)
-    out *= np.exp(np.multiply(-DECAY_RATE, t, out=partial), out=partial)
-    peak = np.max(np.abs(out))
+    peak = max(_render_block(out[start:start + BLOCK_SAMPLES], start, spec, sample_rate)
+               for start in range(0, n, BLOCK_SAMPLES))
     if peak == 0:  # one sample is sin(0): nothing to normalize
         raise ValueError(f"{spec.pitch_name}: duration {spec.duration_s} s rounds to {n} "
                          f"silent sample(s) at {sample_rate} Hz")
     out *= 0.9 / peak
     return AudioBuffer(out, sample_rate)
+
+
+def _render_block(block, start, spec, sample_rate):
+    """Add the note's partials, times its envelope, into `block`: zeros that
+    hold the note's samples from `start` on. Returns the block's peak."""
+    t = np.arange(start, start + len(block)) / sample_rate
+    partial = np.empty(len(block))  # each partial in turn, the envelope, then |block|
+    for k in range(1, spec.partial_count + 1):
+        np.sin(np.multiply(2.0 * np.pi * k * spec.fundamental_hz, t, out=partial), out=partial)
+        block += np.multiply(partial, 1.0 / k, out=partial)
+    block *= np.exp(np.multiply(-DECAY_RATE, t, out=partial), out=partial)
+    return np.max(np.abs(block, out=partial))
 
 
 def max_alias_free_partials(fundamental_hz: float, sample_rate: int) -> int:

@@ -112,7 +112,9 @@ def build_dataset(corpus, settings, stft: StftConfig = StftConfig(),
     which with `stft` makes the feature contract the manifest records.
 
     With `limit`, the pairs taken are those with the smallest outputs of
-    their `seed`'s subsample stream; the manifest keeps settings order.
+    their `seed`'s subsample stream (`rng.subset`, drawn in chunks, so the
+    draw's memory does not grow with notes x settings); the manifest keeps
+    settings order.
     The pairs are processed on `jobs` fork-started worker processes
     (`pool.fork_map`); the manifest is the same for any `jobs`."""
     corpus = list(corpus)
@@ -131,12 +133,12 @@ def build_dataset(corpus, settings, stft: StftConfig = StftConfig(),
         raise ValueError(f"settings must be an (n, {BAND_COUNT}) array of dB gains")
 
     total = len(corpus) * len(settings)
-    pair_indices = np.arange(total)
-    if limit is not None:
-        if not 0 < limit <= total:
-            raise ValueError(f"limit must be in [1, {total}]")
-        z = rng.splitmix64([rng.key(seed, "subsample")], total)[0]
-        pair_indices = np.sort(np.argpartition(z, limit - 1)[:limit])
+    if limit is None:
+        pair_indices = np.arange(total)
+    elif 0 < limit <= total:
+        pair_indices = rng.subset(rng.key(seed, "subsample"), total, limit)
+    else:
+        raise ValueError(f"limit must be in [1, {total}]")
 
     contract = FeatureContract(sample_rate, stft)
     note, setting = np.divmod(pair_indices, len(settings))

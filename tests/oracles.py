@@ -84,6 +84,13 @@ def stream_key(seed, purpose):
     return key
 
 
+def subset(key, n, size):
+    """`rng.subset` in one shot: the ascending indices of the `size` smallest
+    of the stream's first n outputs, all drawn by one `rng.splitmix64` call."""
+    stream = rng.splitmix64([key], n)[0]
+    return np.sort(np.argpartition(stream, size - 1)[:size])
+
+
 def splitmix64_uniform(seed, low, high, sizes):
     """Arrays of uniform floats in [low, high), one per size, drawn in turn
     from one SplitMix64 stream; each draw keeps the top 53 bits."""

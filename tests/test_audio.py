@@ -1,5 +1,6 @@
 import io
 import struct
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,9 +10,9 @@ from hypothesis import strategies as st
 from scipy.io import wavfile
 
 import oracles
-from eqrep.audio import (MAX_SAMPLE_RATE, MAX_WAV_DATA_BYTES, AudioBuffer, NoteSpec,
-                         max_alias_free_partials, note_corpus, pitch_to_hz, pitch_to_midi,
-                         read_wav, synthesize_note, write_wav, DEFAULT_PITCHES)
+from eqrep.audio import (BLOCK_SAMPLES, MAX_SAMPLE_RATE, MAX_WAV_DATA_BYTES, AudioBuffer,
+                         NoteSpec, max_alias_free_partials, note_corpus, pitch_to_hz,
+                         pitch_to_midi, read_wav, synthesize_note, write_wav, DEFAULT_PITCHES)
 from eqrep.features import extract_features
 from fresh import run_fresh
 
@@ -426,11 +427,32 @@ class TestSynthesizeNote:
         (NoteSpec("C2", pitch_to_hz("C2"), 0.5, 300), SR),
         (NoteSpec("G4", pitch_to_hz("G4"), 0.37, 20), 22050),
         (NoteSpec("G7", pitch_to_hz("G7"), 0.2, 3), SR),
-    ], ids=["C2-300", "G4-22k", "G7-3"])
+        # block edges: one block, one block and a sample, three blocks and a short tail
+        *((NoteSpec("C3", pitch_to_hz("C3"), samples / rate, 40), rate)
+          for rate in (22050, SR)
+          for samples in (BLOCK_SAMPLES, BLOCK_SAMPLES + 1, 3 * BLOCK_SAMPLES + 7)),
+    ], ids=["C2-300", "G4-22k", "G7-3",
+            *(f"{edge}-{rate}" for rate in ("22k", "44k")
+              for edge in ("one-block", "block+1", "3-blocks+7"))])
     def test_matches_per_partial_oracle(self, spec, sample_rate):
         # the same arithmetic in the same order, so the bytes agree
         np.testing.assert_array_equal(synthesize_note(spec, sample_rate).samples,
                                       oracles.note_samples(spec, sample_rate))
+
+    def test_memory_does_not_grow_with_the_note(self):
+        # Beyond the samples it returns, a render holds one block's time axis
+        # and partial; the whole-note render held three more note-sized arrays.
+        extra = {}
+        for duration in (4.0, 16.0):
+            spec = NoteSpec("C2", pitch_to_hz("C2"), duration, 20)
+            tracemalloc.start()
+            try:
+                samples = synthesize_note(spec, SR).samples
+                extra[duration] = tracemalloc.get_traced_memory()[1] - samples.nbytes
+            finally:
+                tracemalloc.stop()
+        assert extra[16.0] <= extra[4.0] + (64 << 10)
+        assert extra[16.0] <= 4 * BLOCK_SAMPLES * 8
 
 
 class TestPitchParsing:

@@ -24,7 +24,7 @@ def test_summary_pairs_by_pair_and_counts_wins():
     summary = bench_record.summarize(runs, {"op_p50_ms": "lower", "peak_rss_mb": "lower"})
     op = summary["predict"]["op_p50_ms"]
     assert op == {"parent_median": 4.0, "change_median": 3.5, "parent_iqr": 1.0,
-                  "pairs": 3, "change_better": 2}
+                  "pairs": 3, "change_better": 2, "resolved": False}
     assert summary["predict"]["peak_rss_mb"]["change_better"] == 0
 
 
@@ -32,6 +32,33 @@ def test_higher_is_better_counts_the_other_way():
     runs = [_run(0, "parent", 1.0), _run(0, "change", 2.0)]
     op = bench_record.summarize(runs, {"op_p50_ms": "higher"})["predict"]["op_p50_ms"]
     assert op["change_better"] == 1 and op["parent_iqr"] == 0.0
+
+
+def _pairs(parent, change):
+    return [run for pair, (p, c) in enumerate(zip(parent, change))
+            for run in (_run(pair, "parent", p), _run(pair, "change", c))]
+
+
+@pytest.mark.parametrize("change, resolved", [
+    ([7.5] * 10, True),                # better in 10 of 10, by 2.5 against an IQR of 2
+    ([7.5] * 9 + [12.0], True),        # 9 of 10 is enough
+    ([7.5] * 8 + [12.0] * 2, False),   # 8 of 10 is not
+    ([8.5] * 10, False),               # 10 of 10, but the medians differ by less than the IQR
+    ([12.5] * 10, False),              # worse by more than the IQR
+])
+def test_resolved_needs_nine_in_ten_and_a_median_gap_above_the_iqr(change, resolved):
+    parent = [9.0, 11.0] * 5  # median 10, quartiles 9 and 11
+    op = bench_record.summarize(_pairs(parent, change), {"op_p50_ms": "lower"})
+    assert op["predict"]["op_p50_ms"]["parent_iqr"] == 2.0
+    assert op["predict"]["op_p50_ms"]["resolved"] is resolved
+
+
+def test_resolved_follows_the_metrics_direction():
+    parent = [10.0] * 10
+    higher = bench_record.summarize(_pairs(parent, [12.0] * 10), {"op_p50_ms": "higher"})
+    lower = bench_record.summarize(_pairs(parent, [12.0] * 10), {"op_p50_ms": "lower"})
+    assert higher["predict"]["op_p50_ms"]["resolved"] is True
+    assert lower["predict"]["op_p50_ms"]["resolved"] is False
 
 
 def test_pairs_must_be_positive():

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -59,6 +60,32 @@ class TestKeys:
         key = rng.key(7, "split")
         outputs = oracles.splitmix64_outputs(key, n)
         assert rng.permutation(key, n).tolist() == sorted(range(n), key=outputs.__getitem__)
+
+
+CHUNK = rng.SUBSET_CHUNK
+
+
+class TestSubset:
+    @pytest.mark.parametrize("n, size", [
+        (1, 1), (35, 1), (35, 35), (CHUNK, 1), (CHUNK, CHUNK), (CHUNK + 1, 1),
+        (CHUNK + 1, CHUNK), (CHUNK + 1, CHUNK + 1), (16 * 16807, 2000), (16 * 16807, 1),
+    ])
+    @pytest.mark.parametrize("key", [rng.key(42, "subsample"), 2 ** 64 - 1])
+    def test_matches_the_one_shot_draw(self, key, n, size):
+        np.testing.assert_array_equal(rng.subset(key, n, size), oracles.subset(key, n, size))
+
+    def test_memory_does_not_grow_with_the_stream(self):
+        # one chunk and the running smallest: the one-shot draw held the
+        # stream and its argpartition, 16 bytes per pair
+        key, peaks = rng.key(42, "subsample"), {}
+        for n in (16 * 16807, 64 * 16807):
+            tracemalloc.start()
+            try:
+                rng.subset(key, n, 100)
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[64 * 16807] <= peaks[16 * 16807] + (64 << 10)
 
 
 # Forest node keys: the first thousand, and the top of the uint64 range.

@@ -18,8 +18,10 @@ is written under `perfbench/`; the harness itself writes only its
 The output holds every run (its end-to-end metrics, operation quantiles,
 set-up times, `correct` flag and exit code), the parent's commit id, each
 side's machine facts from its first run that printed them, and per workload
-and metric: each side's median, the parent's interquartile range, and in how
-many pairs the working tree was better; and each side's Tier-1 wall seconds,
+and metric: each side's median, the parent's interquartile range, in how
+many pairs the working tree was better, and whether that gain is resolved
+(better in at least 9 of 10 pairs, and in the median by more than the
+parent's interquartile range); and each side's Tier-1 wall seconds,
 passed and failed counts and exit code. The harness's own `git_commit` fact
 is left out: the parent's unpacked files are no repository, and the working
 tree may differ from its HEAD; `src_sha256` tells the two sources apart.
@@ -112,8 +114,10 @@ def _quartiles(values):
 
 def summarize(runs, better):
     """{workload: {metric: {parent_median, change_median, parent_iqr, pairs,
-    change_better}}} over the runs that printed a result; `better` maps each
-    metric to "lower" or "higher"."""
+    change_better, resolved}}} over the runs that printed a result; `better`
+    maps each metric to "lower" or "higher". A metric is `resolved` when the
+    change is better in at least 9 of 10 pairs and its median is better than
+    the parent's by more than the parent's interquartile range."""
     summary = {}
     for workload in sorted({run["workload"] for run in runs}):
         paired = {}
@@ -129,12 +133,16 @@ def summarize(runs, better):
             parent, change = zip(*pairs)
             low, high = _quartiles(list(parent))
             sign = 1 if direction == "lower" else -1
+            parent_median, change_median = statistics.median(parent), statistics.median(change)
+            wins = sum(sign * (c - p) < 0 for p, c in pairs)
             summary[workload][metric] = {
-                "parent_median": statistics.median(parent),
-                "change_median": statistics.median(change),
+                "parent_median": parent_median,
+                "change_median": change_median,
                 "parent_iqr": high - low,
                 "pairs": len(pairs),
-                "change_better": sum(sign * (c - p) < 0 for p, c in pairs),
+                "change_better": wins,
+                "resolved": (10 * wins >= 9 * len(pairs)
+                             and sign * (parent_median - change_median) > high - low),
             }
     return summary
 
